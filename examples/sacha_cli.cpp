@@ -458,6 +458,20 @@ int main(int argc, char** argv) {
                     : "built + persisted");
   }
 
+  // A schedule whose messages the wire cannot frame would fail every
+  // session the same way: refuse it before running any. (Kept alive, this
+  // verifier also keeps the interned golden model for the ones below.)
+  core::SachaVerifier schedule_check = env.make_verifier();
+  schedule_check.begin();
+  if (const auto& rejected = schedule_check.schedule_error()) {
+    std::fprintf(stderr,
+                 "error: --frames-per-config %u / --frames-per-readback %u "
+                 "cannot run: %s\n",
+                 options.frames_per_config, options.frames_per_readback,
+                 rejected->c_str());
+    return 2;
+  }
+
   std::printf("device=%s frames=%u order=%s latency=%lluus loss=%.3f%s%s\n",
               env.plan.device().name().c_str(), env.plan.device().total_frames(),
               options.order.c_str(),

@@ -71,35 +71,49 @@ ConfigImage BitGen::nonce_frame(std::uint64_t nonce) const {
 std::vector<std::uint32_t> BitGen::assemble(const ConfigImage& image,
                                             std::uint32_t first_frame,
                                             std::uint32_t idcode) const {
+  return assemble(std::span<const Frame>(image.frames), first_frame, idcode);
+}
+
+std::vector<std::uint32_t> BitGen::assemble(std::span<const Frame> frames,
+                                            std::uint32_t first_frame,
+                                            std::uint32_t idcode) const {
+  const std::uint32_t payload_words =
+      static_cast<std::uint32_t>(frames.size()) *
+      device_.geometry().words_per_frame();
   PacketWriter writer;
+  // sync, noop, idcode (2), wcfg (2), far (2), FDRI header (up to 2), the
+  // payload, crc (2), desync (2), noop.
+  writer.reserve(16 + payload_words);
   writer.sync();
   writer.noop();
   writer.write_idcode(idcode);
   writer.cmd(CmdOp::kWcfg);
   writer.write_far(device_.geometry().address_of(first_frame));
-  std::vector<std::uint32_t> payload;
-  payload.reserve(image.frames.size() * device_.geometry().words_per_frame());
-  for (const Frame& frame : image.frames) {
-    payload.insert(payload.end(), frame.words().begin(), frame.words().end());
+  writer.write_frames_header(payload_words);
+  StreamCrc crc;
+  for (const Frame& frame : frames) {
+    writer.append(frame.words());
+    crc.update(frame.words());
   }
-  writer.write_frames(payload);
-  writer.crc(stream_crc(payload));
+  writer.crc(crc.value());
   writer.cmd(CmdOp::kDesync);
   writer.noop();
-  return writer.words();
+  return writer.take();
 }
 
 std::vector<std::uint32_t> BitGen::assemble_single_frame(
     const Frame& frame, std::uint32_t frame_index, std::uint32_t idcode) const {
   assert(frame.size() == device_.geometry().words_per_frame());
   PacketWriter writer;
+  // sync, idcode (2), wcfg (2), far (2), FDRI header, the frame, desync (2).
+  writer.reserve(10 + frame.size());
   writer.sync();
   writer.write_idcode(idcode);
   writer.cmd(CmdOp::kWcfg);
   writer.write_far(device_.geometry().address_of(frame_index));
   writer.write_frames(frame.words());
   writer.cmd(CmdOp::kDesync);
-  return writer.words();
+  return writer.take();
 }
 
 }  // namespace sacha::bitstream

@@ -58,6 +58,11 @@ class BitGen {
   std::vector<std::uint32_t> assemble(const ConfigImage& image,
                                       std::uint32_t first_frame,
                                       std::uint32_t idcode) const;
+  /// The same burst over consecutive frames held anywhere (a slice of an
+  /// image), built at its exact size.
+  std::vector<std::uint32_t> assemble(std::span<const Frame> frames,
+                                      std::uint32_t first_frame,
+                                      std::uint32_t idcode) const;
 
   /// Encodes one frame write as a standalone command stream (what each
   /// ICAP_config network packet of the paper's protocol carries).

@@ -1,6 +1,7 @@
 #include "bitstream/golden_model.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -14,9 +15,12 @@
 
 #if defined(__linux__) && !defined(SACHA_PORTABLE)
 #define SACHA_GM_MMAP 1
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#endif
+#if defined(__unix__)
+#define SACHA_GM_POSIX 1
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -459,8 +463,53 @@ std::string GoldenModel::cache_digest(const fabric::Floorplan& plan,
   return hex;
 }
 
+namespace {
+
+/// Flushes a written file to stable storage before it is renamed into
+/// place, so a crash never leaves a renamed but torn cache file.
+bool sync_to_disk(const std::string& path) {
+#if defined(SACHA_GM_POSIX)
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
+#else
+  (void)path;
+  return true;
+#endif
+}
+
+std::string temp_path_beside(const std::string& path) {
+  static std::atomic<std::uint64_t> sequence{0};
+#if defined(SACHA_GM_POSIX)
+  const long pid = static_cast<long>(::getpid());
+#else
+  const long pid = 0;
+#endif
+  return path + ".tmp." + std::to_string(pid) + "." +
+         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+}
+
+}  // namespace
+
 bool GoldenModel::save(const std::string& path,
                        const fabric::Floorplan& plan) const {
+  // Write a private file in the same directory, sync it, then rename it
+  // over `path`. A process that has the old file mapped keeps the old
+  // inode; rewriting in place would truncate its pages under it (SIGBUS).
+  const std::string temp = temp_path_beside(path);
+  const bool written = write_file(temp, plan);
+  if (!written || !sync_to_disk(temp) ||
+      std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool GoldenModel::write_file(const std::string& path,
+                             const fabric::Floorplan& plan) const {
   Writer w;
   w.out.open(path, std::ios::binary | std::ios::trunc);
   if (!w.out.is_open()) return false;
@@ -490,7 +539,8 @@ bool GoldenModel::save(const std::string& path,
       static_cast<std::uint64_t>(total_frames_) * words_per_frame_;
   w.table(mask_table_, table_words);
   w.table(golden_table_, table_words);
-  return w.ok && !!w.out.flush();
+  w.out.close();
+  return w.ok && !w.out.fail();
 }
 
 std::shared_ptr<const GoldenModel> GoldenModel::load(

@@ -70,7 +70,9 @@ class GoldenModel {
 
   /// Serialises the model (all region images + flat tables) to `path`.
   /// `plan` must be the floorplan the model was built from — its digest is
-  /// sealed into the header. Returns false on I/O failure.
+  /// sealed into the header. The file is written beside `path`, synced and
+  /// renamed into place, so processes that have the old file mapped keep
+  /// reading the old contents. Returns false on I/O failure.
   bool save(const std::string& path, const fabric::Floorplan& plan) const;
 
   /// Deserialises a model previously save()d for the same (device, plan,
@@ -195,6 +197,9 @@ class GoldenModel {
   GoldenModel() = default;  // load()/load_mapped() fill the fields directly
 
   friend struct ModelParser;  // shared load/load_mapped decoder
+
+  /// save()'s serialiser: writes the whole file at `path`.
+  bool write_file(const std::string& path, const fabric::Floorplan& plan) const;
 
   DesignSpec static_spec_;
   DesignSpec app_spec_;

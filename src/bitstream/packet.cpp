@@ -1,5 +1,6 @@
 #include "bitstream/packet.hpp"
 
+#include <array>
 #include <cassert>
 
 namespace sacha::bitstream {
@@ -61,14 +62,21 @@ void PacketWriter::write_idcode(std::uint32_t idcode) {
 }
 
 void PacketWriter::write_frames(std::span<const std::uint32_t> words) {
-  if (words.size() <= kType1MaxCount) {
-    type1(kOpcodeWrite, ConfigReg::kFdri,
-          static_cast<std::uint32_t>(words.size()));
+  write_frames_header(static_cast<std::uint32_t>(words.size()));
+  append(words);
+}
+
+void PacketWriter::write_frames_header(std::uint32_t word_count) {
+  if (word_count <= kType1MaxCount) {
+    type1(kOpcodeWrite, ConfigReg::kFdri, word_count);
   } else {
     // Long burst: zero-length type-1 header followed by a type-2 extension.
     type1(kOpcodeWrite, ConfigReg::kFdri, 0);
-    type2(kOpcodeWrite, static_cast<std::uint32_t>(words.size()));
+    type2(kOpcodeWrite, word_count);
   }
+}
+
+void PacketWriter::append(std::span<const std::uint32_t> words) {
   words_.insert(words_.end(), words.begin(), words.end());
 }
 
@@ -93,9 +101,9 @@ Bytes PacketWriter::to_bytes() const {
   return out;
 }
 
-Result<std::vector<ConfigOp>> parse_packets(
-    std::span<const std::uint32_t> words) {
-  std::vector<ConfigOp> ops;
+Status parse_packets(std::span<const std::uint32_t> words,
+                     std::vector<ConfigOp>& ops) {
+  ops.clear();
   std::size_t i = 0;
   bool synced = false;
   while (i < words.size()) {
@@ -107,7 +115,7 @@ Result<std::vector<ConfigOp>> parse_packets(
         ++i;
         continue;
       }
-      return Result<std::vector<ConfigOp>>::error(
+      return Status::error(
           "data before sync word at offset " + std::to_string(i));
     }
     if (w == kNoopWord) {
@@ -116,7 +124,7 @@ Result<std::vector<ConfigOp>> parse_packets(
       continue;
     }
     if (header_type(w) != 1) {
-      return Result<std::vector<ConfigOp>>::error(
+      return Status::error(
           "unexpected packet type at offset " + std::to_string(i));
     }
     const std::uint32_t opcode = header_opcode(w);
@@ -126,7 +134,7 @@ Result<std::vector<ConfigOp>> parse_packets(
     // A zero-count type-1 may be extended by a type-2 packet.
     if (count == 0 && i < words.size() && header_type(words[i]) == 2) {
       if (header_opcode(words[i]) != opcode) {
-        return Result<std::vector<ConfigOp>>::error(
+        return Status::error(
             "type-2 opcode mismatch at offset " + std::to_string(i));
       }
       count = header_count2(words[i]);
@@ -134,38 +142,38 @@ Result<std::vector<ConfigOp>> parse_packets(
     }
     if (opcode == kOpcodeRead >> 27) {
       if (static_cast<ConfigReg>(reg) != ConfigReg::kFdro) {
-        return Result<std::vector<ConfigOp>>::error(
+        return Status::error(
             "read from unsupported register " + std::to_string(reg));
       }
       ops.push_back(OpReadRequest{count});
       continue;
     }
     if (opcode != kOpcodeWrite >> 27) {
-      return Result<std::vector<ConfigOp>>::error(
+      return Status::error(
           "unsupported opcode at offset " + std::to_string(i - 1));
     }
     if (i + count > words.size()) {
-      return Result<std::vector<ConfigOp>>::error(
+      return Status::error(
           "truncated payload: need " + std::to_string(count) + " words at offset " +
           std::to_string(i));
     }
     switch (static_cast<ConfigReg>(reg)) {
       case ConfigReg::kFar:
         if (count != 1) {
-          return Result<std::vector<ConfigOp>>::error("FAR write count != 1");
+          return Status::error("FAR write count != 1");
         }
         ops.push_back(OpWriteFar{fabric::FrameAddress::unpack(words[i])});
         break;
       case ConfigReg::kCmd: {
         if (count != 1) {
-          return Result<std::vector<ConfigOp>>::error("CMD write count != 1");
+          return Status::error("CMD write count != 1");
         }
         const std::uint32_t op = words[i];
         if (op != static_cast<std::uint32_t>(CmdOp::kNull) &&
             op != static_cast<std::uint32_t>(CmdOp::kWcfg) &&
             op != static_cast<std::uint32_t>(CmdOp::kRcfg) &&
             op != static_cast<std::uint32_t>(CmdOp::kDesync)) {
-          return Result<std::vector<ConfigOp>>::error("unknown CMD opcode " +
+          return Status::error("unknown CMD opcode " +
                                                       std::to_string(op));
         }
         ops.push_back(OpCmd{static_cast<CmdOp>(op)});
@@ -173,28 +181,34 @@ Result<std::vector<ConfigOp>> parse_packets(
       }
       case ConfigReg::kIdcode:
         if (count != 1) {
-          return Result<std::vector<ConfigOp>>::error("IDCODE write count != 1");
+          return Status::error("IDCODE write count != 1");
         }
         ops.push_back(OpWriteIdcode{words[i]});
         break;
-      case ConfigReg::kFdri: {
-        OpWriteFrames op;
-        op.words.assign(words.begin() + static_cast<std::ptrdiff_t>(i),
-                        words.begin() + static_cast<std::ptrdiff_t>(i + count));
-        ops.push_back(std::move(op));
+      case ConfigReg::kFdri:
+        ops.push_back(OpWriteFrames{words.subspan(i, count)});
         break;
-      }
       case ConfigReg::kCrc:
         if (count != 1) {
-          return Result<std::vector<ConfigOp>>::error("CRC write count != 1");
+          return Status::error("CRC write count != 1");
         }
         ops.push_back(OpCrc{words[i]});
         break;
       default:
-        return Result<std::vector<ConfigOp>>::error(
+        return Status::error(
             "write to unsupported register " + std::to_string(reg));
     }
     i += count;
+  }
+  return Status();
+}
+
+Result<std::vector<ConfigOp>> parse_packets(
+    std::span<const std::uint32_t> words) {
+  std::vector<ConfigOp> ops;
+  const Status parsed = parse_packets(words, ops);
+  if (!parsed.ok()) {
+    return Result<std::vector<ConfigOp>>::error(parsed.message());
   }
   return ops;
 }
@@ -211,22 +225,40 @@ Result<std::vector<std::uint32_t>> words_from_bytes(ByteSpan data) {
   return words;
 }
 
-std::uint32_t stream_crc(std::span<const std::uint32_t> words) {
-  // CRC-32 (reflected, poly 0xEDB88320) over the big-endian byte expansion.
-  std::uint32_t crc = 0xffffffff;
-  auto feed = [&crc](std::uint8_t byte) {
-    crc ^= byte;
-    for (int b = 0; b < 8; ++b) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-    }
-  };
-  for (std::uint32_t w : words) {
-    feed(static_cast<std::uint8_t>(w >> 24));
-    feed(static_cast<std::uint8_t>(w >> 16));
-    feed(static_cast<std::uint8_t>(w >> 8));
-    feed(static_cast<std::uint8_t>(w));
+namespace {
+
+// Byte-at-a-time table for the reflected CRC-32 (poly 0xEDB88320); equal to
+// the bitwise definition, eight times fewer steps.
+constexpr std::array<std::uint32_t, 256> make_crc_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    std::uint32_t c = n;
+    for (int b = 0; b < 8; ++b) c = (c >> 1) ^ (0xEDB88320u & (~(c & 1u) + 1u));
+    table[n] = c;
   }
-  return ~crc;
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+
+}  // namespace
+
+void StreamCrc::update(std::span<const std::uint32_t> words) {
+  std::uint32_t crc = crc_;
+  for (const std::uint32_t w : words) {
+    // Big-endian byte expansion of each word.
+    crc = kCrcTable[(crc ^ (w >> 24)) & 0xff] ^ (crc >> 8);
+    crc = kCrcTable[(crc ^ (w >> 16)) & 0xff] ^ (crc >> 8);
+    crc = kCrcTable[(crc ^ (w >> 8)) & 0xff] ^ (crc >> 8);
+    crc = kCrcTable[(crc ^ w) & 0xff] ^ (crc >> 8);
+  }
+  crc_ = crc;
+}
+
+std::uint32_t stream_crc(std::span<const std::uint32_t> words) {
+  StreamCrc crc;
+  crc.update(words);
+  return crc.value();
 }
 
 }  // namespace sacha::bitstream

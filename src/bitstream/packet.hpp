@@ -9,7 +9,9 @@
 // must survive malformed input from the network.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -60,8 +62,11 @@ struct OpWriteIdcode {
   bool operator==(const OpWriteIdcode&) const = default;
 };
 struct OpWriteFrames {
-  std::vector<std::uint32_t> words;  // multiple of words-per-frame
-  bool operator==(const OpWriteFrames&) const = default;
+  /// View into the parsed stream (a multiple of words-per-frame).
+  std::span<const std::uint32_t> words;
+  bool operator==(const OpWriteFrames& other) const {
+    return std::ranges::equal(words, other.words);
+  }
 };
 struct OpReadRequest {
   std::uint32_t word_count = 0;
@@ -78,16 +83,27 @@ using ConfigOp = std::variant<OpSync, OpNoop, OpWriteFar, OpCmd, OpWriteIdcode,
 /// Builds a word stream from operations.
 class PacketWriter {
  public:
+  /// Capacity for `words` words, so a stream of known size is built with
+  /// one allocation.
+  void reserve(std::size_t words) { words_.reserve(words); }
+
   void sync();
   void noop(std::uint32_t count = 1);
   void write_far(const fabric::FrameAddress& address);
   void cmd(CmdOp op);
   void write_idcode(std::uint32_t idcode);
   void write_frames(std::span<const std::uint32_t> words);
+  /// The FDRI header of a `word_count`-word burst whose payload the caller
+  /// appends next (frames that are not contiguous in memory).
+  void write_frames_header(std::uint32_t word_count);
+  /// Appends raw words (a payload announced by a header).
+  void append(std::span<const std::uint32_t> words);
   void read_request(std::uint32_t word_count);
   void crc(std::uint32_t value);
 
   const std::vector<std::uint32_t>& words() const { return words_; }
+  /// Moves the stream out; the writer is empty afterwards.
+  std::vector<std::uint32_t> take() { return std::move(words_); }
   Bytes to_bytes() const;
 
  private:
@@ -96,16 +112,34 @@ class PacketWriter {
   std::vector<std::uint32_t> words_;
 };
 
-/// Parses a word stream back into operations. Returns an error for unknown
-/// registers/opcodes, truncated payloads, or data before the sync word.
+/// Parses a word stream back into operations, replacing the contents of
+/// `ops` (a list the caller reuses, so a steady stream of commands parses
+/// without allocating). FDRI ops view `words`, which must outlive `ops`'
+/// use. Returns an error for unknown registers/opcodes, truncated payloads,
+/// or data before the sync word.
+Status parse_packets(std::span<const std::uint32_t> words,
+                     std::vector<ConfigOp>& ops);
+
+/// Convenience form of the above with a fresh list.
 Result<std::vector<ConfigOp>> parse_packets(std::span<const std::uint32_t> words);
 
 /// Convenience: bytes -> words (big-endian); size must be a multiple of 4.
 Result<std::vector<std::uint32_t>> words_from_bytes(ByteSpan data);
 
-/// CRC over a word stream (the model uses CRC-32/BZIP2-style polynomial over
+/// Running CRC over a word stream (the model uses a reflected CRC-32 over
 /// big-endian bytes; the real device uses a hardware CRC — only internal
 /// consistency matters here).
+class StreamCrc {
+ public:
+  void update(std::span<const std::uint32_t> words);
+  std::uint32_t value() const { return ~crc_; }
+  void reset() { crc_ = 0xffffffff; }
+
+ private:
+  std::uint32_t crc_ = 0xffffffff;
+};
+
+/// StreamCrc over one whole stream.
 std::uint32_t stream_crc(std::span<const std::uint32_t> words);
 
 }  // namespace sacha::bitstream

@@ -1,5 +1,7 @@
 #include "config/config_memory.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "bitstream/bitgen.hpp"
@@ -19,18 +21,29 @@ ConfigMemory::ConfigMemory(const fabric::DeviceModel& device)
   for (std::uint32_t i = 0; i < n; ++i) {
     masks_.push_back(architectural_mask(device_, i));
     const bitstream::FrameMask& msk = masks_.back();
-    for (std::uint32_t b = 0; b < msk.bit_count(); ++b) {
-      if (!msk.get_bit(b)) register_positions_[i].push_back(b);
+    // Mask-0 bits in ascending order, a word at a time.
+    for (std::uint32_t w = 0; w < msk.size(); ++w) {
+      for (std::uint32_t reg = ~msk.word(w); reg != 0; reg &= reg - 1) {
+        register_positions_[i].push_back(w * 32 +
+                                         static_cast<std::uint32_t>(
+                                             std::countr_zero(reg)));
+      }
     }
   }
 }
 
 void ConfigMemory::write_frame(std::uint32_t index,
                                const bitstream::Frame& frame) {
+  write_frame(index, std::span<const std::uint32_t>(frame.words()));
+}
+
+void ConfigMemory::write_frame(std::uint32_t index,
+                               std::span<const std::uint32_t> words) {
   assert(index < config_.size());
-  assert(frame.size() == words_per_frame());
-  config_[index] = frame;
-  registers_[index] = frame;  // FFs come up in their INIT state
+  assert(words.size() == words_per_frame());
+  std::copy(words.begin(), words.end(), config_[index].words().begin());
+  // FFs come up in their INIT state.
+  std::copy(words.begin(), words.end(), registers_[index].words().begin());
 }
 
 void ConfigMemory::write_frame_preserving_registers(
@@ -64,8 +77,11 @@ void ConfigMemory::readback_into(std::uint32_t index,
   const bitstream::Frame& reg = registers_[index];
   const bitstream::FrameMask& msk = masks_[index];
   const std::uint32_t words = words_per_frame();
+  const std::size_t at = out.size();
+  out.resize(at + words);
+  std::uint32_t* dst = out.data() + at;
   for (std::uint32_t w = 0; w < words; ++w) {
-    out.push_back((cfg.word(w) & msk.word(w)) | (reg.word(w) & ~msk.word(w)));
+    dst[w] = (cfg.word(w) & msk.word(w)) | (reg.word(w) & ~msk.word(w));
   }
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitstream/frame.hpp"
@@ -31,6 +32,9 @@ class ConfigMemory {
   /// Overwrites a frame's configuration bits. Register state at that frame
   /// resets to the written values (FF INIT semantics).
   void write_frame(std::uint32_t index, const bitstream::Frame& frame);
+  /// The same from a frame's words held anywhere (the ICAP writes straight
+  /// from a command's FDRI payload).
+  void write_frame(std::uint32_t index, std::span<const std::uint32_t> words);
 
   /// Updates configuration bits without re-initialising the register layer:
   /// direct corruption of the configuration SRAM (an SEU strike, or an

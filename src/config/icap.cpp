@@ -1,7 +1,6 @@
 #include "config/icap.hpp"
 
 #include "bitstream/bitgen.hpp"
-#include "bitstream/packet.hpp"
 #include "obs/metrics.hpp"
 
 namespace sacha::config {
@@ -14,12 +13,14 @@ std::uint32_t device_idcode(const fabric::DeviceModel& device) {
 }
 
 Icap::Icap(ConfigMemory& memory, std::uint32_t idcode, IcapTiming timing)
-    : memory_(&memory), idcode_(idcode), timing_(timing) {}
+    : memory_(&memory), idcode_(idcode), timing_(timing) {
+  ops_.reserve(16);  // a frame write or readback program has ~10 ops
+}
 
 Result<std::vector<std::uint32_t>> Icap::execute(
     std::span<const std::uint32_t> words) {
   using R = Result<std::vector<std::uint32_t>>;
-  auto parsed = bs::parse_packets(words);
+  const Status parsed = bs::parse_packets(words, ops_);
   if (!parsed.ok()) return R::error("ICAP: " + parsed.message());
 
   ++stats_.command_streams;
@@ -31,22 +32,26 @@ Result<std::vector<std::uint32_t>> Icap::execute(
 
   const std::uint32_t wpf = memory_->words_per_frame();
   const std::uint32_t total = memory_->total_frames();
-  const std::vector<bs::ConfigOp> ops = std::move(parsed).take();
   std::vector<std::uint32_t> output;
   // Reserve the whole readback volume up front: the op list is already
   // parsed, so the output size is known exactly and the frame loop below
   // never reallocates.
   std::size_t read_words = 0;
-  for (const bs::ConfigOp& op : ops) {
-    if (const auto* rd = std::get_if<bs::OpReadRequest>(&op)) {
+  // Payload after the stream's last CRC check is never checked, so its CRC
+  // is not computed (single-frame commands carry no CRC at all).
+  std::size_t crc_checks_end = 0;
+  for (std::size_t k = 0; k < ops_.size(); ++k) {
+    if (const auto* rd = std::get_if<bs::OpReadRequest>(&ops_[k])) {
       read_words += rd->word_count;
+    } else if (std::holds_alternative<bs::OpCrc>(ops_[k])) {
+      crc_checks_end = k;
     }
   }
-  output.reserve(read_words);
-  std::uint32_t crc_accum = 0;
-  std::vector<std::uint32_t> crc_window;  // payload words since last CRC check
+  if (read_words > 0) output.reserve(read_words);
+  bs::StreamCrc crc;  // over the payload words since the last CRC check
 
-  for (const bs::ConfigOp& op : ops) {
+  for (std::size_t k = 0; k < ops_.size(); ++k) {
+    const bs::ConfigOp& op = ops_[k];
     if (std::holds_alternative<bs::OpSync>(op) ||
         std::holds_alternative<bs::OpNoop>(op)) {
       continue;
@@ -84,12 +89,10 @@ Result<std::vector<std::uint32_t>> Icap::execute(
         return R::error("ICAP: write past end of configuration memory");
       }
       for (std::uint32_t f = 0; f < frames; ++f) {
-        bs::Frame frame(std::vector<std::uint32_t>(
-            wr->words.begin() + static_cast<std::ptrdiff_t>(f) * wpf,
-            wr->words.begin() + static_cast<std::ptrdiff_t>(f + 1) * wpf));
-        memory_->write_frame(far_index_ + f, frame);
+        memory_->write_frame(far_index_ + f,
+                             wr->words.subspan(std::size_t{f} * wpf, wpf));
       }
-      crc_window.insert(crc_window.end(), wr->words.begin(), wr->words.end());
+      if (k < crc_checks_end) crc.update(wr->words);
       far_index_ += frames;
       stats_.frames_written += frames;
       static obs::Counter& written = obs::MetricsRegistry::global().counter(
@@ -125,12 +128,11 @@ Result<std::vector<std::uint32_t>> Icap::execute(
               (rd->word_count + wpf);
       continue;
     }
-    if (const auto* crc = std::get_if<bs::OpCrc>(&op)) {
-      crc_accum = bs::stream_crc(crc_window);
-      if (crc->value != crc_accum) {
+    if (const auto* check = std::get_if<bs::OpCrc>(&op)) {
+      if (check->value != crc.value()) {
         return R::error("ICAP: CRC mismatch");
       }
-      crc_window.clear();
+      crc.reset();
       continue;
     }
   }

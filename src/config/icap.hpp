@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
+#include "bitstream/packet.hpp"
 #include "common/result.hpp"
 #include "config/config_memory.hpp"
 
@@ -42,9 +44,10 @@ class Icap {
  public:
   Icap(ConfigMemory& memory, std::uint32_t idcode, IcapTiming timing = {});
 
-  /// Executes one raw command stream (sync ... desync). Returns the words
-  /// produced by read requests (empty for pure configuration streams).
-  /// Partial effects before an error are kept, as in hardware.
+  /// Executes one raw command stream (sync ... desync). The whole stream is
+  /// parsed and validated before any op runs. Returns the words produced by
+  /// read requests (empty, and unallocated, for pure configuration
+  /// streams). Partial effects before an error are kept, as in hardware.
   Result<std::vector<std::uint32_t>> execute(
       std::span<const std::uint32_t> words);
 
@@ -63,6 +66,9 @@ class Icap {
   std::uint32_t idcode_;
   IcapTiming timing_;
   IcapStats stats_;
+  /// Parsed op list, reused across streams so a command costs no
+  /// allocation once the list has grown to the longest stream seen.
+  std::vector<bitstream::ConfigOp> ops_;
 
   // Configuration-logic state, persistent across streams like the silicon.
   std::uint32_t far_index_ = 0;

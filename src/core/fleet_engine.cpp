@@ -266,6 +266,28 @@ void verify_batch_multi(EngineState& st, const std::vector<std::size_t>& picks,
   st.cv.notify_all();
 }
 
+/// Pops the earliest parked member whose undelivered backlog is under the
+/// high-water mark. A member at or over it is not driven further: its
+/// verify strand is already running on another worker (else the
+/// backpressure pass would have picked it), and driving on would let the
+/// backlog outgrow the bound however fast the drive strand is. Called with
+/// the engine mutex held.
+std::optional<std::size_t> pop_drivable(EngineState& st) {
+  std::vector<EngineState::Parked> over_water;
+  std::optional<std::size_t> drivable;
+  while (!st.parked.empty() && !drivable.has_value()) {
+    const EngineState::Parked top = st.parked.top();
+    st.parked.pop();
+    if (st.members[top.second].inbox.size() < st.opts->inbox_high_water) {
+      drivable = top.second;
+    } else {
+      over_water.push_back(top);
+    }
+  }
+  for (const EngineState::Parked& p : over_water) st.parked.push(p);
+  return drivable;
+}
+
 void worker_loop(EngineState& st, std::size_t w) {
   std::unique_lock<std::mutex> lock(st.mu);
   const std::size_t nlanes = st.lanes.size();
@@ -309,10 +331,8 @@ void worker_loop(EngineState& st, std::size_t w) {
       verify_batch_multi(st, picks, lock);
       continue;
     }
-    if (!st.parked.empty()) {
-      const std::size_t m = st.parked.top().second;
-      st.parked.pop();
-      drive_slice(st, m, lock);
+    if (const std::optional<std::size_t> m = pop_drivable(st)) {
+      drive_slice(st, *m, lock);
       continue;
     }
     // FIFO verify: own lane first, then steal from the other lanes.

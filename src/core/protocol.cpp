@@ -1,18 +1,69 @@
 #include "core/protocol.hpp"
 
+#include <bit>
+#include <cstring>
+
+#include "bitstream/packet.hpp"
+
 namespace sacha::core {
 
+namespace {
+
+// Word-at-a-time big-endian packing: the codec moves up to ~85 MB per
+// Virtex-6 session when it runs, so it stores whole words, not bytes.
+std::uint32_t to_big_endian(std::uint32_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap32(w);
+  } else {
+    return w;
+  }
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t w) {
+  const std::uint32_t be = to_big_endian(w);
+  std::memcpy(p, &be, sizeof(be));
+}
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  std::uint32_t be;
+  std::memcpy(&be, p, sizeof(be));
+  return to_big_endian(be);
+}
+
+/// Header shared by commands and responses: type, flags/status, length.
+std::uint8_t* put_header(Bytes& out, std::uint8_t type, std::uint8_t second) {
+  const std::size_t body = out.size() - 4;
+  out[0] = type;
+  out[1] = second;
+  out[2] = static_cast<std::uint8_t>(body >> 8);
+  out[3] = static_cast<std::uint8_t>(body);
+  return out.data() + 4;
+}
+
+void load_words(const std::uint8_t* p, std::vector<std::uint32_t>& words,
+                std::size_t count) {
+  words.resize(count);
+  for (std::size_t i = 0; i < count; ++i) words[i] = load_be32(p + i * 4);
+}
+
+}  // namespace
+
 Bytes Command::encode() const {
-  Bytes out;
-  const bool has_frame_nb = type == CommandType::kIcapReadback;
-  const std::size_t body =
-      (has_frame_nb ? 4 : 0) + stream.size() * 4;
-  out.reserve(4 + body);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(0);  // flags, reserved
-  put_u16be(out, static_cast<std::uint16_t>(body));
-  if (has_frame_nb) put_u32be(out, frame_nb);
-  for (std::uint32_t w : stream) put_u32be(out, w);
+  if (!encodable()) return {};
+  Bytes out(wire_payload_bytes());
+  std::uint8_t* p = put_header(out, static_cast<std::uint8_t>(type), 0);
+  if (type == CommandType::kIcapReadback) {
+    store_be32(p, frame_nb);
+    p += 4;
+  }
+  for (std::uint32_t w : stream) {
+    store_be32(p, w);
+    p += 4;
+  }
+  for (std::uint32_t i = 0; i < padding; ++i) {
+    store_be32(p, bitstream::kNoopWord);
+    p += 4;
+  }
   return out;
 }
 
@@ -32,30 +83,31 @@ Result<Command> Command::decode(ByteSpan wire) {
   ByteSpan body = wire.subspan(4, length);
   if (cmd.type == CommandType::kIcapReadback) {
     if (body.size() < 4) return R::error("readback command missing frame_nb");
-    cmd.frame_nb = get_u32be(body, 0);
+    cmd.frame_nb = load_be32(body.data());
     body = body.subspan(4);
   }
   if (body.size() % 4 != 0) return R::error("command stream not word aligned");
-  cmd.stream.resize(body.size() / 4);
-  for (std::size_t i = 0; i < cmd.stream.size(); ++i) {
-    cmd.stream[i] = get_u32be(body, i * 4);
-  }
+  load_words(body.data(), cmd.stream, body.size() / 4);
   return cmd;
 }
 
 std::size_t Command::wire_payload_bytes() const {
-  return 4 + (type == CommandType::kIcapReadback ? 4 : 0) + stream.size() * 4;
+  return 4 + (type == CommandType::kIcapReadback ? 4 : 0) +
+         (stream.size() + padding) * 4;
 }
 
 Bytes Response::encode() const {
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(static_cast<std::uint8_t>(status));
-  put_u16be(out, static_cast<std::uint16_t>(wire_payload_bytes() - 4));
+  if (!encodable()) return {};
+  Bytes out(wire_payload_bytes());
+  std::uint8_t* p = put_header(out, static_cast<std::uint8_t>(type),
+                               static_cast<std::uint8_t>(status));
   if (type == ResponseType::kFrameData) {
-    for (std::uint32_t w : frame_words) put_u32be(out, w);
+    for (std::uint32_t w : frame_words) {
+      store_be32(p, w);
+      p += 4;
+    }
   } else if (type == ResponseType::kMacValue) {
-    out.insert(out.end(), mac.begin(), mac.end());
+    std::memcpy(p, mac.data(), mac.size());
   }
   return out;
 }
@@ -77,10 +129,7 @@ Result<Response> Response::decode(ByteSpan wire) {
   const ByteSpan body = wire.subspan(4, length);
   if (resp.type == ResponseType::kFrameData) {
     if (body.size() % 4 != 0) return R::error("frame data not word aligned");
-    resp.frame_words.resize(body.size() / 4);
-    for (std::size_t i = 0; i < resp.frame_words.size(); ++i) {
-      resp.frame_words[i] = get_u32be(body, i * 4);
-    }
+    load_words(body.data(), resp.frame_words, body.size() / 4);
   } else if (resp.type == ResponseType::kMacValue) {
     if (body.size() != crypto::kAesBlockSize) {
       return R::error("MAC response wrong size");

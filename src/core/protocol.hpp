@@ -11,10 +11,12 @@
 // Wire layout (all big-endian):
 //   command:  [type u8][flags u8][length u16][frame_nb u32 ?][stream words]
 //   response: [type u8][status u8][payload bytes]
-// `length` counts the bytes after the 4-byte header. frame_nb is present
-// only for ICAP_readback. Streams may include trailing NOOP padding: the
-// proof-of-concept's per-frame packets carry ISE-style padding, which the
-// RX FSM strips before the words reach the ICAP.
+// `length` counts the bytes after the 4-byte header, so a message body is
+// at most kMaxBodyBytes long. frame_nb is present only for ICAP_readback.
+// Streams may carry trailing NOOP padding: the proof-of-concept's per-frame
+// packets carry ISE-style padding, which the RX FSM strips before the words
+// reach the ICAP. In memory the padding is a word count (Command::padding);
+// only encode() spells it out as NOOP words.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +35,27 @@ enum class CommandType : std::uint8_t {
   kMacChecksum = 3,
 };
 
+/// Largest message body the 16-bit length field can describe.
+inline constexpr std::size_t kMaxBodyBytes = 0xffff;
+
 struct Command {
   CommandType type = CommandType::kIcapConfig;
   std::uint32_t frame_nb = 0;         // readback only: first frame to read
-  std::vector<std::uint32_t> stream;  // ICAP program (possibly NOOP-padded)
+  std::vector<std::uint32_t> stream;  // ICAP program
+  /// NOOP words that follow `stream` on the wire. decode() leaves every
+  /// received word in `stream` and this at 0.
+  std::uint32_t padding = 0;
 
+  /// Wire form. A command whose body would exceed kMaxBodyBytes encodes to
+  /// an empty buffer, which every decoder rejects: a wrapped length never
+  /// reaches the wire.
   Bytes encode() const;
   static Result<Command> decode(ByteSpan wire);
 
   /// Bytes of the encoded command (what the network carries).
   std::size_t wire_payload_bytes() const;
+  /// The body fits the 16-bit length field.
+  bool encodable() const { return wire_payload_bytes() - 4 <= kMaxBodyBytes; }
 
   bool operator==(const Command&) const = default;
 };
@@ -68,10 +81,12 @@ struct Response {
   std::vector<std::uint32_t> frame_words;  // kFrameData
   crypto::Mac mac{};                       // kMacValue
 
+  /// Wire form; empty when the body would exceed kMaxBodyBytes.
   Bytes encode() const;
   static Result<Response> decode(ByteSpan wire);
 
   std::size_t wire_payload_bytes() const;
+  bool encodable() const { return wire_payload_bytes() - 4 <= kMaxBodyBytes; }
 
   bool operator==(const Response&) const = default;
 };

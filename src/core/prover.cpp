@@ -19,7 +19,10 @@ SachaProver::SachaProver(const fabric::DeviceModel& device,
       icap_(memory_, config::device_idcode(device)),
       command_buffer_(options.command_buffer_bytes),
       mac_(key),
-      icap_clock_(sim::icap_domain()) {}
+      icap_clock_(sim::icap_domain()) {
+  // The staging bound caps every program the ICAP runs.
+  program_.reserve(options.command_buffer_bytes / 4);
+}
 
 SachaProver::SachaProver(SachaProver&& other) noexcept
     : device_id_(std::move(other.device_id_)),
@@ -27,6 +30,7 @@ SachaProver::SachaProver(SachaProver&& other) noexcept
       memory_(std::move(other.memory_)),
       icap_(std::move(other.icap_)),
       command_buffer_(std::move(other.command_buffer_)),
+      program_(std::move(other.program_)),
       mac_(std::move(other.mac_)),
       icap_clock_(std::move(other.icap_clock_)),
       last_mac_(other.last_mac_),
@@ -100,64 +104,55 @@ SachaProver::HandleResult SachaProver::error_result(ProverStatus status) {
   return result;
 }
 
-SachaProver::HandleResult SachaProver::handle_packet(ByteSpan packet) {
+bool SachaProver::drop_at_fault_gate() {
   // Fault gate: a crashed or stalled device never sees the packet — from
   // the verifier's side this is indistinguishable from wire loss, which is
   // exactly the point (only retry behaviour and typed failure reporting
   // distinguish them at the fleet layer).
+  if (!fault_.faulted()) return false;
+  static obs::Counter& dropped = obs::MetricsRegistry::global().counter(
+      "sacha.prover.faults.packets_dropped");
+  ++fault_.packets_dropped;
+  dropped.add(1);
   if (fault_.stall_remaining > 0) {
     --fault_.stall_remaining;
-    ++fault_.packets_dropped;
-    static obs::Counter& dropped = obs::MetricsRegistry::global().counter(
-        "sacha.prover.faults.packets_dropped");
-    dropped.add(1);
-    HandleResult result;
-    result.dropped = true;
-    return result;
+  } else if (fault_.reboot_after > 0 && --fault_.reboot_after == 0) {
+    // Crashed: the device powers back up after this packet is lost; the
+    // *next* packet reaches a freshly booted (application-less) device.
+    reboot();
   }
-  if (fault_.crashed) {
-    ++fault_.packets_dropped;
-    static obs::Counter& dropped = obs::MetricsRegistry::global().counter(
-        "sacha.prover.faults.packets_dropped");
-    dropped.add(1);
-    if (fault_.reboot_after > 0 && --fault_.reboot_after == 0) {
-      // The device powers back up after this packet is lost; the *next*
-      // packet reaches a freshly booted (application-less) device.
-      reboot();
-    }
-    HandleResult result;
-    result.dropped = true;
-    return result;
-  }
+  return true;
+}
+
+SachaProver::HandleResult SachaProver::handle_packet(ByteSpan packet) {
+  // The gate stays ahead of the decode: a crashed device drops even an
+  // undecodable packet.
+  if (drop_at_fault_gate()) return HandleResult{.dropped = true};
   auto decoded = Command::decode(packet);
   if (!decoded.ok()) return error_result(ProverStatus::kBadCommand);
-  const Command& command = decoded.value();
-  // The RX FSM stages the effective command in the BRAM buffer before the
-  // ICAP domain picks it up. The buffer is sized for one frame's program;
-  // oversized commands cannot be staged and are rejected — this is the
-  // bounded-memory property at the implementation level.
-  Bytes staged;
-  staged.reserve(command.stream.size() * 4);
-  for (std::uint32_t w : command.stream) {
-    if (w == bs::kNoopWord) continue;  // padding never reaches the buffer
-    put_u32be(staged, w);
-  }
-  if (!command_buffer_.store("command", std::move(staged))) {
-    return error_result(ProverStatus::kBadCommand);
-  }
-  return handle(command);
+  return stage_and_run(decoded.value());
 }
 
 SachaProver::HandleResult SachaProver::handle(const Command& command) {
+  if (drop_at_fault_gate()) return HandleResult{.dropped = true};
+  return stage_and_run(command);
+}
+
+SachaProver::HandleResult SachaProver::stage_and_run(const Command& command) {
+  // The RX FSM strips NOOP padding and stages the effective command in the
+  // BRAM buffer before the ICAP domain picks it up. The buffer is sized for
+  // one frame's program; oversized commands cannot be staged and are
+  // rejected — this is the bounded-memory property at the implementation
+  // level. (`padding` words are NOOPs too, so they never count.)
+  program_.clear();
+  for (std::uint32_t w : command.stream) {
+    if (w != bs::kNoopWord) program_.push_back(w);
+  }
+  if (program_.size() * 4 > command_buffer_.free()) {
+    return error_result(ProverStatus::kBadCommand);
+  }
+
   HandleResult result;
-
-  // Strip NOOP padding (the RX FSM stores only effective words).
-  std::vector<std::uint32_t> program;
-  program.reserve(command.stream.size());
-  std::copy_if(command.stream.begin(), command.stream.end(),
-               std::back_inserter(program),
-               [](std::uint32_t w) { return w != bs::kNoopWord; });
-
   switch (command.type) {
     case CommandType::kIcapConfig: {
       // A configuration command opens a new attestation round: any MAC
@@ -165,7 +160,7 @@ SachaProver::HandleResult SachaProver::handle(const Command& command) {
       // so stale state can never leak into the next session's checksum.
       if (mac_.busy()) mac_.abort();
       const std::uint64_t cycles_before = icap_.stats().cycles;
-      auto outcome = icap_.execute(program);
+      auto outcome = icap_.execute(program_);
       result.icap_time =
           icap_clock_.cycles_to_time(icap_.stats().cycles - cycles_before);
       if (!outcome.ok()) {
@@ -180,7 +175,7 @@ SachaProver::HandleResult SachaProver::handle(const Command& command) {
 
     case CommandType::kIcapReadback: {
       const std::uint64_t cycles_before = icap_.stats().cycles;
-      auto outcome = icap_.execute(program);
+      auto outcome = icap_.execute(program_);
       result.icap_time =
           icap_clock_.cycles_to_time(icap_.stats().cycles - cycles_before);
       if (!outcome.ok()) {
@@ -188,7 +183,7 @@ SachaProver::HandleResult SachaProver::handle(const Command& command) {
             Response{.type = ResponseType::kError, .status = ProverStatus::kIcapError};
         return result;
       }
-      const std::vector<std::uint32_t>& words = outcome.value();
+      std::vector<std::uint32_t> words = std::move(outcome).take();
       if (words.empty()) {
         // A readback command whose program reads nothing is malformed.
         result.response = Response{.type = ResponseType::kError,
@@ -196,13 +191,14 @@ SachaProver::HandleResult SachaProver::handle(const Command& command) {
         return result;
       }
       if (!mac_.busy()) result.mac_init_time = mac_.init();
-      // Frame fast path: MAC the readback words in place — no per-frame
-      // byte-vector copy between the ICAP output and the AES-CMAC engine.
+      // Frame fast path: MAC the readback words in place, then move them
+      // into the response — no copy between the ICAP output, the AES-CMAC
+      // engine and the TX buffer.
       result.mac_update_time =
           mac_.update(std::span<const std::uint32_t>(words));
       result.response = Response{.type = ResponseType::kFrameData,
                                  .status = ProverStatus::kOk,
-                                 .frame_words = words};
+                                 .frame_words = std::move(words)};
       return result;
     }
 

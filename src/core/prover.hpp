@@ -1,12 +1,12 @@
 // SACHa prover — the device side of the protocol.
 //
 // Models the static partition of Fig. 10 end to end: network packets are
-// decoded (RX domain), the command is staged in the bounded BRAM buffer,
-// NOOP padding is stripped, the ICAP executes the embedded program (ICAP
-// domain), readback data flows through the AES-CMAC engine and back out
-// (TX domain). Every handled command reports the simulated device time it
-// consumed, split by component, so the session ledger can reproduce the
-// A2/A4/A5/A6/A7 rows of Table 3.
+// decoded (RX domain), NOOP padding is stripped, the effective command must
+// fit the bounded BRAM staging buffer, the ICAP executes the embedded
+// program (ICAP domain), readback data flows through the AES-CMAC engine
+// and back out (TX domain). Every handled command reports the simulated
+// device time it consumed, split by component, so the session ledger can
+// reproduce the A2/A4/A5/A6/A7 rows of Table 3.
 //
 // The prover is deliberately *thin*: it has no golden reference, no notion
 // of "expected" configuration, and never refuses a well-formed write — a
@@ -91,11 +91,14 @@ class SachaProver {
     bool dropped = false;
   };
 
-  /// Executes one decoded command.
+  /// The device's one intake for a decoded command: the fault gate (a
+  /// crashed or stalled device drops it), the staging bound on the
+  /// effective (non-NOOP) words, then the ICAP program.
   HandleResult handle(const Command& command);
 
-  /// Raw-packet entry point: decode, stage in the bounded buffer, handle.
-  /// Undecodable packets produce an error response.
+  /// Raw-packet entry point: the fault gate, then decode, then handle()'s
+  /// staging bound and program. Undecodable packets produce an error
+  /// response.
   HandleResult handle_packet(ByteSpan packet);
 
   /// Rekeys the MAC engine (DynPart-PUF key rotation after the verifier
@@ -129,6 +132,11 @@ class SachaProver {
 
  private:
   HandleResult error_result(ProverStatus status);
+  /// Applies the fault gate to one incoming packet: true when a crashed or
+  /// stalled device drops it (counters and reboot countdown advance).
+  bool drop_at_fault_gate();
+  /// handle() after the fault gate.
+  HandleResult stage_and_run(const Command& command);
   /// Power-cycle recovery: zero the volatile configuration memory, reload
   /// the BootMem image, reset the MAC engine.
   void reboot();
@@ -138,6 +146,9 @@ class SachaProver {
   config::ConfigMemory memory_;
   config::Icap icap_;
   config::BramBuffer command_buffer_;
+  /// The RX FSM's view of the current command: its effective words, padding
+  /// stripped. Reused across commands.
+  std::vector<std::uint32_t> program_;
   MacEngine mac_;
   sim::ClockDomain icap_clock_;
   std::optional<crypto::Mac> last_mac_;

@@ -84,6 +84,12 @@ SessionMachine::SessionMachine(SachaVerifier& verifier, SachaProver& prover,
   // frame, [configs, n-1) readback rounds, n-1 the MAC checksum.
   configs_ = commands_ - verifier_.readback_steps().size() - 1;
 
+  if (verifier_.schedule_error().has_value()) {
+    // Rejected up front: no message of this schedule may reach the wire.
+    note_failure(FailureKind::kDecodeError);
+    aborted_ = true;
+  }
+
   report_.trace_id = obs::make_trace_id(prover_.device_id(), verifier_.nonce());
   static obs::Counter& sessions_started =
       obs::MetricsRegistry::global().counter("sacha.session.started");
@@ -91,11 +97,27 @@ SessionMachine::SessionMachine(SachaVerifier& verifier, SachaProver& prover,
 
   // Session timeline: one top-level span, one child span per protocol phase
   // (the Table 4 steps), one grandchild per readback round. The phase spans
-  // are contiguous, so the timeline covers the session wall-clock.
+  // tile the session (see begin_phase), so the timeline covers its
+  // wall-clock.
   if (emit_spans_) {
     session_span_.emplace("session", report_.trace_id);
     session_span_->arg("device", prover_.device_id());
   }
+}
+
+std::uint64_t SessionMachine::begin_phase(const char* name) {
+  // One clock reading ends the running phase and starts the next, and the
+  // first phase starts where the session span did; the Tracer append and
+  // the new span's set-up happen after the reading, so they fall inside a
+  // phase instead of between two.
+  std::uint64_t at = session_span_->start_ns();
+  if (phase_span_.has_value() && phase_span_->active()) {
+    at = obs::Tracer::global().now_ns();
+    phase_span_->end_at(at);
+  }
+  phase_span_.reset();
+  if (name != nullptr) phase_span_.emplace(name, report_.trace_id, "phase", at);
+  return at;
 }
 
 SessionMachine::Round SessionMachine::step() {
@@ -105,15 +127,13 @@ SessionMachine::Round SessionMachine::step() {
   const sim::SimDuration elapsed_before = report_.total_time;
 
   if (emit_spans_) {
-    if (i == 0 && configs_ > 1) {
-      phase_span_.emplace("configure.stream_in", report_.trace_id, "phase");
-    }
+    if (i == 0 && configs_ > 1) begin_phase("configure.stream_in");
     if (i + 1 == configs_) {
-      phase_span_.emplace("nonce.inject", report_.trace_id, "phase");
+      begin_phase("nonce.inject");
     } else if (i == configs_) {
-      phase_span_.emplace("readback.absorb", report_.trace_id, "phase");
+      begin_phase("readback.absorb");
     } else if (i + 1 == commands_) {
-      phase_span_.emplace("cmac.finish", report_.trace_id, "phase");
+      begin_phase("cmac.finish");
     }
     if (obs::enabled() && i >= configs_ && i + 1 < commands_) {
       round_span_.emplace("readback.round", report_.trace_id, "readback");
@@ -168,18 +188,26 @@ SessionMachine::Round SessionMachine::step() {
         break;
       }
     }
-    Bytes packet = command.encode();
-    if (hooks_.on_command && !hooks_.on_command(packet)) {
-      continue;  // dropped by the adversary-in-the-middle
+    // The command crosses as words. Bytes exist only for an armed byte
+    // hook, which sees (and may rewrite or drop) exactly the packet a
+    // socket would carry; the device then decodes what the hook left.
+    Bytes packet;
+    std::size_t packet_bytes = command.wire_payload_bytes();
+    if (hooks_.on_command) {
+      packet = command.encode();
+      if (!hooks_.on_command(packet)) {
+        continue;  // dropped by the adversary-in-the-middle
+      }
+      packet_bytes = packet.size();
     }
     ++report_.commands_sent;
-    const auto uplink = channel_.transfer(packet.size());
+    const auto uplink = channel_.transfer(packet_bytes);
     // Wire occupancy is charged even for lost packets (the sender still
     // transmits); latency/jitter above the nominal wire time goes to the
     // latency bucket.
-    const sim::SimDuration wire_up = wire.frame_time(packet.size());
+    const sim::SimDuration wire_up = wire.frame_time(packet_bytes);
     report_.ledger.add(keys.send, wire_up);
-    report_.bytes_to_prover += wire.frame_bytes(packet.size());
+    report_.bytes_to_prover += wire.frame_bytes(packet_bytes);
     report_.total_time += wire_up;
     if (!uplink.has_value()) continue;  // lost in transit
     report_.ledger.add(actions::kNetLatency, *uplink - wire_up);
@@ -198,7 +226,8 @@ SessionMachine::Round SessionMachine::step() {
         result.response = cached_device_response;
       }
     } else {
-      result = prover_.handle_packet(packet);
+      result = hooks_.on_command ? prover_.handle_packet(packet)
+                                 : prover_.handle(command);
       if (result.dropped) {
         // Crashed or stalled device: the packet never reached the ICAP.
         // No dedup-cache entry — a later retransmission must actually
@@ -206,7 +235,9 @@ SessionMachine::Round SessionMachine::step() {
         continue;
       }
       device_handled = true;
-      cached_device_response = result.response;
+      // Only a later attempt reads the cache, so the last one (the only
+      // one in unreliable mode) skips the copy.
+      if (attempt + 1 < attempts) cached_device_response = result.response;
       if (result.icap_time > 0 && keys.device != nullptr) {
         report_.ledger.add(keys.device, result.icap_time);
         report_.total_time += result.icap_time;
@@ -237,30 +268,33 @@ SessionMachine::Round SessionMachine::step() {
       delivered_and_answered = true;
       break;
     }
-    Bytes reply = response->encode();
-    if (hooks_.on_response && !hooks_.on_response(reply)) {
-      continue;  // response suppressed
+    Bytes reply;
+    std::size_t reply_bytes = response->wire_payload_bytes();
+    if (hooks_.on_response) {
+      reply = response->encode();
+      if (!hooks_.on_response(reply)) {
+        continue;  // response suppressed
+      }
+      reply_bytes = reply.size();
     }
-    const auto downlink = channel_.transfer(reply.size());
-    const sim::SimDuration wire_down = wire.frame_time(reply.size());
+    const auto downlink = channel_.transfer(reply_bytes);
+    const sim::SimDuration wire_down = wire.frame_time(reply_bytes);
     const char* reply_key = keys.reply;
     if (response->type == ResponseType::kAck) reply_key = actions::kAck;
     if (response->type == ResponseType::kError) reply_key = actions::kAck;
     if (reply_key != nullptr) {
       report_.ledger.add(reply_key, wire_down);
       report_.total_time += wire_down;
-      report_.bytes_to_verifier += wire.frame_bytes(reply.size());
+      report_.bytes_to_verifier += wire.frame_bytes(reply_bytes);
     }
     if (!downlink.has_value()) continue;  // response lost
     report_.ledger.add(actions::kNetLatency, *downlink - wire_down);
     report_.total_time += *downlink - wire_down;
 
-    auto decoded = Response::decode(reply);
-    if (decoded.ok()) {
+    if (!hooks_.on_response) {
+      final_response = std::move(response);
+    } else if (auto decoded = Response::decode(reply); decoded.ok()) {
       final_response = std::move(decoded).take();
-      if (final_response->type == ResponseType::kAck) {
-        final_response = std::nullopt;  // acks are transport-level only
-      }
     } else if (options_.reliable) {
       // Undecodable response: corruption the transport checksum would
       // have caught on a real link. Treat it exactly like loss and
@@ -270,6 +304,10 @@ SessionMachine::Round SessionMachine::step() {
     } else {
       note_failure(FailureKind::kDecodeError);
       final_response = std::nullopt;
+    }
+    if (final_response.has_value() &&
+        final_response->type == ResponseType::kAck) {
+      final_response = std::nullopt;  // acks are transport-level only
     }
     if (final_response.has_value() &&
         final_response->type == ResponseType::kError) {
@@ -325,16 +363,12 @@ AttestationReport SessionMachine::finish() {
     report_.theoretical_time += report_.ledger.total(key);
   }
   round_span_.reset();
-  phase_span_.reset();
-  {
-    // Streaming mode did its masked compares during readback.absorb; this
-    // span is where the retained oracle does all of its comparing.
-    std::optional<obs::Span> verdict_span;
-    if (emit_spans_) {
-      verdict_span.emplace("compare.verdict", report_.trace_id, "phase");
-    }
-    report_.verdict = verifier_.finish();
-  }
+  // Streaming mode did its masked compares during readback.absorb; this
+  // phase is where the retained oracle does all of its comparing.
+  if (emit_spans_) begin_phase("compare.verdict");
+  report_.verdict = verifier_.finish();
+  // The session span ends where its last phase does.
+  const std::uint64_t verdict_end = emit_spans_ ? begin_phase(nullptr) : 0;
   report_.verifier_retained_bytes = verifier_.retained_readback_bytes();
   report_.messages_lost = channel_.messages_lost();
   report_.channel_time = channel_.transfer_time();
@@ -346,6 +380,7 @@ AttestationReport SessionMachine::finish() {
   if (report_.failure != FailureKind::kNone && session_span_.has_value()) {
     session_span_->arg("failure", to_string(report_.failure));
   }
+  if (session_span_.has_value()) session_span_->end_at(verdict_end);
   session_span_.reset();
   report_.host_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -379,16 +414,18 @@ AttestationReport SessionMachine::finish() {
       backoff_hist.observe(report_.backoff_wait);
     }
   }
-  (log_debug() << "attestation session finished")
-      .kv("device", prover_.device_id())
-      .kv("nonce", verifier_.nonce())
-      .kv("trace", obs::to_string(report_.trace_id))
-      .kv("verdict", report_.verdict.ok() ? "attested" : "failed")
-      .kv("failure", to_string(report_.failure))
-      .kv("commands", report_.commands_sent)
-      .kv("retransmissions", report_.retransmissions)
-      .kv("messages_lost", report_.messages_lost)
-      .kv("host_ms", static_cast<double>(report_.host_ns) / 1e6);
+  if (log_enabled(LogLevel::kDebug)) {
+    (log_debug() << "attestation session finished")
+        .kv("device", prover_.device_id())
+        .kv("nonce", verifier_.nonce())
+        .kv("trace", obs::to_string(report_.trace_id))
+        .kv("verdict", report_.verdict.ok() ? "attested" : "failed")
+        .kv("failure", to_string(report_.failure))
+        .kv("commands", report_.commands_sent)
+        .kv("retransmissions", report_.retransmissions)
+        .kv("messages_lost", report_.messages_lost)
+        .kv("host_ms", static_cast<double>(report_.host_ns) / 1e6);
+  }
   return std::move(report_);
 }
 
@@ -417,8 +454,14 @@ constexpr std::uint64_t kVerifierLaneSalt = 0x5643;  // "VC"
 VerifierSession::VerifierSession(SachaVerifier& verifier)
     : verifier_(verifier), host_start_(std::chrono::steady_clock::now()) {
   verifier_.begin();
-  commands_ = verifier_.command_count();
-  configs_ = commands_ - verifier_.readback_steps().size() - 1;
+  if (verifier_.schedule_error().has_value()) {
+    // Rejected up front, exactly as SessionMachine does: nothing to issue,
+    // and finish() reports the verifier's detail as kDecodeError.
+    note_failure(FailureKind::kDecodeError);
+  } else {
+    commands_ = verifier_.command_count();
+    configs_ = commands_ - verifier_.readback_steps().size() - 1;
+  }
   static obs::Counter& sessions_started =
       obs::MetricsRegistry::global().counter("sacha.session.started");
   sessions_started.add(1);

@@ -63,6 +63,9 @@ struct SessionHooks {
   /// natural tamper window for a remote adversary.
   std::function<void(SachaProver&)> after_config;
   /// Intercepts the encoded command on the wire; return false to drop it.
+  /// The in-process session carries commands and responses as words and
+  /// encodes only while one of these two byte hooks is armed; the hooks
+  /// see the same bytes a socket would carry.
   std::function<bool(Bytes&)> on_command;
   /// Intercepts the encoded response; return false to drop it.
   std::function<bool(Bytes&)> on_response;
@@ -131,8 +134,8 @@ struct AttestationReport {
 /// One SessionMachine runs exactly the protocol loop of run_attestation,
 /// but split at the channel boundary so a fleet engine can multiplex many
 /// sessions on a few workers: step() executes one full command round
-/// (encode, transfer, device, retries — everything except the verifier
-/// absorb) and returns the round's outcome; deliver() folds that outcome
+/// (transfer, device, retries — everything except the verifier absorb) and
+/// returns the round's outcome; deliver() folds that outcome
 /// into the verifier (the streaming CMAC absorb + masked compare);
 /// finish() assembles the report. Driving `while (!done()) deliver(step())`
 /// then finish() is bit-identical to run_attestation — same RNG draw
@@ -169,7 +172,9 @@ class SessionMachine {
     bool last = false;
   };
 
-  /// Calls verifier.begin() (fresh nonce, frozen schedule). With
+  /// Calls verifier.begin() (fresh nonce, frozen schedule). A schedule the
+  /// wire cannot carry (SachaVerifier::schedule_error) is rejected here:
+  /// the machine starts done and finish() reports kDecodeError. With
   /// emit_spans = false no obs spans are opened (see the concurrency
   /// contract); counters still fire.
   SessionMachine(SachaVerifier& verifier, SachaProver& prover,
@@ -199,6 +204,9 @@ class SessionMachine {
  private:
   void note_failure(FailureKind kind);
   bool past_deadline() const;
+  /// Ends the running phase span and opens `name` (nullptr: none) at one
+  /// clock reading, which it returns. Only with emit_spans.
+  std::uint64_t begin_phase(const char* name);
 
   SachaVerifier& verifier_;
   SachaProver& prover_;

@@ -78,6 +78,7 @@ void SachaVerifier::begin() {
     // an adversary cannot predict which frames the next probe inspects.
     const auto target = static_cast<std::uint32_t>(std::max(
         1.0, options_.probe_coverage * static_cast<double>(total) + 0.5));
+    steps_.reserve(std::min(target, total));
     Rng probe_rng(prg.next_u64());
     std::vector<std::uint32_t> perm = probe_rng.permutation(total);
     perm.resize(std::min<std::size_t>(target, perm.size()));
@@ -88,17 +89,20 @@ void SachaVerifier::begin() {
     for (std::uint32_t f : perm) steps_.emplace_back(f, 1);
   } else if (per_step > 1 ||
              options_.order == ReadbackOrder::kSequentialFromZero) {
+    steps_.reserve((total + per_step - 1) / per_step);
     for (std::uint32_t f = 0; f < total; f += per_step) {
       steps_.emplace_back(f, std::min(per_step, total - f));
     }
   } else if (options_.order == ReadbackOrder::kSequentialFromOffset) {
     // The PoC's schedule: start at a verifier-chosen offset i, wrap mod N.
     const auto offset = static_cast<std::uint32_t>(prg.next_u64() % total);
+    steps_.reserve(total);
     for (std::uint32_t k = 0; k < total; ++k) {
       steps_.emplace_back((offset + k) % total, 1);
     }
   } else {
     Rng rng(prg.next_u64());
+    steps_.reserve(total);
     for (std::uint32_t f : rng.permutation(total)) steps_.emplace_back(f, 1);
   }
   scheduled_.assign(total, 0);
@@ -124,6 +128,66 @@ void SachaVerifier::begin() {
   received_mac_.reset();
   protocol_error_.reset();
   protocol_failure_ = FailureKind::kNone;
+  schedule_error_ = check_message_sizes();
+  if (schedule_error_.has_value()) {
+    (void)fail(FailureKind::kDecodeError, *schedule_error_);
+  }
+}
+
+std::optional<std::string> SachaVerifier::check_message_sizes() const {
+  // Every message of the frozen schedule must fit the wire's 16-bit length
+  // field; the widest configuration chunk, the widest readback step and
+  // its frame-data response decide.
+  const auto too_big = [](const std::string& what,
+                          std::size_t body) -> std::optional<std::string> {
+    if (body <= kMaxBodyBytes) return std::nullopt;
+    return what + " needs a " + std::to_string(body) +
+           "-byte message body; the wire's 16-bit length field holds at most " +
+           std::to_string(kMaxBodyBytes);
+  };
+  const std::uint32_t per = std::max(1u, options_.frames_per_config);
+  std::size_t slot = 0;
+  std::size_t widest_slot = config_commands_ - 1;  // the nonce frame
+  std::uint32_t widest = 1;
+  if (!options_.refresh_only) {
+    for (const fabric::FrameRange& r : model_->app_ranges()) {
+      if (std::min(per, r.count) > widest) {
+        widest = std::min(per, r.count);
+        widest_slot = slot;
+      }
+      slot += (r.count + per - 1) / per;
+    }
+  }
+  const Command config = make_config_command(widest_slot);
+  if (auto error = too_big("configuration command",
+                           config.wire_payload_bytes() - 4)) {
+    return error;
+  }
+  if (steps_.empty()) return std::nullopt;
+  const auto by_frames = [](const auto& a, const auto& b) {
+    return a.second < b.second;
+  };
+  const auto widest_step = static_cast<std::size_t>(
+      std::max_element(steps_.begin(), steps_.end(), by_frames) -
+      steps_.begin());
+  const Command readback = make_readback_command(widest_step);
+  if (auto error = too_big("readback command",
+                           readback.wire_payload_bytes() - 4)) {
+    return error;
+  }
+  const std::uint32_t frames = steps_[widest_step].second;
+  return too_big("readback step of " + std::to_string(frames) + " frames",
+                 std::size_t{frames} * words_per_frame_ * 4);
+}
+
+Status SachaVerifier::fail(FailureKind kind, std::string message) {
+  // The verdict reports the first failure; later ones only reach the
+  // caller's Status.
+  if (!protocol_error_.has_value()) {
+    protocol_error_ = message;
+    protocol_failure_ = kind;
+  }
+  return Status::error(std::move(message));
 }
 
 std::size_t SachaVerifier::config_command_count() const {
@@ -140,10 +204,16 @@ std::size_t SachaVerifier::command_count() const {
   return config_command_count() + steps_.size() + 1;  // +1: MAC_checksum
 }
 
-std::vector<std::uint32_t> SachaVerifier::pad(std::vector<std::uint32_t> stream,
-                                              std::uint32_t target_words) const {
-  while (stream.size() < target_words) stream.push_back(bs::kNoopWord);
-  return stream;
+Command SachaVerifier::padded(CommandType type, std::uint32_t frame_nb,
+                              std::vector<std::uint32_t> stream,
+                              std::uint32_t target_words) {
+  // The padding is a count: encode() spells it out as NOOP words, the
+  // prover's RX FSM strips them, so in memory they never exist.
+  const std::uint32_t padding =
+      stream.size() < target_words
+          ? target_words - static_cast<std::uint32_t>(stream.size())
+          : 0;
+  return Command{type, frame_nb, std::move(stream), padding};
 }
 
 Command SachaVerifier::make_config_command(std::size_t slot) const {
@@ -162,44 +232,41 @@ Command SachaVerifier::make_config_command(std::size_t slot) const {
           range.first + static_cast<std::uint32_t>(slot) * per;
       const std::uint32_t count = std::min(per, range.end() - first);
       if (count == 1) {
-        return Command{CommandType::kIcapConfig, 0,
-                       pad(bitgen_.assemble_single_frame(
-                               image.frames[first - range.first], first,
-                               idcode_),
-                           options_.config_pad_words)};
-      }
-      bs::ConfigImage chunk;
-      for (std::uint32_t f = 0; f < count; ++f) {
-        chunk.frames.push_back(image.frames[first - range.first + f]);
-        chunk.masks.push_back(image.masks[first - range.first + f]);
+        return padded(CommandType::kIcapConfig, 0,
+                      bitgen_.assemble_single_frame(
+                          image.frames[first - range.first], first, idcode_),
+                      options_.config_pad_words);
       }
       return Command{CommandType::kIcapConfig, 0,
-                     bitgen_.assemble(chunk, first, idcode_)};
+                     bitgen_.assemble(std::span<const bs::Frame>(image.frames)
+                                          .subspan(first - range.first, count),
+                                      first, idcode_)};
     }
   }
   // Final configuration step: the nonce frame (Fig. 8's second phase).
-  return Command{CommandType::kIcapConfig, 0,
-                 pad(bitgen_.assemble_single_frame(nonce_image_.frames[0],
-                                                   model_->nonce_frame(),
-                                                   idcode_),
-                     options_.config_pad_words)};
+  return padded(CommandType::kIcapConfig, 0,
+                bitgen_.assemble_single_frame(nonce_image_.frames[0],
+                                              model_->nonce_frame(), idcode_),
+                options_.config_pad_words);
 }
 
 Command SachaVerifier::make_readback_command(std::size_t step) const {
   const auto [first, count] = steps_[step];
   bs::PacketWriter w;
+  // sync, idcode (2), rcfg (2), far (2), FDRO request (up to 2), desync (2).
+  w.reserve(11);
   w.sync();
   w.write_idcode(idcode_);
   w.cmd(bs::CmdOp::kRcfg);
   w.write_far(plan_.device().geometry().address_of(first));
-  w.read_request(count * plan_.device().geometry().words_per_frame());
+  w.read_request(count * words_per_frame_);
   w.cmd(bs::CmdOp::kDesync);
-  return Command{CommandType::kIcapReadback, first,
-                 pad(w.words(), options_.readback_pad_words)};
+  return padded(CommandType::kIcapReadback, first, w.take(),
+                options_.readback_pad_words);
 }
 
 Command SachaVerifier::command(std::size_t index) const {
-  const std::size_t configs = config_command_count();
+  const std::size_t configs = config_commands_;
   if (index < configs) return make_config_command(index);
   if (index < configs + steps_.size()) {
     return make_readback_command(index - configs);
@@ -290,36 +357,30 @@ void SachaVerifier::absorb_response(std::size_t step,
 Status SachaVerifier::on_response(std::size_t index,
                                   std::optional<Response> response) {
   const std::size_t configs = config_commands_;
-  const auto note = [this](FailureKind kind) {
-    if (protocol_failure_ == FailureKind::kNone) protocol_failure_ = kind;
-  };
   if (index < configs) {
     // Fire-and-forget; an error response means the device rejected a write.
     if (response.has_value() && response->type == ResponseType::kError) {
-      protocol_error_ = "device rejected configuration command " +
-                        std::to_string(index);
-      note(FailureKind::kDeviceError);
-      return Status::error(*protocol_error_);
+      return fail(FailureKind::kDeviceError,
+                  "device rejected configuration command " +
+                      std::to_string(index));
     }
     return Status();
   }
   if (index < configs + steps_.size()) {
     const std::size_t step = index - configs;
     if (!response.has_value() || response->type != ResponseType::kFrameData) {
-      protocol_error_ = "missing or bad readback response at step " +
-                        std::to_string(step);
-      note(!response.has_value() ? FailureKind::kTimeoutExhausted
-           : response->type == ResponseType::kError
-               ? FailureKind::kDeviceError
-               : FailureKind::kDecodeError);
-      return Status::error(*protocol_error_);
+      return fail(!response.has_value() ? FailureKind::kTimeoutExhausted
+                  : response->type == ResponseType::kError
+                      ? FailureKind::kDeviceError
+                      : FailureKind::kDecodeError,
+                  "missing or bad readback response at step " +
+                      std::to_string(step));
     }
     const std::uint32_t expected_words = steps_[step].second * words_per_frame_;
     if (response->frame_words.size() != expected_words) {
-      protocol_error_ = "readback step " + std::to_string(step) +
-                        " returned wrong word count";
-      note(FailureKind::kDecodeError);
-      return Status::error(*protocol_error_);
+      return fail(FailureKind::kDecodeError,
+                  "readback step " + std::to_string(step) +
+                      " returned wrong word count");
     }
     if (options_.mode == VerifyMode::kRetained) {
       received_[step] = std::move(response->frame_words);
@@ -327,21 +388,19 @@ Status SachaVerifier::on_response(std::size_t index,
     }
     // Streaming: a step can be absorbed into the running MAC exactly once.
     if (step_done_[step] || (!pending_.empty() && pending_.count(step) != 0)) {
-      protocol_error_ =
-          "duplicate readback response at step " + std::to_string(step);
-      note(FailureKind::kDecodeError);
-      return Status::error(*protocol_error_);
+      return fail(FailureKind::kDecodeError,
+                  "duplicate readback response at step " +
+                      std::to_string(step));
     }
     absorb_response(step, std::move(response->frame_words));
     return Status();
   }
   if (!response.has_value() || response->type != ResponseType::kMacValue) {
-    protocol_error_ = "missing or bad MAC response";
-    note(!response.has_value() ? FailureKind::kTimeoutExhausted
-         : response->type == ResponseType::kError
-             ? FailureKind::kDeviceError
-             : FailureKind::kDecodeError);
-    return Status::error(*protocol_error_);
+    return fail(!response.has_value() ? FailureKind::kTimeoutExhausted
+                : response->type == ResponseType::kError
+                    ? FailureKind::kDeviceError
+                    : FailureKind::kDecodeError,
+                "missing or bad MAC response");
   }
   received_mac_ = response->mac;
   return Status();

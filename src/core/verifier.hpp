@@ -108,7 +108,18 @@ class SachaVerifier {
   /// (Re)starts a session: draws a fresh nonce and a fresh readback order.
   void begin();
 
+  /// Why the schedule frozen at begin() cannot run, or nullopt when it can:
+  /// some message of it would not fit the wire's 16-bit length field
+  /// (kMaxBodyBytes). A session driver rejects such a schedule before
+  /// sending anything; finish() then reports this detail as kDecodeError,
+  /// in process and over a socket alike.
+  const std::optional<std::string>& schedule_error() const {
+    return schedule_error_;
+  }
+
   std::size_t command_count() const;
+  /// Command `index` of the schedule frozen at begin(), built at its exact
+  /// size; NOOP padding is a count (Command::padding), not words.
   Command command(std::size_t index) const;
 
   /// Feeds the response (or its absence, for fire-and-forget configuration
@@ -205,8 +216,13 @@ class SachaVerifier {
   std::size_t config_command_count() const;
   Command make_config_command(std::size_t slot) const;
   Command make_readback_command(std::size_t step) const;
-  std::vector<std::uint32_t> pad(std::vector<std::uint32_t> stream,
-                                 std::uint32_t target_words) const;
+  /// A command whose stream is NOOP-padded to `target_words` on the wire.
+  static Command padded(CommandType type, std::uint32_t frame_nb,
+                        std::vector<std::uint32_t> stream,
+                        std::uint32_t target_words);
+  std::optional<std::string> check_message_sizes() const;
+  /// Records a protocol failure; the first one recorded is the verdict's.
+  Status fail(FailureKind kind, std::string message);
   /// Streaming path: folds step `step`'s words into the running CMAC and
   /// masked-compares them against the golden model in place. Out-of-order
   /// arrivals are buffered (moved, not copied) until their turn so the MAC
@@ -266,10 +282,10 @@ class SachaVerifier {
   std::vector<std::optional<std::vector<std::uint32_t>>> received_;
 
   std::optional<crypto::Mac> received_mac_;
+  /// The first protocol failure (detail and typed kind) of the session.
   std::optional<std::string> protocol_error_;
-  /// Typed classification of protocol_error_ (what kind of violation the
-  /// first bad response was).
   FailureKind protocol_failure_ = FailureKind::kNone;
+  std::optional<std::string> schedule_error_;
 };
 
 }  // namespace sacha::core

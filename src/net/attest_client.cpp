@@ -32,20 +32,22 @@ ProverAgent::ProverAgent(const HelloMsg& hello,
       prover_(prover_for(hello)) {}
 
 Bytes ProverAgent::handle_command(ByteSpan payload) {
-  // Phase boundary, in SessionMachine's order: tamper hook first, then the
-  // register churn under the session seed. The command *type* decides the
-  // boundary, so peek at the decode before the prover stages the packet.
-  if (!config_phase_done_) {
-    auto command = core::Command::decode(payload);
-    if (command.ok() &&
-        command.value().type != core::CommandType::kIcapConfig) {
-      config_phase_done_ = true;
-      if (after_config_) after_config_(prover_);
-      core::apply_register_churn(prover_, hello_.session_seed,
-                                 hello_.flip_probability);
-    }
+  // Each packet is decoded once. Phase boundary, in SessionMachine's order:
+  // tamper hook first, then the register churn under the session seed; the
+  // command *type* decides the boundary.
+  auto command = core::Command::decode(payload);
+  if (command.ok() && !config_phase_done_ &&
+      command.value().type != core::CommandType::kIcapConfig) {
+    config_phase_done_ = true;
+    if (after_config_) after_config_(prover_);
+    core::apply_register_churn(prover_, hello_.session_seed,
+                               hello_.flip_probability);
   }
-  core::SachaProver::HandleResult result = prover_.handle_packet(payload);
+  // An undecodable packet goes through handle_packet, whose fault gate
+  // runs ahead of its decode (and whose error response it then earns).
+  core::SachaProver::HandleResult result =
+      command.ok() ? prover_.handle(command.value())
+                   : prover_.handle_packet(payload);
   Bytes out;
   if (result.response.has_value()) {
     out.push_back(1);

@@ -709,6 +709,15 @@ struct AttestServer::Impl {
       models_built.fetch_add(1, std::memory_order_relaxed);
     }
     conn->session.emplace(*conn->verifier);
+    if (const auto& rejected = conn->verifier->schedule_error()) {
+      // The schedule cannot cross the wire: refuse it before any command,
+      // with the typed failure an in-process session reports for it.
+      (void)conn->channel.send(
+          FrameKind::kError,
+          error_frame_payload(core::FailureKind::kDecodeError, *rejected));
+      close_conn(conn, /*mid_session=*/false);
+      return false;
+    }
     // The client's head-sampling decision arrived in the HELLO; honouring
     // it (rather than re-deciding) is what makes the two processes' span
     // sets land under one trace id.

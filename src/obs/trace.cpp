@@ -176,6 +176,12 @@ Span::Span(std::string name, TraceId trace, std::string category) {
   record_.start_ns = Tracer::global().now_ns();
 }
 
+Span::Span(std::string name, TraceId trace, std::string category,
+           std::uint64_t start_ns)
+    : Span(std::move(name), trace, std::move(category)) {
+  if (active_) record_.start_ns = start_ns;
+}
+
 Span::Span(Span&& other) noexcept
     : active_(other.active_), record_(std::move(other.record_)) {
   other.active_ = false;
@@ -187,9 +193,14 @@ Span& Span::arg(std::string key, std::string value) {
 }
 
 void Span::end() {
+  if (active_) end_at(Tracer::global().now_ns());
+}
+
+void Span::end_at(std::uint64_t end_ns) {
   if (!active_) return;
   active_ = false;
-  record_.duration_ns = Tracer::global().now_ns() - record_.start_ns;
+  record_.duration_ns =
+      end_ns > record_.start_ns ? end_ns - record_.start_ns : 0;
   --t_depth;
   Tracer::global().append(std::move(record_));
 }

@@ -132,6 +132,10 @@ class Tracer {
 class Span {
  public:
   Span(std::string name, TraceId trace = {}, std::string category = "session");
+  /// Opens at `start_ns` (a Tracer::now_ns() reading taken earlier), so a
+  /// span can begin exactly where the previous one ended.
+  Span(std::string name, TraceId trace, std::string category,
+       std::uint64_t start_ns);
   ~Span() { end(); }
 
   Span(const Span&) = delete;
@@ -144,8 +148,11 @@ class Span {
 
   /// Closes and records the span; idempotent.
   void end();
+  /// Closes at `end_ns` (a Tracer::now_ns() reading) instead of now.
+  void end_at(std::uint64_t end_ns);
 
   bool active() const { return active_; }
+  std::uint64_t start_ns() const { return record_.start_ns; }
 
  private:
   bool active_ = false;

@@ -2,38 +2,52 @@
 
 namespace sacha::sim {
 
-void TimeLedger::add(const std::string& action, SimDuration duration) {
-  auto [it, inserted] = entries_.try_emplace(action);
-  if (inserted) order_.push_back(action);
-  ++it->second.count;
-  it->second.total += duration;
+std::size_t TimeLedger::find(std::string_view action) const {
+  std::size_t i = 0;
+  while (i < order_.size() && order_[i] != action) ++i;
+  return i;
 }
 
-std::uint64_t TimeLedger::count(const std::string& action) const {
-  auto it = entries_.find(action);
-  return it == entries_.end() ? 0 : it->second.count;
+void TimeLedger::add(std::string_view action, SimDuration duration) {
+  const std::size_t i = find(action);
+  if (i == order_.size()) {
+    if (order_.empty()) {
+      // Room for every Table 3 row plus the transport rows at once.
+      order_.reserve(16);
+      entries_.reserve(16);
+    }
+    order_.emplace_back(action);
+    entries_.emplace_back();
+  }
+  ++entries_[i].count;
+  entries_[i].total += duration;
 }
 
-SimDuration TimeLedger::total(const std::string& action) const {
-  auto it = entries_.find(action);
-  return it == entries_.end() ? 0 : it->second.total;
+std::uint64_t TimeLedger::count(std::string_view action) const {
+  const std::size_t i = find(action);
+  return i == order_.size() ? 0 : entries_[i].count;
 }
 
-SimDuration TimeLedger::average(const std::string& action) const {
-  auto it = entries_.find(action);
-  if (it == entries_.end() || it->second.count == 0) return 0;
-  return it->second.total / it->second.count;
+SimDuration TimeLedger::total(std::string_view action) const {
+  const std::size_t i = find(action);
+  return i == order_.size() ? 0 : entries_[i].total;
+}
+
+SimDuration TimeLedger::average(std::string_view action) const {
+  const std::size_t i = find(action);
+  if (i == order_.size() || entries_[i].count == 0) return 0;
+  return entries_[i].total / entries_[i].count;
 }
 
 SimDuration TimeLedger::grand_total() const {
   SimDuration sum = 0;
-  for (const auto& [name, entry] : entries_) sum += entry.total;
+  for (const Entry& entry : entries_) sum += entry.total;
   return sum;
 }
 
 void TimeLedger::clear() {
-  entries_.clear();
   order_.clear();
+  entries_.clear();
 }
 
 }  // namespace sacha::sim

@@ -4,11 +4,14 @@
 // reports how often each runs and the summed time. The ledger accumulates
 // (count, total duration) per named action during a session so the bench
 // binaries can print both tables directly from a run.
+//
+// A session books ~500k rows, so a booking is a scan of a handful of rows
+// by name and never allocates once the row exists.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -17,12 +20,12 @@ namespace sacha::sim {
 
 class TimeLedger {
  public:
-  void add(const std::string& action, SimDuration duration);
+  void add(std::string_view action, SimDuration duration);
 
-  std::uint64_t count(const std::string& action) const;
-  SimDuration total(const std::string& action) const;
+  std::uint64_t count(std::string_view action) const;
+  SimDuration total(std::string_view action) const;
   /// Total / count; 0 if the action never ran.
-  SimDuration average(const std::string& action) const;
+  SimDuration average(std::string_view action) const;
 
   /// Sum over all actions.
   SimDuration grand_total() const;
@@ -37,8 +40,11 @@ class TimeLedger {
     std::uint64_t count = 0;
     SimDuration total = 0;
   };
-  std::map<std::string, Entry> entries_;
+  /// Index of `action` in order_ (and entries_), or order_.size().
+  std::size_t find(std::string_view action) const;
+
   std::vector<std::string> order_;
+  std::vector<Entry> entries_;  // parallel to order_
 };
 
 }  // namespace sacha::sim

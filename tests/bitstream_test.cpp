@@ -105,7 +105,7 @@ TEST(Packets, WriterParserRoundTrip) {
   EXPECT_EQ(std::get<OpCmd>(ops[4]).op, CmdOp::kWcfg);
   EXPECT_EQ(std::get<OpWriteFar>(ops[5]).address,
             (fabric::FrameAddress{fabric::BlockType::kLogic, 1, 2, 3}));
-  EXPECT_EQ(std::get<OpWriteFrames>(ops[6]).words, payload);
+  EXPECT_EQ(std::get<OpWriteFrames>(ops[6]), OpWriteFrames{payload});
   EXPECT_TRUE(std::holds_alternative<OpCrc>(ops[7]));
   EXPECT_EQ(std::get<OpCmd>(ops[8]).op, CmdOp::kDesync);
 }
@@ -274,7 +274,7 @@ TEST(BitGen, SingleFrameStreamIsSelfContained) {
       saw_far = true;
     }
     if (const auto* wr = std::get_if<OpWriteFrames>(&op)) {
-      EXPECT_EQ(wr->words, frame.words());
+      EXPECT_EQ(*wr, OpWriteFrames{frame.words()});
       saw_frame = true;
     }
   }

@@ -201,9 +201,12 @@ TEST(Prover, NoopPaddingIsStrippedBeforeIcap) {
   Rig rig;
   rig.verifier.begin();
   const Command cmd = rig.verifier.command(0);  // padded to 266 words
-  ASSERT_GE(cmd.stream.size(), 266u);
+  // The padding is a count in memory; the wire carries all 266 words.
+  ASSERT_EQ(cmd.stream.size() + cmd.padding, 266u);
+  const Bytes packet = cmd.encode();
+  ASSERT_EQ(packet.size(), 4u + 266u * 4u);
   const std::uint64_t cycles_before = rig.prover.icap().stats().cycles;
-  auto result = rig.prover.handle(cmd);
+  auto result = rig.prover.handle_packet(packet);
   ASSERT_FALSE(result.response.has_value());
   // Effective single-frame stream on the test device: 18 stream words
   // (sync 1 + idcode 2 + wcfg 2 + far 2 + hdr 1 + 8 data + desync 2),

@@ -10,10 +10,18 @@ namespace sacha::core {
 namespace {
 
 struct PropertyCase {
+  PropertyCase(std::uint32_t frames, ReadbackOrder readback,
+               std::uint64_t case_seed)
+      : frames_per_config(frames), order(readback), seed(case_seed) {}
+
   std::uint32_t frames_per_config;
   ReadbackOrder order;
+  // gtest names each case by printing its raw bytes. Zero bytes in place of
+  // padding keep those names the same in every run.
+  std::uint8_t zero_fill[3] = {};
   std::uint64_t seed;
 };
+static_assert(sizeof(PropertyCase) == 16, "PropertyCase must have no padding");
 
 class SessionInvariants : public ::testing::TestWithParam<PropertyCase> {};
 

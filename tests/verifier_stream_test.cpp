@@ -3,10 +3,18 @@
 // sharing semantics, and the zero-retention memory contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
+#include <string>
 #include <utility>
+
+#if defined(__unix__)
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 #include "attacks/library.hpp"
 #include "bitstream/golden_model.hpp"
@@ -16,6 +24,22 @@ namespace sacha {
 namespace {
 
 namespace bs = sacha::bitstream;
+
+/// A TempDir() path private to the running test instance (its full name
+/// plus the pid): ctest runs every instance, parameterised ones included,
+/// as its own process, and those processes run concurrently.
+std::string private_temp(const std::string& stem,
+                         const std::string& suffix = "") {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name =
+      std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+#if defined(__unix__)
+  name += "_" + std::to_string(::getpid());
+#endif
+  return ::testing::TempDir() + stem + "_" + name + suffix;
+}
 
 attacks::AttackEnv env_with_mode(core::VerifyMode mode,
                                  std::uint64_t seed = 77) {
@@ -114,7 +138,7 @@ TEST(GoldenModelCache, SaveLoadRoundTripIsBitIdentical) {
   attacks::AttackEnv env = attacks::AttackEnv::small();
   env.app_spec = bs::DesignSpec{"roundtrip-probe", 7};
   const bs::GoldenModel built(env.plan, env.static_spec, env.app_spec);
-  const std::string path = ::testing::TempDir() + "sacha_roundtrip.sgm";
+  const std::string path = private_temp("sacha_roundtrip", ".sgm");
   ASSERT_TRUE(built.save(path, env.plan));
   const auto loaded =
       bs::GoldenModel::load(path, env.plan, env.static_spec, env.app_spec);
@@ -129,7 +153,7 @@ TEST(GoldenModelCache, LoadRejectsWrongIdentityAndCorruption) {
   attacks::AttackEnv env = attacks::AttackEnv::small();
   env.app_spec = bs::DesignSpec{"reject-probe", 9};
   const bs::GoldenModel built(env.plan, env.static_spec, env.app_spec);
-  const std::string path = ::testing::TempDir() + "sacha_reject.sgm";
+  const std::string path = private_temp("sacha_reject", ".sgm");
   ASSERT_TRUE(built.save(path, env.plan));
   // A file saved for one fleet configuration must never load for another.
   const bs::DesignSpec other_app{"reject-probe-other", 9};
@@ -151,15 +175,25 @@ using ModelLoader = std::shared_ptr<const bs::GoldenModel> (*)(
     const std::string&, const fabric::Floorplan&, const bs::DesignSpec&,
     const bs::DesignSpec&);
 
-class GoldenModelCorruption
-    : public ::testing::TestWithParam<std::pair<const char*, ModelLoader>> {};
+struct NamedLoader {
+  const char* name;
+  ModelLoader load;
+};
+
+// Prints the name only: the function pointer would put an address, which
+// changes with every build, into the test names.
+void PrintTo(const NamedLoader& loader, std::ostream* os) {
+  *os << loader.name;
+}
+
+class GoldenModelCorruption : public ::testing::TestWithParam<NamedLoader> {};
 
 TEST_P(GoldenModelCorruption, TruncationAtEveryBoundaryFailsCleanly) {
-  const ModelLoader load = GetParam().second;
+  const ModelLoader load = GetParam().load;
   attacks::AttackEnv env = attacks::AttackEnv::small();
   env.app_spec = bs::DesignSpec{"corruption-matrix", 11};
   const bs::GoldenModel built(env.plan, env.static_spec, env.app_spec);
-  const std::string good = ::testing::TempDir() + "sacha_matrix_good.sgm";
+  const std::string good = private_temp("sacha_matrix_good", ".sgm");
   ASSERT_TRUE(built.save(good, env.plan));
   std::ifstream in(good, std::ios::binary);
   const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
@@ -176,7 +210,7 @@ TEST_P(GoldenModelCorruption, TruncationAtEveryBoundaryFailsCleanly) {
   cuts.push_back(bytes.size() - 4);
   cuts.push_back(bytes.size() - 1);
 
-  const std::string path = ::testing::TempDir() + "sacha_matrix_cut.sgm";
+  const std::string path = private_temp("sacha_matrix_cut", ".sgm");
   for (const std::size_t cut : cuts) {
     if (cut >= bytes.size()) continue;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -190,18 +224,18 @@ TEST_P(GoldenModelCorruption, TruncationAtEveryBoundaryFailsCleanly) {
 }
 
 TEST_P(GoldenModelCorruption, FlippedDigestByteAndGarbageTailReject) {
-  const ModelLoader load = GetParam().second;
+  const ModelLoader load = GetParam().load;
   attacks::AttackEnv env = attacks::AttackEnv::small();
   env.app_spec = bs::DesignSpec{"corruption-flip", 13};
   const bs::GoldenModel built(env.plan, env.static_spec, env.app_spec);
-  const std::string good = ::testing::TempDir() + "sacha_flip_good.sgm";
+  const std::string good = private_temp("sacha_flip_good", ".sgm");
   ASSERT_TRUE(built.save(good, env.plan));
   std::ifstream in(good, std::ios::binary);
   std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   in.close();
 
-  const std::string path = ::testing::TempDir() + "sacha_flip.sgm";
+  const std::string path = private_temp("sacha_flip", ".sgm");
   const auto write_variant = [&](const std::vector<char>& v) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(v.data(), static_cast<std::streamsize>(v.size()));
@@ -240,9 +274,9 @@ TEST_P(GoldenModelCorruption, FlippedDigestByteAndGarbageTailReject) {
 INSTANTIATE_TEST_SUITE_P(
     HeapAndMapped, GoldenModelCorruption,
     ::testing::Values(
-        std::make_pair("load", &bs::GoldenModel::load),
-        std::make_pair("load_mapped", &bs::GoldenModel::load_mapped)),
-    [](const auto& info) { return std::string(info.param.first); });
+        NamedLoader{"load", &bs::GoldenModel::load},
+        NamedLoader{"load_mapped", &bs::GoldenModel::load_mapped}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ---- mmap-shared models ---------------------------------------------------
 
@@ -250,7 +284,7 @@ TEST(GoldenModelMapped, LoadMappedIsBitIdenticalAndBorrowsTables) {
   attacks::AttackEnv env = attacks::AttackEnv::small();
   env.app_spec = bs::DesignSpec{"mapped-probe", 17};
   const bs::GoldenModel built(env.plan, env.static_spec, env.app_spec);
-  const std::string path = ::testing::TempDir() + "sacha_mapped.sgm";
+  const std::string path = private_temp("sacha_mapped", ".sgm");
   ASSERT_TRUE(built.save(path, env.plan));
   const auto mapped =
       bs::GoldenModel::load_mapped(path, env.plan, env.static_spec,
@@ -271,11 +305,64 @@ TEST(GoldenModelMapped, LoadMappedIsBitIdenticalAndBorrowsTables) {
   std::filesystem::remove(path);
 }
 
+#if defined(__unix__)
+TEST(GoldenModelMapped, ResaveKeepsAMappedReadersPages) {
+  // A colocated process holds the cache file mapped while this one
+  // re-persists a different model to the same path. The reader must keep
+  // reading its own contents on every page: no SIGBUS from a truncation,
+  // no bytes of the new file.
+  attacks::AttackEnv env = attacks::AttackEnv::small();
+  env.app_spec = bs::DesignSpec{"resave-probe", 23};
+  const bs::GoldenModel built(env.plan, env.static_spec, env.app_spec);
+  const bs::DesignSpec other_app{"resave-probe-replacement", 29};
+  const bs::GoldenModel replacement(env.plan, env.static_spec, other_app);
+  const std::string path = private_temp("sacha_resave", ".sgm");
+  ASSERT_TRUE(built.save(path, env.plan));
+
+  int to_parent[2];
+  int to_child[2];
+  ASSERT_EQ(::pipe(to_parent), 0);
+  ASSERT_EQ(::pipe(to_child), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const auto mapped = bs::GoldenModel::load_mapped(
+        path, env.plan, env.static_spec, env.app_spec);
+    char byte = mapped != nullptr ? 1 : 0;
+    if (::write(to_parent[1], &byte, 1) != 1) ::_exit(3);
+    if (::read(to_child[0], &byte, 1) != 1) ::_exit(4);
+    // The whole-model compare reads every page of both mapped tables.
+    ::_exit(mapped != nullptr && *mapped == built ? 0 : 1);
+  }
+  char mapped = 0;
+  ASSERT_EQ(::read(to_parent[0], &mapped, 1), 1);
+  EXPECT_EQ(mapped, 1) << "child could not map the cache file";
+  EXPECT_TRUE(replacement.save(path, env.plan));
+  ASSERT_EQ(::write(to_child[1], &mapped, 1), 1);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "mapped reader died with signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "mapped reader saw pages of the re-saved file";
+  for (const int fd : {to_parent[0], to_parent[1], to_child[0], to_child[1]}) {
+    ::close(fd);
+  }
+  // The path itself now holds the replacement.
+  const auto reloaded =
+      bs::GoldenModel::load(path, env.plan, env.static_spec, other_app);
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_TRUE(*reloaded == replacement);
+  std::filesystem::remove(path);
+}
+#endif
+
 TEST(GoldenModelMapped, SharedCachedPrefersMappingAndReportsKMapped) {
   attacks::AttackEnv env = attacks::AttackEnv::small();
   env.app_spec = bs::DesignSpec{"mapped-cache-probe", 19};
   const std::string dir =
-      ::testing::TempDir() + "sacha_mapped_cache" + std::filesystem::path::preferred_separator;
+      private_temp("sacha_mapped_cache") +
+      std::filesystem::path::preferred_separator;
   std::filesystem::create_directories(dir);
 
   bs::GoldenModel::CacheSource source;
@@ -311,7 +398,7 @@ TEST(GoldenModelMapped, SharedCachedPrefersMappingAndReportsKMapped) {
 TEST(GoldenModelCache, SharedCachedHitsInternedThenDiskThenBuild) {
   attacks::AttackEnv env = attacks::AttackEnv::small();
   env.app_spec = bs::DesignSpec{"three-tier-probe", 11};
-  const std::string dir = ::testing::TempDir() + "sacha_model_cache";
+  const std::string dir = private_temp("sacha_model_cache");
   std::filesystem::remove_all(dir);
 
   bs::GoldenModel::CacheSource source;
@@ -349,7 +436,7 @@ TEST(GoldenModelCache, WarmStartedVerifierAttests) {
   // shared_cached pre-populates the intern cache, so a verifier provisioned
   // afterwards reuses the loaded model — the warm-start path end-to-end.
   attacks::AttackEnv env = attacks::AttackEnv::small(91);
-  const std::string dir = ::testing::TempDir() + "sacha_warm_start";
+  const std::string dir = private_temp("sacha_warm_start");
   std::filesystem::remove_all(dir);
   bs::GoldenModel::CacheSource source;
   // Cold start persists; the simulated restart below loads it.
