@@ -183,7 +183,7 @@ bool fault_matrix_and_emit() {
     records.push_back({"bench_faults", prefix + "_retransmissions",
                        static_cast<double>(r.retransmissions), "messages"});
     records.push_back({"bench_faults", prefix + "_backoff_wait",
-                       sim::to_seconds(r.backoff_wait), "s"});
+                       sim::to_seconds(r.backoff_wait), "s", true});
   }
 
   const bool identical = zero_fault_bit_identical();

@@ -184,13 +184,13 @@ bool multiplexed_gate(std::vector<benchutil::BenchRecord>& records) {
     std::printf("[gate] FAIL: expected >= 2x makespan reduction\n");
   }
   records.push_back({"bench_swarm", "mux_makespan_64",
-                     sim::to_seconds(mux.engine.makespan), "s"});
+                     sim::to_seconds(mux.engine.makespan), "s", true});
   records.push_back({"bench_swarm", "mux_thread_per_member_makespan_64",
                      sim::to_seconds(mux.engine.thread_per_member_makespan),
-                     "s"});
-  records.push_back({"bench_swarm", "mux_speedup_64", speedup, "x"});
+                     "s", true});
+  records.push_back({"bench_swarm", "mux_speedup_64", speedup, "x", true});
   records.push_back({"bench_swarm", "mux_overlap_efficiency_64",
-                     mux.engine.overlap_efficiency, "x"});
+                     mux.engine.overlap_efficiency, "x", true});
   records.push_back({"bench_swarm", "mux_pool_size",
                      static_cast<double>(mux.engine.pool_size), "threads"});
   records.push_back({"bench_swarm", "mux_bit_identical_64",
@@ -267,7 +267,7 @@ void wallclock_sweep_and_emit(std::vector<benchutil::BenchRecord> records) {
           {"bench_swarm", "lossy_retransmissions_8",
            static_cast<double>(lossy_report.retransmissions), "messages"},
           {"bench_swarm", "lossy_backoff_wait_8",
-           sim::to_seconds(lossy_report.backoff_wait), "s"},
+           sim::to_seconds(lossy_report.backoff_wait), "s", true},
       };
   records.insert(records.end(), wallclock_records.begin(),
                  wallclock_records.end());

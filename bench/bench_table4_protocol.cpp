@@ -94,9 +94,9 @@ void print_table4() {
       "BENCH_protocol.json",
       {
           {"bench_table4_protocol", "theoretical_duration",
-           sim::to_seconds(ideal.theoretical_time), "s"},
+           sim::to_seconds(ideal.theoretical_time), "s", true},
           {"bench_table4_protocol", "lab_duration",
-           sim::to_seconds(lab.total_time), "s"},
+           sim::to_seconds(lab.total_time), "s", true},
           {"bench_table4_protocol", "full_session_host_wallclock", ideal_wall_s,
            "s"},
           {"bench_table4_protocol", "full_session_mac_bytes",

@@ -289,10 +289,11 @@ bool probe_cost(std::vector<benchutil::BenchRecord>& records) {
       sim::to_seconds(probe.theoretical_time), kProbeCoverage * 100.0, ratio,
       kProbeCostBound, ok ? "ok" : "FAILED");
   records.push_back(
-      {"bench_update", "full_session_s", sim::to_seconds(full.theoretical_time), "s"});
+      {"bench_update", "full_session_s", sim::to_seconds(full.theoretical_time),
+       "s", true});
   records.push_back({"bench_update", "probe_session_s",
-                     sim::to_seconds(probe.theoretical_time), "s"});
-  records.push_back({"bench_update", "probe_cost_ratio", ratio, "ratio"});
+                     sim::to_seconds(probe.theoretical_time), "s", true});
+  records.push_back({"bench_update", "probe_cost_ratio", ratio, "ratio", true});
   records.push_back({"bench_update", "probe_cost_bound", kProbeCostBound,
                      "ratio"});
   if (!ok) std::printf("GATE FAILED: probe cost above bound\n");

@@ -4,13 +4,29 @@
 // hands over to google-benchmark for the micro-timings.
 #pragma once
 
+#include <sched.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include "attacks/env.hpp"
 #include "core/session.hpp"
+#include "crypto/aes.hpp"
 #include "obs/export.hpp"
+#include "obs/trace.hpp"
+
+// Set per bench target by bench/CMakeLists.txt at configure time.
+#ifndef SACHA_BENCH_COMMIT
+#define SACHA_BENCH_COMMIT "unknown"
+#endif
+#ifndef SACHA_BENCH_BUILD_TYPE
+#define SACHA_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace sacha::benchutil {
 
@@ -18,17 +34,23 @@ namespace sacha::benchutil {
 //
 // Benches append BenchRecords and write them as BENCH_<name>.json next to
 // the working directory. The file is one JSON object:
-//   {"records": [{bench, metric, value, unit}, ...], "metrics": {...}}
-// `records` is the schema future PRs diff to track the perf trajectory;
-// `metrics` embeds the telemetry registry snapshot at write time (all
-// zeros when SACHA_OBS is off), so every BENCH_*.json also records the
-// counter/histogram trajectory of the run that produced it.
+//   {"provenance": {...}, "records": [{bench, metric, value, unit}, ...],
+//    "metrics": {...}}
+// `provenance` names what produced the numbers, with the fields perfbench
+// prints: commit (at configure time), CPU model, resolved AES tier, usable
+// cores, build type, telemetry state and trace sampling rate. `records` is
+// the schema future PRs diff to track the perf trajectory; a record computed
+// by the simulator's timing model rather than measured on the host carries
+// "modelled": true. `metrics` embeds the telemetry registry snapshot at
+// write time (all zeros when SACHA_OBS is off), so every BENCH_*.json also
+// records the counter/histogram trajectory of the run that produced it.
 
 struct BenchRecord {
   std::string bench;
   std::string metric;
   double value = 0.0;
   std::string unit;
+  bool modelled = false;  // simulated time (or a ratio of it), not host time
 };
 
 inline std::string json_escape(const std::string& s) {
@@ -41,20 +63,63 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Writes `records` (plus the current telemetry snapshot) to `path`;
-/// returns false on I/O error.
+/// CPU brand string from CPUID ("unknown" off x86).
+inline std::string cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned int regs[12] = {};
+  if (__get_cpuid_max(0x80000000u, nullptr) >= 0x80000004u) {
+    for (unsigned int i = 0; i < 3; ++i) {
+      __get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1],
+                  &regs[4 * i + 2], &regs[4 * i + 3]);
+    }
+    std::string brand(reinterpret_cast<const char*>(regs), sizeof(regs));
+    brand = brand.c_str();
+    const auto first = brand.find_first_not_of(' ');
+    if (first != std::string::npos) return brand.substr(first);
+  }
+#endif
+  return "unknown";
+}
+
+/// Cores this process may run on.
+inline long usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
+  return CPU_COUNT(&set);
+}
+
+/// The `provenance` object of a BENCH_*.json.
+inline std::string provenance_json() {
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"commit\": \"%s\", \"cpu\": \"%s\", \"aes_tier\": \"%s\", "
+      "\"nproc\": %ld, \"build_type\": \"%s\", \"telemetry\": %s, "
+      "\"trace_sample\": %.6g}",
+      json_escape(SACHA_BENCH_COMMIT).c_str(), json_escape(cpu_model()).c_str(),
+      crypto::to_string(crypto::Aes128::resolve(crypto::AesImpl::kAuto)),
+      usable_cpus(), json_escape(SACHA_BENCH_BUILD_TYPE).c_str(),
+      obs::enabled() ? "true" : "false", obs::Sampler::global().rate());
+  return buf;
+}
+
+/// Writes `records` (plus provenance and the current telemetry snapshot)
+/// to `path`; returns false on I/O error.
 inline bool write_bench_json(const std::string& path,
                              const std::vector<BenchRecord>& records) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "{\n\"records\": [\n");
+  std::fprintf(f, "{\n\"provenance\": %s,\n\"records\": [\n",
+               provenance_json().c_str());
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
     std::fprintf(f,
                  "  {\"bench\": \"%s\", \"metric\": \"%s\", \"value\": %.6g, "
-                 "\"unit\": \"%s\"}%s\n",
+                 "\"unit\": \"%s\"%s}%s\n",
                  json_escape(r.bench).c_str(), json_escape(r.metric).c_str(),
                  r.value, json_escape(r.unit).c_str(),
+                 r.modelled ? ", \"modelled\": true" : "",
                  i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "],\n\"metrics\": ");

@@ -423,8 +423,8 @@ AttackOutcome ExternalTapAttack::run(const AttackEnv& env) const {
   }
   // Name the tapped pin from the device's own configuration.
   const BitVec observed = bs::extract_pin_map(
-      device, [&prover](std::uint32_t f) -> const std::vector<std::uint32_t>& {
-        return prover.memory().config_frame(f).words();
+      device, [&prover](std::uint32_t f) {
+        return prover.memory().config_words(f);
       });
   outcome.result = AttackResult::kDetected;
   outcome.evidence = bs::diff_pin_maps(golden_pins, observed).to_string() +

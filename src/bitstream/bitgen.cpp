@@ -1,7 +1,11 @@
 #include "bitstream/bitgen.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <mutex>
+#include <stdexcept>
+#include <unordered_map>
 
 #include "common/rng.hpp"
 
@@ -29,6 +33,58 @@ FrameMask architectural_mask(const fabric::DeviceModel& device,
     mask.set_bit(static_cast<std::uint32_t>(rng.below(frame_bits)), false);
   }
   return mask;
+}
+
+static_assert(fabric::kVirtex6WordsPerFrame * 32 <=
+                  RegisterPositions::kMaxFrameBits,
+              "Virtex-6 register positions must fit 16 bits");
+
+RegisterPositions::RegisterPositions(const fabric::DeviceModel& device)
+    : words_per_frame_(device.geometry().words_per_frame()) {
+  if (std::uint64_t{words_per_frame_} * 32 > kMaxFrameBits) {
+    throw std::length_error("RegisterPositions: " + device.name() +
+                            " frames exceed 16-bit bit offsets");
+  }
+  const std::uint32_t n = device.total_frames();
+  offsets_.reserve(n + 1);
+  offsets_.push_back(0);
+  for (std::uint32_t f = 0; f < n; ++f) {
+    const FrameMask msk = architectural_mask(device, f);
+    // Mask-0 bits in ascending order, a word at a time.
+    for (std::uint32_t w = 0; w < words_per_frame_; ++w) {
+      for (std::uint32_t reg = ~msk.word(w); reg != 0; reg &= reg - 1) {
+        positions_.push_back(static_cast<std::uint16_t>(
+            w * 32 + static_cast<std::uint32_t>(std::countr_zero(reg))));
+      }
+    }
+    offsets_.push_back(static_cast<std::uint32_t>(positions_.size()));
+  }
+  positions_.shrink_to_fit();
+}
+
+FrameMask RegisterPositions::mask(std::uint32_t frame) const {
+  FrameMask msk(words_per_frame_, 0xffffffff);
+  for (std::uint16_t b : of(frame)) msk.set_bit(b, false);
+  return msk;
+}
+
+std::shared_ptr<const RegisterPositions> RegisterPositions::shared(
+    const fabric::DeviceModel& device) {
+  // The table depends on what architectural_mask reads: the device name and
+  // the frame geometry. Device types are few, so expired entries stay until
+  // their type is asked for again.
+  static std::mutex mutex;
+  static std::unordered_map<std::string, std::weak_ptr<const RegisterPositions>>
+      tables;
+  const std::string key = device.name() + '/' +
+                          std::to_string(device.total_frames()) + 'x' +
+                          std::to_string(device.geometry().words_per_frame());
+  std::lock_guard<std::mutex> lock(mutex);
+  std::weak_ptr<const RegisterPositions>& entry = tables[key];
+  if (auto table = entry.lock()) return table;
+  auto table = std::make_shared<const RegisterPositions>(device);
+  entry = table;
+  return table;
 }
 
 BitGen::BitGen(const fabric::DeviceModel& device) : device_(device) {}

@@ -13,7 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bitstream/frame.hpp"
 #include "bitstream/packet.hpp"
@@ -36,6 +39,50 @@ struct DesignSpec {
 /// `density` is the flip-flop fraction of frame bits.
 FrameMask architectural_mask(const fabric::DeviceModel& device,
                              std::uint32_t frame_index, double density = 0.02);
+
+/// Every frame's flip-flop (mask-0) positions of one device type, as one
+/// flat table: frames ascending, positions ascending within a frame. Entry
+/// `first(f) + k` is frame f's k-th register bit, so the table also numbers
+/// the device's register bits globally. Built from `architectural_mask`,
+/// immutable, and interned per device type by `shared()`: every
+/// ConfigMemory of that type in the process reads the same table.
+class RegisterPositions {
+ public:
+  /// Positions are stored as 16-bit bit offsets within a frame.
+  static constexpr std::uint32_t kMaxFrameBits = 65'536;
+
+  /// Builds the table; throws std::length_error when a frame holds more
+  /// than kMaxFrameBits bits.
+  explicit RegisterPositions(const fabric::DeviceModel& device);
+
+  /// The process-wide table of `device`'s type (name and geometry), built
+  /// on first use and kept while any holder lives. Thread-safe.
+  static std::shared_ptr<const RegisterPositions> shared(
+      const fabric::DeviceModel& device);
+
+  std::uint32_t frames() const {
+    return static_cast<std::uint32_t>(offsets_.size() - 1);
+  }
+  /// Register bits on the whole device.
+  std::uint32_t total() const {
+    return static_cast<std::uint32_t>(positions_.size());
+  }
+  /// Global index of frame `frame`'s first register bit.
+  std::uint32_t first(std::uint32_t frame) const { return offsets_[frame]; }
+  /// Frame `frame`'s register-bit offsets, ascending.
+  std::span<const std::uint16_t> of(std::uint32_t frame) const {
+    return std::span<const std::uint16_t>(positions_)
+        .subspan(offsets_[frame], offsets_[frame + 1] - offsets_[frame]);
+  }
+  /// Frame `frame`'s architectural mask, rebuilt from its positions (equal
+  /// to `architectural_mask(device, frame)`).
+  FrameMask mask(std::uint32_t frame) const;
+
+ private:
+  std::uint32_t words_per_frame_ = 0;
+  std::vector<std::uint32_t> offsets_;   // frames + 1 entries
+  std::vector<std::uint16_t> positions_;
+};
 
 class BitGen {
  public:

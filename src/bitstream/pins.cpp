@@ -39,7 +39,7 @@ BitVec extract_pin_map(const fabric::DeviceModel& device, const FrameView& frame
   BitVec map(pins);
   for (std::uint32_t pin = 0; pin < pins; ++pin) {
     const PinBit loc = pin_bit_location(device, pin);
-    const std::vector<std::uint32_t>& words = frame_of(loc.frame);
+    const std::span<const std::uint32_t> words = frame_of(loc.frame);
     map.set(pin, (words[loc.bit / 32] >> (loc.bit % 32)) & 1u);
   }
   return map;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,7 @@ PinBit pin_bit_location(const fabric::DeviceModel& device, std::uint32_t pin);
 
 /// Reads the enable state of every IOB pin out of a frame view.
 /// `frame_of` maps a linear frame index to its 32-bit words.
-using FrameView = std::function<const std::vector<std::uint32_t>&(std::uint32_t)>;
+using FrameView = std::function<std::span<const std::uint32_t>(std::uint32_t)>;
 BitVec extract_pin_map(const fabric::DeviceModel& device, const FrameView& frame_of);
 
 struct PinDiff {

@@ -13,10 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
 }  // namespace
 
 std::uint64_t splitmix64_mix(std::uint64_t x) {
@@ -39,18 +35,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(seed);
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::below(std::uint64_t bound) {
   assert(bound > 0);
   // Rejection sampling: draw until the value falls in the largest multiple
@@ -68,17 +52,6 @@ std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) {
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
   return lo + static_cast<std::int64_t>(below(span));
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
-}
-
-double Rng::uniform() {
-  // 53 bits of mantissa.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 Bytes Rng::bytes(std::size_t n) {

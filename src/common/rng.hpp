@@ -8,6 +8,7 @@
 // and AES-based.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -32,7 +33,17 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound); bound must be > 0. Uses rejection sampling so the
   /// distribution is exactly uniform.
@@ -41,11 +52,18 @@ class Rng {
   /// Uniform in [lo, hi] inclusive; requires lo <= hi.
   std::int64_t between(std::int64_t lo, std::int64_t hi);
 
-  /// Bernoulli draw with probability p (clamped to [0,1]).
-  bool chance(double p);
+  /// Bernoulli draw with probability p (clamped to [0,1]). Draws nothing
+  /// when p <= 0 or p >= 1, exactly one next_u64() otherwise.
+  bool chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the top 53 bits of one next_u64().
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   Bytes bytes(std::size_t n);
 

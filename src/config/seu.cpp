@@ -67,7 +67,7 @@ ScrubReport Scrubber::scrub(fabric::FrameRange range) {
     ++report.frames_scanned;
 
     const bs::Frame readback(std::move(result).take());
-    const bs::FrameMask& mask = icap_.memory().mask(f);
+    const bs::FrameMask mask = icap_.memory().mask(f);
     const bs::Frame& golden = golden_(f);
     if (!bs::masked_equal(readback, golden, mask)) {
       ++report.frames_corrupted;

@@ -35,15 +35,18 @@ SachaProver::SachaProver(SachaProver&& other) noexcept
       icap_clock_(std::move(other.icap_clock_)),
       last_mac_(other.last_mac_),
       fault_(other.fault_),
-      boot_image_(std::move(other.boot_image_)) {
+      boot_words_(std::move(other.boot_words_)) {
   icap_.rebind(memory_);
 }
 
 void SachaProver::boot(const bitstream::ConfigImage& static_image) {
+  boot_words_.clear();
+  boot_words_.reserve(static_image.frames.size() * memory_.words_per_frame());
   for (std::uint32_t i = 0; i < static_image.frames.size(); ++i) {
     memory_.write_frame(i, static_image.frames[i]);
+    const std::vector<std::uint32_t>& words = static_image.frames[i].words();
+    boot_words_.insert(boot_words_.end(), words.begin(), words.end());
   }
-  boot_image_ = static_image;
 }
 
 void SachaProver::inject_crash(std::uint32_t reboot_after_packets) {
@@ -73,13 +76,11 @@ void SachaProver::reboot() {
   reboots.add(1);
   // Volatile configuration memory is gone; only BootMem survives the power
   // cycle. Zero everything, then reload the static partition.
-  const bitstream::Frame zero(
-      std::vector<std::uint32_t>(memory_.words_per_frame(), 0));
-  for (std::uint32_t i = 0; i < memory_.total_frames(); ++i) {
-    memory_.write_frame(i, zero);
-  }
-  for (std::uint32_t i = 0; i < boot_image_.frames.size(); ++i) {
-    memory_.write_frame(i, boot_image_.frames[i]);
+  memory_.clear();
+  const std::uint32_t wpf = memory_.words_per_frame();
+  const std::span<const std::uint32_t> boot(boot_words_);
+  for (std::uint32_t i = 0; i < boot_words_.size() / wpf; ++i) {
+    memory_.write_frame(i, boot.subspan(std::size_t{i} * wpf, wpf));
   }
   if (mac_.busy()) mac_.abort();
   last_mac_.reset();

@@ -153,9 +153,10 @@ class SachaProver {
   sim::ClockDomain icap_clock_;
   std::optional<crypto::Mac> last_mac_;
   ProverFaultState fault_;
-  /// What boot() loaded — kept so a crash/reboot cycle can restore the
-  /// non-volatile BootMem content (the static partition only).
-  bitstream::ConfigImage boot_image_;
+  /// What boot() loaded, frames [0, n) as flat words — kept so a
+  /// crash/reboot cycle can restore the non-volatile BootMem content (the
+  /// static partition only; masks are architectural, not BootMem state).
+  std::vector<std::uint32_t> boot_words_;
 };
 
 /// Derives the prover key from a PUF read using the enrollment helper data

@@ -74,7 +74,8 @@ TEST(FrameAddressing, LinearIndexBijectionSmall) {
 }
 
 TEST(FrameAddressing, LinearIndexBijectionVirtex6Sampled) {
-  const ConfigGeometry& g = DeviceModel::xc6vlx240t().geometry();
+  const DeviceModel device = DeviceModel::xc6vlx240t();
+  const ConfigGeometry& g = device.geometry();
   for (std::uint32_t i = 0; i < g.total_frames(); i += 97) {
     EXPECT_EQ(g.linear_index(g.address_of(i)), i);
   }
@@ -85,7 +86,8 @@ TEST(FrameAddressing, LinearIndexBijectionVirtex6Sampled) {
 }
 
 TEST(FrameAddressing, LogicFramesPrecedeBram) {
-  const ConfigGeometry& g = DeviceModel::xc6vlx240t().geometry();
+  const DeviceModel device = DeviceModel::xc6vlx240t();
+  const ConfigGeometry& g = device.geometry();
   const std::uint32_t logic_frames = g.block(BlockType::kLogic).frames();
   EXPECT_EQ(g.address_of(0).block, BlockType::kLogic);
   EXPECT_EQ(g.address_of(logic_frames - 1).block, BlockType::kLogic);
@@ -93,7 +95,8 @@ TEST(FrameAddressing, LogicFramesPrecedeBram) {
 }
 
 TEST(FrameAddressing, InvalidAddressesRejected) {
-  const ConfigGeometry& g = DeviceModel::xc6vlx240t().geometry();
+  const DeviceModel device = DeviceModel::xc6vlx240t();
+  const ConfigGeometry& g = device.geometry();
   EXPECT_FALSE(g.valid(FrameAddress{BlockType::kLogic, 6, 0, 0}));    // row
   EXPECT_FALSE(g.valid(FrameAddress{BlockType::kLogic, 0, 121, 0}));  // col
   EXPECT_FALSE(g.valid(FrameAddress{BlockType::kLogic, 0, 0, 36}));   // minor
