@@ -2,7 +2,7 @@
 //
 // Sweeps the self-healing swarm supervisor across a burst-loss × device-
 // crash × ICAP-stall matrix on small reliable-channel fleets and checks
-// the PR's two contracts:
+// three contracts:
 //
 //   1. Convergence: in every cell, every member either attests (possibly
 //      healed by a fresh-nonce re-attestation) or is quarantined with a
@@ -10,8 +10,10 @@
 //   2. Bit-identity: the zero-fault cell, run through the supervisor,
 //      produces member-for-member identical MACs and simulated durations
 //      to the pre-supervisor one-shot attest_swarm.
+//   3. Repeatability: each correlated-uplink cell runs twice, and both
+//      runs agree member for member.
 //
-// Exit status is the gate (0 = both contracts hold), so CI can run this
+// Exit status is the gate (0 = every contract holds), so CI can run this
 // binary directly. Emits BENCH_faults.json with the per-cell outcome.
 #include <benchmark/benchmark.h>
 
@@ -53,7 +55,8 @@ struct Cell {
   bool stall;          // member 2's ICAP stalls (first attempt)
   /// Every member shares ONE Gilbert–Elliott uplink chain (fault-plan
   /// `uplink=` clause): co-located members burst together instead of
-  /// independently.
+  /// independently. Such a cell runs kSerial, so the shared chain is drawn
+  /// in member order and the cell is deterministic.
   bool correlated_uplink = false;
 };
 
@@ -95,11 +98,31 @@ CellOutcome run_cell(const Cell& cell) {
   options.session.reliable = true;
   options.session.max_retries = 8;
   options.retry_budget = 2;
+  if (cell.correlated_uplink) options.schedule = core::SwarmSchedule::kSerial;
   CellOutcome out;
   out.report = core::attest_swarm(fleet.members, options);
   out.converged = out.report.converged();
   out.all_terminal_ok = out.report.all_attested();
   return out;
+}
+
+/// True when two runs of a cell agree member for member on every
+/// scheduling-independent field.
+bool same_members(const core::SwarmReport& a, const core::SwarmReport& b) {
+  if (a.members.size() != b.members.size()) return false;
+  for (std::size_t i = 0; i < a.members.size(); ++i) {
+    const auto& x = a.members[i];
+    const auto& y = b.members[i];
+    if (x.verdict.ok() != y.verdict.ok() || x.failure != y.failure ||
+        x.attempts != y.attempts || x.healed != y.healed ||
+        x.quarantined != y.quarantined || x.duration != y.duration ||
+        x.mac != y.mac || x.messages_lost != y.messages_lost ||
+        x.retransmissions != y.retransmissions ||
+        x.backoff_wait != y.backoff_wait) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// The bit-identity gate: zero-fault supervised run vs the historical
@@ -155,8 +178,14 @@ bool fault_matrix_and_emit() {
   std::vector<benchutil::BenchRecord> records;
   bool all_converged = true;
   bool recoverable_all_attested = true;
+  bool correlated_repeatable = true;
   for (const Cell& cell : cells) {
     const CellOutcome out = run_cell(cell);
+    if (cell.correlated_uplink && !same_members(out.report,
+                                                run_cell(cell).report)) {
+      std::printf("%20s: a second run disagrees with the first\n", cell.name);
+      correlated_repeatable = false;
+    }
     all_converged = all_converged && out.converged;
     // Every cell in this matrix is recoverable by construction (bounded
     // burst loss on a reliable channel, crash that reboots, stall that
@@ -195,6 +224,8 @@ bool fault_matrix_and_emit() {
                      all_converged ? 1.0 : 0.0, "bool"});
   records.push_back({"bench_faults", "recoverable_cells_all_attested",
                      recoverable_all_attested ? 1.0 : 0.0, "bool"});
+  records.push_back({"bench_faults", "correlated_cells_repeatable",
+                     correlated_repeatable ? 1.0 : 0.0, "bool"});
   benchutil::write_bench_json("BENCH_faults.json", records);
 
   if (!all_converged) std::printf("GATE FAILED: a cell did not converge\n");
@@ -204,7 +235,11 @@ bool fault_matrix_and_emit() {
   if (!identical) {
     std::printf("GATE FAILED: supervisor changed the zero-fault report\n");
   }
-  return all_converged && recoverable_all_attested && identical;
+  if (!correlated_repeatable) {
+    std::printf("GATE FAILED: a correlated-uplink cell is not repeatable\n");
+  }
+  return all_converged && recoverable_all_attested && identical &&
+         correlated_repeatable;
 }
 
 void BM_SupervisedFaultyFleet(benchmark::State& state) {

@@ -107,65 +107,28 @@ bool multiplexed_gate(std::vector<benchutil::BenchRecord>& records) {
   const auto parallel = core::attest_swarm(
       parallel_fleet.members, core::SwarmSchedule::kParallel, session);
 
-  const auto matches_parallel = [&parallel](const core::SwarmReport& mux,
-                                            const char* label) {
-    bool identical = parallel.members.size() == mux.members.size();
-    for (std::size_t i = 0; identical && i < parallel.members.size(); ++i) {
-      const auto& a = parallel.members[i];
-      const auto& b = mux.members[i];
-      identical = a.id == b.id && a.verdict.ok() == b.verdict.ok() &&
-                  a.verdict.kind == b.verdict.kind && a.failure == b.failure &&
-                  a.attempts == b.attempts && a.duration == b.duration &&
-                  a.mac == b.mac && a.messages_lost == b.messages_lost &&
-                  a.retransmissions == b.retransmissions &&
-                  a.backoff_wait == b.backoff_wait;
-      if (!identical) {
-        std::printf("[gate] member %zu (%s) diverges between kParallel and "
-                    "kMultiplexed (%s)\n", i, a.id.c_str(), label);
-      }
-    }
-    return identical;
-  };
-
-  // Verify-batch-width sweep: the engine must return the same reports at
-  // every interleave width, while host wall-clock and absorb occupancy land
-  // in the JSON for the perf trajectory.
   core::SwarmOptions mux_options;
   mux_options.session = session;
   mux_options.schedule = core::SwarmSchedule::kMultiplexed;
   mux_options.engine.pool_size = kPool;
   mux_options.retry_budget = 0;
-  bool identical = true;
-  core::SwarmReport mux;
-  std::printf("\n[gate] verify-batch width sweep (64 members, pool %zu):\n",
-              kPool);
-  for (const std::size_t width : {1u, 4u, 8u}) {
-    Fleet mux_fleet(kFleet);
-    mux_options.engine.verify_batch_width = width;
-    auto report = core::attest_swarm(mux_fleet.members, mux_options);
-    const std::string label = "width " + std::to_string(width);
-    const bool match = matches_parallel(report, label.c_str());
-    identical = identical && match;
-    const double occupancy =
-        report.engine.multi_absorb_calls > 0
-            ? static_cast<double>(report.engine.multi_absorb_streams) /
-                  static_cast<double>(report.engine.multi_absorb_calls)
-            : 0.0;
-    std::printf("[gate]   width %zu: host %.3f s, absorb occupancy %.2f, "
-                "steals %llu, reports %s\n",
-                width, static_cast<double>(report.engine.host_ns) / 1e9,
-                occupancy,
-                static_cast<unsigned long long>(report.engine.verify_steals),
-                match ? "bit-identical" : "DIVERGED");
-    const std::string prefix = "mux_width" + std::to_string(width);
-    records.push_back({"bench_swarm", prefix + "_host_s",
-                       static_cast<double>(report.engine.host_ns) / 1e9, "s"});
-    records.push_back(
-        {"bench_swarm", prefix + "_absorb_occupancy", occupancy, "streams"});
-    records.push_back({"bench_swarm", prefix + "_verify_steals",
-                       static_cast<double>(report.engine.verify_steals),
-                       "steals"});
-    if (width == 4) mux = std::move(report);
+  Fleet mux_fleet(kFleet);
+  const auto mux = core::attest_swarm(mux_fleet.members, mux_options);
+
+  bool identical = parallel.members.size() == mux.members.size();
+  for (std::size_t i = 0; identical && i < parallel.members.size(); ++i) {
+    const auto& a = parallel.members[i];
+    const auto& b = mux.members[i];
+    identical = a.id == b.id && a.verdict.ok() == b.verdict.ok() &&
+                a.verdict.kind == b.verdict.kind && a.failure == b.failure &&
+                a.attempts == b.attempts && a.duration == b.duration &&
+                a.mac == b.mac && a.messages_lost == b.messages_lost &&
+                a.retransmissions == b.retransmissions &&
+                a.backoff_wait == b.backoff_wait;
+    if (!identical) {
+      std::printf("[gate] member %zu (%s) diverges between kParallel and "
+                  "kMultiplexed\n", i, a.id.c_str());
+    }
   }
   const double speedup =
       mux.engine.makespan > 0

@@ -47,9 +47,8 @@ struct CliOptions {
   std::string model_cache;        // GoldenModel on-disk cache directory
   std::uint64_t fleet = 0;        // members in a fleet run (0 = one session)
   std::string schedule = "mux";   // serial | parallel | mux
-  std::uint64_t pool = 0;         // mux verify-pool size (0 = auto)
-  std::uint64_t verify_batch = 4; // members interleaved per verify batch
-  bool adaptive_slice = false;    // adapt rounds_per_slice to cost ratios
+  std::uint64_t pool = 0;         // mux worker-pool size (0 = auto)
+  std::uint64_t verify_batch = 4; // attestd members per verify batch
   std::uint64_t seed = 1;
   std::string listen_spec;   // serve attestations on HOST:PORT
   std::string connect_spec;  // attest against a remote attestd
@@ -91,11 +90,9 @@ void print_help() {
       "                                    DIR (built + persisted on miss)\n"
       "  --fleet N                         attest a fleet of N devices\n"
       "  --schedule serial|parallel|mux    fleet schedule (default mux)\n"
-      "  --pool K                          mux verify-pool size (0 = auto)\n"
+      "  --pool K                          mux worker-pool size (0 = auto)\n"
       "  --verify-batch N                  members interleaved per verify\n"
-      "                                    batch, 1-8 (default 4; mux only)\n"
-      "  --adaptive-slice                  adapt mux drive-slice length to\n"
-      "                                    the observed verify/drive cost\n"
+      "                                    batch, 1-8 (default 4; --listen)\n"
       "  --listen HOST:PORT                run as an attestation service\n"
       "                                    (real sockets; --pool and\n"
       "                                    --verify-batch shape the workers)\n"
@@ -207,8 +204,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       const char* v = next("--verify-batch");
       if (!v) return false;
       options.verify_batch = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--adaptive-slice") {
-      options.adaptive_slice = true;
     } else if (arg == "--listen") {
       const char* v = next("--listen");
       if (!v) return false;
@@ -605,9 +600,6 @@ int main(int argc, char** argv) {
                          ? core::SwarmSchedule::kParallel
                          : core::SwarmSchedule::kMultiplexed;
     swarm.engine.pool_size = static_cast<std::size_t>(options.pool);
-    swarm.engine.verify_batch_width =
-        static_cast<std::size_t>(options.verify_batch);
-    swarm.engine.adaptive_slice = options.adaptive_slice;
     if (!fault_plan.empty()) {
       std::printf("fault plan         : %s\n", fault_plan.describe().c_str());
     }
@@ -627,19 +619,6 @@ int main(int argc, char** argv) {
                   report.engine.pool_size,
                   sim::to_seconds(report.engine.thread_per_member_makespan),
                   report.engine.overlap_efficiency);
-      const double occupancy =
-          report.engine.multi_absorb_calls > 0
-              ? static_cast<double>(report.engine.multi_absorb_streams) /
-                    static_cast<double>(report.engine.multi_absorb_calls)
-              : 0.0;
-      std::printf("verify batching    : width=%zu, occupancy %.2f "
-                  "(%llu absorbs), %llu steals, slice=%u%s\n",
-                  swarm.engine.verify_batch_width, occupancy,
-                  static_cast<unsigned long long>(
-                      report.engine.multi_absorb_calls),
-                  static_cast<unsigned long long>(report.engine.verify_steals),
-                  report.engine.rounds_per_slice_last,
-                  swarm.engine.adaptive_slice ? " (adaptive)" : "");
     }
     std::printf("golden models      : %zu distinct, %zu B shared\n",
                 report.distinct_golden_models, report.golden_model_bytes);

@@ -1,35 +1,40 @@
-// Event-driven fleet attestation engine.
+// Run-to-completion fleet attestation engine.
 //
-// attest_swarm(kParallel) burns one OS thread per member and lets each
-// thread idle through its member's simulated channel latency — fine for a
-// lab fleet, hopeless for N ≫ cores. This engine multiplexes N member
-// sessions on a fixed pool of workers: each session is a non-blocking
-// SessionMachine whose pending rounds park on a virtual-time heap (the
-// simulated channel transfer costs no host time, so "waiting on the wire"
-// is just a priority-queue reinsertion), while completed responses are
-// dispatched to the same pool as verify batches that fold the streaming
-// CMAC absorbs + masked compares. Member A's simulated configure/readback
-// latency therefore overlaps member B's verify compute, on both clocks:
+// attest_swarm(kParallel) burns one OS thread per member (up to the host's
+// cores) and lets each thread idle through its member's simulated channel
+// latency — fine for a lab fleet, but it reports a makespan only as "the
+// slowest member". This engine runs N member sessions on a fixed pool of
+// min(pool_size, N) workers and models what a K-lane verifier would make
+// of the fleet:
 //
-//  - Host clock: a drive strand and a verify strand per member run
-//    concurrently on the pool (safe because SessionMachine::step() and
-//    deliver() touch disjoint verifier state — see session.hpp), so the
-//    host wall-clock of a fleet divides by the pool size without ever
-//    holding N threads.
-//  - Simulated clock: the engine replays the completed rounds through a
-//    deterministic K-lane schedule (verify cost modelled per absorbed
-//    word) to report the fleet makespan a K-worker verifier would achieve,
-//    next to the thread-per-member baseline (whole sessions packed FIFO
-//    onto K ports) that today's kParallel models.
+//  - Host clock: each worker claims the next member from an atomic counter
+//    and drives that member's SessionMachine to its verdict on its own
+//    thread (step() → record the round → deliver() → … → finish()), the
+//    verifier folding its own CMAC. Simulated channel time costs no host
+//    time, so there is nothing to overlap on the host: the counter is the
+//    only shared state, and each worker writes only its own members'
+//    reports and verify timelines, which the caller reads after join.
+//  - Simulated clock: the recorded rounds replay through a deterministic
+//    K-lane schedule (verify cost modelled per absorbed word; sessions park
+//    through their channel latency, so drives overlap freely) to report
+//    the fleet makespan next to the thread-per-member baseline (whole
+//    sessions packed FIFO onto K ports) that kParallel models.
+//
+// Trade-offs of running each session on one worker: a fleet smaller than
+// the pool no longer splits one session's drive and verify over two cores,
+// and a fleet whose size is not a multiple of the pool finishes its last
+// members on fewer workers.
 //
 // Reports are bit-identical to kSerial/kParallel: per-member results
 // derive only from the member's own seed-keyed state, never from
-// scheduling (host_ns excluded, as ever).
+// scheduling (host_ns excluded, as ever). Each member's session, phase and
+// readback-round spans are emitted on its worker exactly as
+// run_attestation emits them, and count toward the Tracer's record bound
+// the same way.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/session.hpp"
@@ -38,52 +43,34 @@
 namespace sacha::core {
 
 struct FleetEngineOptions {
-  /// Worker threads shared by drive and verify strands. 0 = default pool
-  /// (min(hardware_concurrency, 8)). The engine never spawns more threads
-  /// than this, whatever the fleet size.
+  /// Workers, and virtual verify lanes of the makespan model. 0 = default
+  /// pool (min(hardware_concurrency, 8)). The engine never spawns more
+  /// threads than this, nor more than there are sessions.
   std::size_t pool_size = 0;
   /// Virtual verify-lane cost per absorbed readback word, for the
   /// simulated-makespan model (the streaming absorb is ~1 cycle/byte on
   /// AES-NI; 2 ns/word keeps the model honest without dominating).
   std::uint64_t verify_ns_per_word = 2;
-  /// Command rounds a drive slice executes before re-parking the session
-  /// on the virtual-time heap. Larger slices amortise scheduling; smaller
-  /// slices interleave fleets more fairly.
-  std::uint32_t rounds_per_slice = 8;
-  /// Verify backpressure: once a member's undelivered-round inbox reaches
-  /// this many rounds, workers prefer draining it over driving further —
-  /// keeps the streaming verifier's O(1)-memory property at fleet scale.
-  std::size_t inbox_high_water = 64;
-  /// Members a verify worker drains per batch, with their CMAC folds
-  /// interleaved through one multi-stream absorb (crypto::CmacBatch) so
-  /// each member's AESENC chain hides in the others' latency shadow.
-  /// 1 restores the one-member-per-batch behaviour; clamped to [1, 8]
-  /// (the kernel's lane budget). Batch width never changes a report.
+  /// Ignored: each verifier folds its own CMAC. Kept only because the
+  /// benchmark's workloads assign it; goes with the next benchmark
+  /// revision.
   std::size_t verify_batch_width = 4;
-  /// Adapt rounds_per_slice at runtime from the observed host-cost ratio
-  /// of verify to drive rounds (verify-bound fleets take longer slices,
-  /// drive-bound fleets shorter ones); rounds_per_slice seeds the initial
-  /// value. Scheduling-only — reports stay bit-identical either way.
-  bool adaptive_slice = false;
 };
 
-/// One member session to multiplex. The engine constructs the
-/// SessionMachine itself (calling verifier->begin()) when the session is
-/// first scheduled.
+/// One member session to run. The engine constructs the SessionMachine
+/// itself (calling verifier->begin()) when a worker claims the job.
 struct FleetSessionJob {
   SachaVerifier* verifier = nullptr;
   SachaProver* prover = nullptr;
   SessionOptions options{};
   SessionHooks hooks{};
-  /// Display/trace label (member id).
-  std::string label;
 };
 
 struct FleetEngineStats {
   std::size_t pool_size = 0;
   /// Simulated fleet makespan of the multiplexed schedule: sessions park
-  /// through their channel latency while verify batches occupy pool_size
-  /// virtual verify lanes.
+  /// through their channel latency while verify jobs occupy pool_size
+  /// virtual verify lanes, FIFO by (ready time, member).
   sim::SimDuration makespan = 0;
   /// Baseline: the same sessions packed whole (drive + verify serialised
   /// per member) FIFO onto pool_size lanes — what thread-per-member with
@@ -93,29 +80,22 @@ struct FleetEngineStats {
   sim::SimDuration total_work = 0;
   /// Sum of modelled verify-lane occupancy across all members.
   sim::SimDuration verify_busy = 0;
-  /// Sum of per-member channel transfer time — the latency the engine
-  /// parks instead of blocking a worker.
+  /// Sum of per-member channel transfer time — the latency the modelled
+  /// schedule parks instead of blocking a lane.
   sim::SimDuration channel_busy = 0;
   /// total_work / makespan: effective parallelism of the multiplexed
-  /// schedule (→ pool_size when the pool is saturated, > 1 whenever
+  /// schedule (→ pool_size when the lanes are saturated, > 1 whenever
   /// latency hiding works).
   double overlap_efficiency = 0.0;
+  /// Always 0: the engine has no drive slices, verify batches, steals,
+  /// inboxes or multi-stream absorbs. Kept only because the benchmark's
+  /// workloads read them; they go with the next benchmark revision.
   std::uint64_t drive_slices = 0;
   std::uint64_t verify_batches = 0;
-  /// Largest undelivered-round backlog any member accumulated (bounded by
-  /// inbox_high_water + rounds_per_slice under backpressure).
-  std::size_t peak_inbox_rounds = 0;
-  /// Members drained by a worker whose home lane was another worker's
-  /// (work stealing, over-water inboxes first).
   std::uint64_t verify_steals = 0;
-  /// Interleaved multi-stream absorb calls and the total lanes they
-  /// carried: streams ÷ calls is the average batch occupancy, the measure
-  /// of how full the interleave actually ran.
+  std::size_t peak_inbox_rounds = 0;
   std::uint64_t multi_absorb_calls = 0;
   std::uint64_t multi_absorb_streams = 0;
-  /// rounds_per_slice when the run ended (== the option unless
-  /// adaptive_slice moved it).
-  std::uint32_t rounds_per_slice_last = 0;
   std::uint64_t host_ns = 0;
 };
 
@@ -129,17 +109,10 @@ struct FleetRunResult {
 /// Default worker-pool size: min(hardware_concurrency, 8).
 std::size_t default_fleet_pool();
 
-/// Records one drained CmacBatch into the shared verify-lane occupancy
-/// metrics (sacha.engine.batch_absorbs / batch_streams / batch_occupancy).
-/// Used by the in-process engine and by attestd's socket verify lanes, so
-/// both transports report interleave fullness on the same dashboards.
-/// No-op for a batch that absorbed nothing.
-void note_batch_occupancy(const crypto::CmacBatch& batch);
-
-/// Multiplexes all jobs on a pool of at most options.pool_size workers and
-/// returns their reports in job order. With telemetry enabled, emits
-/// "engine.drive" / "engine.verify" spans on the worker lanes under each
-/// session's trace id (and `fleet_trace` on the run-level span).
+/// Runs all jobs on a pool of at most options.pool_size workers and
+/// returns their reports in job order. With telemetry enabled, the run
+/// opens a "fleet.engine" span under `fleet_trace`, and each session emits
+/// its own timeline under its trace id.
 FleetRunResult run_fleet(std::vector<FleetSessionJob>& jobs,
                          const FleetEngineOptions& options = {},
                          const obs::TraceId& fleet_trace = {});

@@ -66,12 +66,11 @@ bool SessionMachine::past_deadline() const {
 
 SessionMachine::SessionMachine(SachaVerifier& verifier, SachaProver& prover,
                                const SessionOptions& options,
-                               const SessionHooks& hooks, bool emit_spans)
+                               const SessionHooks& hooks)
     : verifier_(verifier),
       prover_(prover),
       options_(options),
       hooks_(hooks),
-      emit_spans_(emit_spans),
       channel_(options.channel, options.seed),
       churn_rng_(options.seed ^ kChurnSeedSalt),
       // Drawn only when a retransmission happens, so fault-free sessions
@@ -99,10 +98,8 @@ SessionMachine::SessionMachine(SachaVerifier& verifier, SachaProver& prover,
   // (the Table 4 steps), one grandchild per readback round. The phase spans
   // tile the session (see begin_phase), so the timeline covers its
   // wall-clock.
-  if (emit_spans_) {
-    session_span_.emplace("session", report_.trace_id);
-    session_span_->arg("device", prover_.device_id());
-  }
+  session_span_.emplace("session", report_.trace_id);
+  session_span_->arg("device", prover_.device_id());
 }
 
 std::uint64_t SessionMachine::begin_phase(const char* name) {
@@ -126,18 +123,16 @@ SessionMachine::Round SessionMachine::step() {
   out.index = i;
   const sim::SimDuration elapsed_before = report_.total_time;
 
-  if (emit_spans_) {
-    if (i == 0 && configs_ > 1) begin_phase("configure.stream_in");
-    if (i + 1 == configs_) {
-      begin_phase("nonce.inject");
-    } else if (i == configs_) {
-      begin_phase("readback.absorb");
-    } else if (i + 1 == commands_) {
-      begin_phase("cmac.finish");
-    }
-    if (obs::enabled() && i >= configs_ && i + 1 < commands_) {
-      round_span_.emplace("readback.round", report_.trace_id, "readback");
-    }
+  if (i == 0 && configs_ > 1) begin_phase("configure.stream_in");
+  if (i + 1 == configs_) {
+    begin_phase("nonce.inject");
+  } else if (i == configs_) {
+    begin_phase("readback.absorb");
+  } else if (i + 1 == commands_) {
+    begin_phase("cmac.finish");
+  }
+  if (obs::enabled() && i >= configs_ && i + 1 < commands_) {
+    round_span_.emplace("readback.round", report_.trace_id, "readback");
   }
   const Command command = verifier_.command(i);
   if (round_span_.has_value()) {
@@ -151,7 +146,6 @@ SessionMachine::Round SessionMachine::step() {
     report_.deadline_hit = true;
     note_failure(FailureKind::kDeadlineExceeded);
     aborted_ = true;
-    out.last = true;
     out.elapsed = report_.total_time - elapsed_before;
     return out;
   }
@@ -319,7 +313,6 @@ SessionMachine::Round SessionMachine::step() {
 
   if (report_.deadline_hit) {  // deadline tripped mid-retry loop
     aborted_ = true;
-    out.last = true;
     out.elapsed = report_.total_time - elapsed_before;
     return out;
   }
@@ -341,7 +334,6 @@ SessionMachine::Round SessionMachine::step() {
     out.verify_words = out.response->frame_words.size();
   }
   ++next_;
-  out.last = next_ >= commands_;
   out.elapsed = report_.total_time - elapsed_before;
   return out;
 }
@@ -350,9 +342,8 @@ void SessionMachine::deliver(Round round) {
   if (round.deliver) {
     (void)verifier_.on_response(round.index, std::move(round.response));
   }
-  // Close the round's readback span (a no-op for config rounds and in
-  // engine mode, where no spans are opened).
-  if (emit_spans_) round_span_.reset();
+  // Close the round's readback span (a no-op for config rounds).
+  round_span_.reset();
 }
 
 AttestationReport SessionMachine::finish() {
@@ -365,10 +356,10 @@ AttestationReport SessionMachine::finish() {
   round_span_.reset();
   // Streaming mode did its masked compares during readback.absorb; this
   // phase is where the retained oracle does all of its comparing.
-  if (emit_spans_) begin_phase("compare.verdict");
+  begin_phase("compare.verdict");
   report_.verdict = verifier_.finish();
   // The session span ends where its last phase does.
-  const std::uint64_t verdict_end = emit_spans_ ? begin_phase(nullptr) : 0;
+  const std::uint64_t verdict_end = begin_phase(nullptr);
   report_.verifier_retained_bytes = verifier_.retained_readback_bytes();
   report_.messages_lost = channel_.messages_lost();
   report_.channel_time = channel_.transfer_time();

@@ -132,26 +132,20 @@ struct AttestationReport {
 /// Resumable form of the attestation session driver.
 ///
 /// One SessionMachine runs exactly the protocol loop of run_attestation,
-/// but split at the channel boundary so a fleet engine can multiplex many
-/// sessions on a few workers: step() executes one full command round
+/// split at the channel boundary: step() executes one full command round
 /// (transfer, device, retries — everything except the verifier absorb) and
-/// returns the round's outcome; deliver() folds that outcome
-/// into the verifier (the streaming CMAC absorb + masked compare);
-/// finish() assembles the report. Driving `while (!done()) deliver(step())`
-/// then finish() is bit-identical to run_attestation — same RNG draw
-/// order, same ledger, same failure precedence — because the split only
-/// moves the on_response call, which the command schedule never depends
-/// on (it is frozen at begin()).
+/// returns the round's outcome; deliver() folds that outcome into the
+/// verifier (the streaming CMAC absorb + masked compare); finish()
+/// assembles the report. Driving `while (!done()) deliver(step())` then
+/// finish() is bit-identical to run_attestation — same RNG draw order,
+/// same ledger, same failure precedence — because the split only moves the
+/// on_response call, which the command schedule never depends on (it is
+/// frozen at begin()). The fleet engine uses the split to record each
+/// round's simulated time and verify cost for its makespan model.
 ///
-/// Concurrency contract (what the fleet engine relies on): step() and
-/// deliver() touch disjoint verifier state — command(i) reads the frozen
-/// schedule and the shared read-only GoldenModel, on_response writes the
-/// streaming absorb state — so ONE thread may run step() while ANOTHER
-/// runs deliver() for rounds already produced, provided each side is
-/// serialised (a drive strand and a verify strand). finish() requires both
-/// strands quiesced. With emit_spans = false the machine opens no obs
-/// spans, so strands may hop between pool threads (obs::Span is
-/// thread-affine); the engine emits its own per-slice worker-lane spans.
+/// A machine stays on one thread from construction to finish(): its
+/// session, phase and readback-round spans are RAII obs::Spans, which are
+/// thread-affine.
 class SessionMachine {
  public:
   /// Outcome of one command round, produced by step() and consumed by
@@ -168,18 +162,14 @@ class SessionMachine {
     /// device + backoff).
     sim::SimDuration elapsed = 0;
     std::size_t verify_words = 0;
-    /// No further rounds follow (schedule exhausted or deadline abort).
-    bool last = false;
   };
 
   /// Calls verifier.begin() (fresh nonce, frozen schedule). A schedule the
   /// wire cannot carry (SachaVerifier::schedule_error) is rejected here:
-  /// the machine starts done and finish() reports kDecodeError. With
-  /// emit_spans = false no obs spans are opened (see the concurrency
-  /// contract); counters still fire.
+  /// the machine starts done and finish() reports kDecodeError.
   SessionMachine(SachaVerifier& verifier, SachaProver& prover,
                  const SessionOptions& options = {},
-                 const SessionHooks& hooks = {}, bool emit_spans = true);
+                 const SessionHooks& hooks = {});
 
   bool done() const { return aborted_ || next_ >= commands_; }
   /// Executes the next command round. Precondition: !done().
@@ -190,29 +180,17 @@ class SessionMachine {
   /// after done() and after every produced round was delivered.
   AttestationReport finish();
 
-  const obs::TraceId& trace_id() const { return report_.trace_id; }
-
-  /// Routes the verifier's streaming CMAC folds to `sink` so the engine's
-  /// verify lanes can interleave several members' folds in one multi-stream
-  /// absorb (see SachaVerifier::set_absorb_sink for the ordering contract:
-  /// flush before finish(), detach when the batch closes). Belongs to the
-  /// verify strand of the concurrency contract above.
-  void set_absorb_sink(crypto::CmacBatch* sink) {
-    verifier_.set_absorb_sink(sink);
-  }
-
  private:
   void note_failure(FailureKind kind);
   bool past_deadline() const;
   /// Ends the running phase span and opens `name` (nullptr: none) at one
-  /// clock reading, which it returns. Only with emit_spans.
+  /// clock reading, which it returns.
   std::uint64_t begin_phase(const char* name);
 
   SachaVerifier& verifier_;
   SachaProver& prover_;
   const SessionOptions options_;
   const SessionHooks hooks_;
-  const bool emit_spans_;
   AttestationReport report_;
   net::Channel channel_;
   Rng churn_rng_;
@@ -312,8 +290,9 @@ class VerifierSession {
   /// or the session was abandoned to a transport failure.
   Report finish();
 
-  /// Routes streaming CMAC folds into a verify-lane batch (same contract
-  /// as SessionMachine::set_absorb_sink).
+  /// Routes streaming CMAC folds into a verify-lane batch (see
+  /// SachaVerifier::set_absorb_sink for the ordering contract: flush
+  /// before finish(), detach when the batch closes).
   void set_absorb_sink(crypto::CmacBatch* sink) {
     verifier_.set_absorb_sink(sink);
   }

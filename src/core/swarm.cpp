@@ -86,10 +86,10 @@ sim::SimDuration run_round(std::vector<SwarmMember>& fleet,
   };
 
   if (options.schedule == SwarmSchedule::kMultiplexed) {
-    // Event-driven engine round: build one job per pending member with the
-    // same derived seed and configure hook as run_attempt would use, then
-    // multiplex them on the engine's worker pool. Reports come back in job
-    // order, bit-identical to run_attestation per member.
+    // Engine round: build one job per pending member with the same derived
+    // seed and configure hook as run_attempt would use, then run them on
+    // the engine's worker pool. Reports come back in job order,
+    // bit-identical to run_attestation per member.
     std::vector<FleetSessionJob> jobs(indices.size());
     for (std::size_t k = 0; k < indices.size(); ++k) {
       const std::size_t i = indices[k];
@@ -103,7 +103,7 @@ sim::SimDuration run_round(std::vector<SwarmMember>& fleet,
       }
       jobs[k] = FleetSessionJob{member.verifier, member.prover,
                                 std::move(attempt_options),
-                                std::move(attempt_hooks), member.id};
+                                std::move(attempt_hooks)};
     }
     FleetRunResult run = run_fleet(jobs, options.engine, fleet_trace);
     for (std::size_t k = 0; k < indices.size(); ++k) {
@@ -121,14 +121,6 @@ sim::SimDuration run_round(std::vector<SwarmMember>& fleet,
     report.engine.total_work += run.stats.total_work;
     report.engine.verify_busy += run.stats.verify_busy;
     report.engine.channel_busy += run.stats.channel_busy;
-    report.engine.drive_slices += run.stats.drive_slices;
-    report.engine.verify_batches += run.stats.verify_batches;
-    report.engine.peak_inbox_rounds = std::max(
-        report.engine.peak_inbox_rounds, run.stats.peak_inbox_rounds);
-    report.engine.verify_steals += run.stats.verify_steals;
-    report.engine.multi_absorb_calls += run.stats.multi_absorb_calls;
-    report.engine.multi_absorb_streams += run.stats.multi_absorb_streams;
-    report.engine.rounds_per_slice_last = run.stats.rounds_per_slice_last;
     report.engine.host_ns += run.stats.host_ns;
     report.engine.overlap_efficiency =
         report.engine.makespan > 0

@@ -11,10 +11,11 @@
 // (fleet seed, member id, attempt) — never from its index or schedule —
 // and the report is merged in member order, so the result is bit-identical
 // to the serial schedule while the host wall-clock divides by the core
-// count. kMultiplexed hands the round to the event-driven fleet engine
-// (fleet_engine.hpp): N member sessions multiplex on a fixed worker pool,
-// parking through their simulated channel latency instead of blocking a
-// thread — same bit-identical reports, N ≫ cores without N threads.
+// count. kMultiplexed hands the round to the fleet engine
+// (fleet_engine.hpp): N member sessions run to completion on a fixed
+// worker pool, and a K-lane virtual-time model reports the makespan a
+// verifier that parks sessions through their channel latency would reach
+// — same bit-identical reports, N ≫ cores without N threads.
 // bench_swarm measures how fleet size scales on all schedules and that a
 // single compromised member is isolated, not hidden by the aggregate.
 //
@@ -51,9 +52,9 @@ struct SwarmMember {
 enum class SwarmSchedule : std::uint8_t {
   kSerial,       // one session at a time (single verifier port)
   kParallel,     // all sessions concurrently; makespan = slowest member
-  kMultiplexed,  // event-driven engine: N sessions on a fixed worker pool
-                 // (see fleet_engine.hpp); makespan from the engine's
-                 // K-lane virtual-time schedule
+  kMultiplexed,  // fleet engine: N sessions on a fixed worker pool (see
+                 // fleet_engine.hpp); makespan from the engine's K-lane
+                 // virtual-time schedule
 };
 
 /// Supervisor policy for attest_swarm. Defaults preserve the pre-supervisor
@@ -144,7 +145,7 @@ struct SwarmReport {
 
   /// Engine accounting under SwarmSchedule::kMultiplexed (zeroed
   /// otherwise): makespan model, thread-per-member baseline, overlap
-  /// efficiency, slice/batch counts. Accumulated across supervisor rounds.
+  /// efficiency. Accumulated across supervisor rounds.
   FleetEngineStats engine{};
 
   /// Host wall-clock of the whole attest_swarm call.

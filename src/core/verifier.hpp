@@ -126,6 +126,13 @@ class SachaVerifier {
   /// commands) of command `index` back to the verifier. Takes the response
   /// by value: frame payloads are moved, never copied, into whatever
   /// buffering the mode requires (none in streaming mode).
+  ///
+  /// command() and on_response() touch disjoint state: command(i) reads
+  /// the schedule frozen at begin() and the shared read-only GoldenModel,
+  /// on_response writes the absorb state. So one thread may issue commands
+  /// while another absorbs responses of the same session, provided each
+  /// side is serialised; finish() needs both quiesced. attestd's event
+  /// loop and verify lanes rely on this.
   Status on_response(std::size_t index, std::optional<Response> response);
 
   struct Verdict {
@@ -204,12 +211,12 @@ class SachaVerifier {
 
   /// Batched-verify hook: while a sink is attached, streaming-mode absorbs
   /// queue their CMAC word-fold on the sink (masked compare and coverage
-  /// still run inline) so the fleet engine can interleave several members'
-  /// folds through one multi-stream absorb; the final MAC is then computed
-  /// lazily at the first expected_mac()/finish() after the queued folds
-  /// land. The caller owns ordering: flush the sink before finish() and
-  /// before detaching. nullptr restores immediate folding; retained mode
-  /// ignores the sink entirely.
+  /// still run inline) so attestd's verify lanes can interleave several
+  /// members' folds through one multi-stream absorb; the final MAC is
+  /// then computed lazily at the first expected_mac()/finish() after the
+  /// queued folds land. The caller owns ordering: flush the sink before
+  /// finish() and before detaching. nullptr restores immediate folding;
+  /// retained mode ignores the sink entirely.
   void set_absorb_sink(crypto::CmacBatch* sink) { absorb_sink_ = sink; }
 
  private:

@@ -71,6 +71,27 @@ Bytes error_frame_payload(core::FailureKind kind, std::string detail) {
   return msg.encode();
 }
 
+/// Records one drained CmacBatch into the verify-lane occupancy metrics
+/// (sacha.engine.batch_absorbs / batch_streams / batch_occupancy). No-op
+/// for a batch that absorbed nothing.
+void note_batch_occupancy(const crypto::CmacBatch& batch) {
+  if (batch.absorb_calls() == 0) return;
+  auto& registry = obs::MetricsRegistry::global();
+  static constexpr std::uint64_t kOccupancyBounds[] = {1, 2, 3, 4, 5, 6, 7, 8};
+  static obs::Counter& absorbs =
+      registry.counter("sacha.engine.batch_absorbs");
+  static obs::Counter& streams =
+      registry.counter("sacha.engine.batch_streams");
+  static obs::Histogram& occupancy =
+      registry.histogram("sacha.engine.batch_occupancy", kOccupancyBounds);
+  absorbs.add(batch.absorb_calls());
+  streams.add(batch.absorbed_streams());
+  // Average streams in flight per absorb call of this drain — under-filled
+  // batches show up as mass in the low buckets.
+  occupancy.observe((batch.absorbed_streams() + batch.absorb_calls() / 2) /
+                    batch.absorb_calls());
+}
+
 }  // namespace
 
 struct AttestServer::Impl {
@@ -152,7 +173,7 @@ struct AttestServer::Impl {
   std::atomic<bool> draining{false};
   std::atomic<std::uint64_t> drain_deadline_ms{0};
 
-  // Verify-lane scheduler (mirrors the fleet engine's lanes + stealing).
+  // Verify-lane scheduler: per-worker home lanes plus stealing.
   std::mutex sched_mu;
   std::condition_variable sched_cv;
   std::vector<std::deque<std::shared_ptr<Conn>>> lanes;
@@ -935,8 +956,7 @@ struct AttestServer::Impl {
           return false;
         });
         if (stopping.load(std::memory_order_relaxed)) return;
-        // Home lane first, then steal from the longest backlog — the
-        // fleet engine's policy, driven by sockets instead of sim time.
+        // Home lane first, then steal from the longest backlog.
         auto& home = lanes[worker_index % lanes.size()];
         while (!home.empty() && picks.size() < width) {
           picks.push_back(std::move(home.front()));
@@ -996,7 +1016,7 @@ struct AttestServer::Impl {
         w.conn->session->set_absorb_sink(nullptr);
       }
     }
-    core::note_batch_occupancy(batch);
+    note_batch_occupancy(batch);
     batches.fetch_add(work.size(), std::memory_order_relaxed);
 
     bool woke = false;

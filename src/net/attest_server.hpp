@@ -3,18 +3,17 @@
 // One event-loop thread owns every socket: it accepts provers off the
 // listener (epoll, poll fallback), assembles wire frames from nonblocking
 // reads, issues each session's pipelined command window, and writes
-// whatever the verify workers produced. A fixed worker pool mirrors the
-// fleet engine's verify lanes: each connection homes on `conn_id % lanes`,
+// whatever the verify workers produced. A fixed pool of verify lanes
+// absorbs the responses: each connection homes on `conn_id % lanes`,
 // workers drain their own lane first and steal from the longest backlog
 // otherwise, and every drain interleaves up to verify_batch_width
-// members' streaming CMAC folds through one crypto::CmacBatch — the same
-// multi-stream absorb, the same occupancy metrics
-// (core::note_batch_occupancy), readiness now coming from the kernel
-// instead of the virtual-time heap.
+// members' streaming CMAC folds through one crypto::CmacBatch (the
+// multi-stream absorb), recording its occupancy in the
+// sacha.engine.batch_* metrics.
 //
-// The split follows SessionMachine's concurrency contract: the loop
-// thread is every session's drive strand (command(i) reads the frozen
-// schedule), the worker draining its lane is the verify strand
+// The split follows SachaVerifier's command/on_response contract: the
+// loop thread is every session's drive strand (command(i) reads the
+// frozen schedule), the worker draining its lane is the verify strand
 // (on_response writes the absorb state); finish() runs on the worker only
 // after the last response was absorbed, when the loop has nothing left to
 // issue.

@@ -28,8 +28,8 @@
 // version, and members that exhaust their update attempts are quarantined.
 //
 // Sessions run through the swarm supervisor / fleet engine
-// (SwarmSchedule::kMultiplexed by default: probe and verify steps multiplex
-// on the engine's drive strand and verify lanes).
+// (SwarmSchedule::kMultiplexed by default: probe and verify sessions run
+// on the engine's worker pool).
 #pragma once
 
 #include <cstdint>

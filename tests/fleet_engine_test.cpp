@@ -1,10 +1,13 @@
-// Tests for the event-driven fleet engine: bit-identity of multiplexed
+// Tests for the run-to-completion fleet engine: bit-identity of multiplexed
 // reports against the serial and thread-per-member schedules (the engine's
 // core invariant), across fleet sizes, pool sizes and a lossy fault plan;
-// plus the virtual-time makespan model and supervisor interplay.
+// one worker per session; plus the virtual-time makespan model and
+// supervisor interplay.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "attacks/env.hpp"
@@ -12,6 +15,7 @@
 #include "core/swarm.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "obs/trace.hpp"
 
 namespace sacha::core {
 namespace {
@@ -114,7 +118,6 @@ TEST(FleetEngine, MultiplexedMatchesSerialAndParallelAcrossSizes) {
     SCOPED_TRACE("fleet size " + std::to_string(n));
     expect_bit_identical(parallel, serial);
     expect_bit_identical(mux, serial);
-    EXPECT_GT(mux.engine.drive_slices, 0u);
   }
 }
 
@@ -134,7 +137,6 @@ TEST(FleetEngine, PoolSizeDoesNotChangeReports) {
     SCOPED_TRACE("pool " + std::to_string(pool));
     expect_bit_identical(mux, baseline);
     EXPECT_EQ(mux.engine.pool_size, pool);
-    EXPECT_GT(mux.engine.verify_batches, 0u);
   }
 }
 
@@ -244,15 +246,15 @@ TEST(FleetEngine, MakespanModelOverlapsLatencyAcrossMembers) {
   EXPECT_GT(engine.verify_busy, 0u);
 }
 
-TEST(FleetEngine, BatchedVerifyBitIdenticalAcrossWidthsAndFleets) {
-  // The tentpole invariant: interleaving several members' CMAC folds through
-  // one multi-stream absorb (plus work stealing across verify lanes) never
-  // changes a single report bit. Swept across fleet sizes × batch widths
-  // under a lossy plan + reliable transport, against the kParallel oracle.
+TEST(FleetEngine, LossyTamperedFleetsBitIdenticalAcrossPools) {
+  // Which worker runs a session, and how many sessions run at once, never
+  // changes a report bit. Swept across fleet sizes × pool sizes under a
+  // lossy plan + reliable transport + a supervisor retry, with tampered
+  // members, against the kParallel oracle.
   const auto plan = fault::FaultPlan::parse("burst=0.05:0.5:1");
   ASSERT_TRUE(plan.ok());
   const auto run = [&](std::size_t n, SwarmSchedule schedule,
-                       std::size_t width) {
+                       std::size_t pool) {
     Fleet fleet(n);
     if (n >= 4) fleet.tamper({1, 3});
     std::deque<fault::FaultInjector> injectors;
@@ -270,83 +272,108 @@ TEST(FleetEngine, BatchedVerifyBitIdenticalAcrossWidthsAndFleets) {
     options.session.reliable = true;
     options.session.max_retries = 8;
     options.retry_budget = 1;
-    options.engine.verify_batch_width = width;
+    options.engine.pool_size = pool;
     return attest_swarm(fleet.members, options);
   };
 
+  const std::size_t cores =
+      std::max(1u, std::thread::hardware_concurrency());
   for (const std::size_t n : {1u, 3u, 16u, 64u}) {
-    const SwarmReport parallel = run(n, SwarmSchedule::kParallel, 4);
-    for (const std::size_t width : {1u, 4u, 8u}) {
-      SCOPED_TRACE("fleet " + std::to_string(n) + " width " +
-                   std::to_string(width));
-      const SwarmReport mux = run(n, SwarmSchedule::kMultiplexed, width);
+    const SwarmReport parallel = run(n, SwarmSchedule::kParallel, 0);
+    for (const std::size_t pool : {std::size_t{1}, std::size_t{2}, cores}) {
+      SCOPED_TRACE("fleet " + std::to_string(n) + " pool " +
+                   std::to_string(pool));
+      const SwarmReport mux = run(n, SwarmSchedule::kMultiplexed, pool);
       expect_bit_identical(mux, parallel);
-      EXPECT_GT(mux.engine.verify_batches, 0u);
-      if (width > 1) {
-        // Every absorb call carried at least one stream; multi-lane calls
-        // only exist when the batch actually interleaved.
-        EXPECT_GE(mux.engine.multi_absorb_streams,
-                  mux.engine.multi_absorb_calls);
-      }
+      EXPECT_EQ(mux.engine.pool_size, pool);
     }
   }
 }
 
-TEST(FleetEngine, AdaptiveSliceStaysBitIdenticalAndReportsSlice) {
-  // Adaptive slicing is scheduling-only: reports match the fixed-slice
-  // serial oracle bit-for-bit, and the engine reports where the slice
-  // length landed (always within [1, min(64, high_water)]).
-  constexpr std::size_t kFleetSize = 12;
-  Fleet baseline_fleet(kFleetSize);
-  baseline_fleet.tamper({2, 9});
-  const SwarmReport baseline =
-      run_schedule(baseline_fleet, SwarmSchedule::kSerial);
-
+TEST(FleetEngine, EachSessionRunsOnOneWorker) {
+  // Run-to-completion: a worker drives its member from the first command
+  // to the verdict, so every command of a session runs on one thread, and
+  // no more threads than the pool ever run commands. One member's hooks
+  // never run concurrently, so each writes its own set unguarded; the
+  // sets are read after attest_swarm has joined the workers.
+  constexpr std::size_t kFleetSize = 16;
+  constexpr std::size_t kPool = 4;
   Fleet fleet(kFleetSize);
-  fleet.tamper({2, 9});
-  SwarmOptions options;
-  options.schedule = SwarmSchedule::kMultiplexed;
-  options.retry_budget = 0;
-  options.engine.adaptive_slice = true;
-  options.engine.verify_batch_width = 8;
-  options.engine.rounds_per_slice = 8;
-  options.engine.inbox_high_water = 32;
-  const SwarmReport mux = attest_swarm(fleet.members, options);
-  expect_bit_identical(mux, baseline);
-  EXPECT_GE(mux.engine.rounds_per_slice_last, 1u);
-  EXPECT_LE(mux.engine.rounds_per_slice_last, 32u);
-  EXPECT_GT(mux.engine.multi_absorb_calls, 0u);
+  std::vector<std::set<std::thread::id>> threads(kFleetSize);
+  for (std::size_t i = 0; i < kFleetSize; ++i) {
+    fleet.members[i].hooks.before_command =
+        [&threads, i](std::size_t, SachaProver&) {
+          threads[i].insert(std::this_thread::get_id());
+        };
+  }
+  const SwarmReport report =
+      run_schedule(fleet, SwarmSchedule::kMultiplexed, kPool);
+  ASSERT_TRUE(report.all_attested());
+  std::set<std::thread::id> workers;
+  for (std::size_t i = 0; i < kFleetSize; ++i) {
+    EXPECT_EQ(threads[i].size(), 1u) << "member " << i;
+    workers.insert(threads[i].begin(), threads[i].end());
+  }
+  EXPECT_LE(workers.size(), kPool);
 }
 
-TEST(FleetEngine, BatchWidthOneRestoresSingleStreamAbsorbs) {
-  // Width 1 is the PR-5 behaviour: every absorb call carries exactly one
-  // stream, and the reports still match the oracle (covered above); here we
-  // pin the occupancy accounting itself.
+TEST(FleetEngine, MembersEmitTheirSessionTimeline) {
+  // A member session stays on its worker, so it records the same session
+  // span and Table-4 phase spans run_attestation does, all on one thread.
+  obs::set_enabled(true);
+  obs::Tracer::global().clear();
   Fleet fleet(6);
-  SwarmOptions options;
-  options.schedule = SwarmSchedule::kMultiplexed;
-  options.retry_budget = 0;
-  options.engine.verify_batch_width = 1;
-  const SwarmReport report = attest_swarm(fleet.members, options);
+  const SwarmReport report =
+      run_schedule(fleet, SwarmSchedule::kMultiplexed, 4);
+  const std::vector<obs::SpanRecord> records = obs::Tracer::global().drain();
+  obs::set_enabled(false);
   ASSERT_TRUE(report.all_attested());
-  EXPECT_EQ(report.engine.multi_absorb_streams,
-            report.engine.multi_absorb_calls);
+  for (const SwarmMemberResult& m : report.members) {
+    std::set<std::string> names;
+    std::set<std::uint64_t> threads;
+    for (const obs::SpanRecord& r : records) {
+      if (r.trace != m.trace_id) continue;
+      names.insert(r.name);
+      threads.insert(r.thread_id);
+    }
+    for (const char* name :
+         {"session", "configure.stream_in", "nonce.inject", "readback.absorb",
+          "readback.round", "cmac.finish", "compare.verdict"}) {
+      EXPECT_EQ(names.count(name), 1u) << m.id << " " << name;
+    }
+    EXPECT_EQ(threads.size(), 1u) << m.id;
+  }
 }
 
-TEST(FleetEngine, BackpressureBoundsInboxBacklog) {
-  Fleet fleet(8);
-  SwarmOptions options;
-  options.schedule = SwarmSchedule::kMultiplexed;
-  options.engine.pool_size = 2;
-  options.engine.rounds_per_slice = 4;
-  options.engine.inbox_high_water = 8;
-  const SwarmReport report = attest_swarm(fleet.members, options);
-  ASSERT_TRUE(report.all_attested());
-  // A member's undelivered backlog can exceed the high-water mark by at
-  // most the slices that land while its verify strand is scheduled.
-  EXPECT_LE(report.engine.peak_inbox_rounds,
-            options.engine.inbox_high_water +
-                2 * options.engine.rounds_per_slice);
+TEST(FleetEngine, MakespanModelMatchesParent) {
+  // The makespan model merges the members' verify timelines through a heap
+  // keyed (ready, member). These figures come from the model it replaced,
+  // which stable-sorted every verify job of the fleet by the same key. The
+  // verify cost per word is set high enough that the 4 lanes, not the
+  // sessions, set both makespans. On the ideal channel every member has
+  // the same round times, so ready times tie across members at every
+  // round; the jittered lab channel interleaves them unevenly.
+  const auto engine_stats = [](std::size_t n, const net::ChannelParams& channel,
+                               std::uint64_t verify_ns_per_word) {
+    Fleet fleet(n);
+    SwarmOptions options;
+    options.schedule = SwarmSchedule::kMultiplexed;
+    options.retry_budget = 0;
+    options.session.channel = channel;
+    options.engine.pool_size = 4;
+    options.engine.verify_ns_per_word = verify_ns_per_word;
+    return attest_swarm(fleet.members, options).engine;
+  };
+  const FleetEngineStats ideal =
+      engine_stats(8, net::ChannelParams::ideal(), 10'000);
+  EXPECT_EQ(ideal.makespan, 2'707'732u);
+  EXPECT_EQ(ideal.thread_per_member_makespan, 3'968'304u);
+
+  net::ChannelParams lab = net::ChannelParams::lab();
+  lab.jitter_max = 50'000;
+  const FleetEngineStats jittered = engine_stats(16, lab, 100'000);
+  EXPECT_EQ(jittered.makespan, 56'210'729u);
+  EXPECT_EQ(jittered.thread_per_member_makespan, 118'563'780u);
 }
 
 TEST(FleetEngine, RunFleetMatchesRunAttestationPerJob) {
@@ -365,7 +392,7 @@ TEST(FleetEngine, RunFleetMatchesRunAttestationPerJob) {
   SachaVerifier verifier_b = env_b.make_verifier();
   SachaProver prover_b = env_b.make_prover();
   std::vector<FleetSessionJob> jobs;
-  jobs.push_back(FleetSessionJob{&verifier_b, &prover_b, options, {}, "solo"});
+  jobs.push_back(FleetSessionJob{&verifier_b, &prover_b, options, {}});
   const FleetRunResult run = run_fleet(jobs);
   ASSERT_EQ(run.reports.size(), 1u);
   const AttestationReport& mux = run.reports[0];
