@@ -26,8 +26,8 @@ using namespace sacha;
 namespace {
 
 /// One honest protocol transcript: every command's response, captured by
-/// driving the prover directly (no channel), with the session driver's
-/// register churn applied at the config→readback phase boundary.
+/// driving the prover directly (no channel), with the prover half's
+/// config→readback boundary rule (the register churn) applied.
 struct Transcript {
   std::vector<std::optional<core::Response>> responses;
   std::size_t readback_bytes = 0;
@@ -36,20 +36,17 @@ struct Transcript {
 Transcript capture_transcript(const attacks::AttackEnv& env) {
   core::SachaVerifier verifier = env.make_verifier();
   core::SachaProver prover = env.make_prover();
+  const core::SessionOptions& options = env.session_options;
+  core::ProverSession prover_half(prover, nullptr, options.seed,
+                                  options.register_flip_probability);
   verifier.begin();
-  Rng churn_rng(env.session_options.seed ^ 0xfeedface12345678ULL);
 
   Transcript t;
   const std::size_t n = verifier.command_count();
   t.responses.resize(n);
-  bool config_phase_done = false;
   for (std::size_t i = 0; i < n; ++i) {
     const core::Command command = verifier.command(i);
-    if (!config_phase_done && command.type != core::CommandType::kIcapConfig) {
-      config_phase_done = true;
-      prover.memory().tick_registers(
-          churn_rng, env.session_options.register_flip_probability);
-    }
+    prover_half.note_command(command.type);
     t.responses[i] = prover.handle(command).response;
     if (t.responses[i].has_value() &&
         t.responses[i]->type == core::ResponseType::kFrameData) {

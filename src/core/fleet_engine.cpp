@@ -37,12 +37,11 @@ AttestationReport run_member(FleetSessionJob& job,
   timeline.reserve(job.verifier->readback_steps().size());
   sim::SimTime vnow = 0;
   while (!machine.done()) {
-    SessionMachine::Round round = machine.step();
+    const SessionMachine::Round round = machine.step();
     vnow += round.elapsed;
     const auto cost =
         static_cast<sim::SimDuration>(round.verify_words) * verify_ns_per_word;
     if (cost > 0) timeline.push_back({vnow, cost});
-    machine.deliver(std::move(round));
   }
   return machine.finish();
 }

@@ -9,8 +9,8 @@
 //
 //  - Host clock: each worker claims the next member from an atomic counter
 //    and drives that member's SessionMachine to its verdict on its own
-//    thread (step() → record the round → deliver() → … → finish()), the
-//    verifier folding its own CMAC. Simulated channel time costs no host
+//    thread (step() → record the round → … → finish()), the verifier
+//    folding its own CMAC. Simulated channel time costs no host
 //    time, so there is nothing to overlap on the host: the counter is the
 //    only shared state, and each worker writes only its own members'
 //    reports and verify timelines, which the caller reads after join.

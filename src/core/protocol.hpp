@@ -81,6 +81,15 @@ struct Response {
   std::vector<std::uint32_t> frame_words;  // kFrameData
   crypto::Mac mac{};                       // kMacValue
 
+  /// The acknowledgement a reliable transport returns for a
+  /// fire-and-forget command.
+  static Response ack() { return Response{}; }
+  /// Frame data or a MAC value: what Table 3 books as a sendback (A8,
+  /// A10). Acks and errors are not.
+  bool is_sendback() const {
+    return type == ResponseType::kFrameData || type == ResponseType::kMacValue;
+  }
+
   /// Wire form; empty when the body would exceed kMaxBodyBytes.
   Bytes encode() const;
   static Result<Response> decode(ByteSpan wire);

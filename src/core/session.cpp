@@ -10,6 +10,9 @@ namespace sacha::core {
 
 namespace {
 
+/// Seed salt for the phase-boundary register-churn RNG.
+constexpr std::uint64_t kChurnSeedSalt = 0xfeedface12345678ULL;
+
 /// Ledger keys for one command round, by command type.
 struct ActionKeys {
   const char* send;
@@ -54,11 +57,133 @@ sim::SimDuration backoff_wait(const SessionOptions& options,
 
 }  // namespace
 
-void SessionMachine::note_failure(FailureKind kind) {
-  // First transport failure observed wins (see FailureKind's contract);
-  // crypto verdicts only apply to transport-clean sessions.
+void apply_register_churn(SachaProver& prover, std::uint64_t session_seed,
+                          double flip_probability) {
+  Rng rng(session_seed ^ kChurnSeedSalt);
+  prover.memory().tick_registers(rng, flip_probability);
+}
+
+// ---- Verifier half ---------------------------------------------------------
+
+namespace {
+/// Lane-key salt for verifier-side span records: both halves of a
+/// cross-process timeline key their Chrome lane off the trace id (not the
+/// OS thread — verify strands hop threads), the verifier half offset so
+/// prover and verifier render as two adjacent lanes per session.
+constexpr std::uint64_t kVerifierLaneSalt = 0x5643;  // "VC"
+}  // namespace
+
+VerifierSession::VerifierSession(SachaVerifier& verifier)
+    : verifier_(verifier),
+      host_start_(std::chrono::steady_clock::now()),
+      timeline_("verifier", kVerifierLaneSalt, /*keep_records=*/true) {
+  verifier_.begin();
+  if (verifier_.schedule_error().has_value()) {
+    // Rejected up front: no message of this schedule may reach the wire,
+    // and finish() reports the verifier's detail as kDecodeError.
+    note_failure(FailureKind::kDecodeError);
+  } else {
+    commands_ = verifier_.command_count();
+    configs_ = commands_ - verifier_.readback_steps().size() - 1;
+  }
+  static obs::Counter& sessions_started =
+      obs::MetricsRegistry::global().counter("sacha.session.started");
+  sessions_started.add(1);
+}
+
+const char* VerifierSession::phase_at(std::size_t index) const {
+  if (index + 1 == configs_) return "nonce.inject";
+  if (index == 0 && configs_ > 1) return "configure.stream_in";
+  if (index == configs_) return "readback.absorb";
+  if (index + 1 == commands_) return "cmac.finish";
+  return nullptr;
+}
+
+Command VerifierSession::next_command() {
+  return verifier_.command(issued_++);
+}
+
+std::optional<Bytes> VerifierSession::next_command_wire() {
+  if (all_issued()) return std::nullopt;
+  return next_command().encode();
+}
+
+void VerifierSession::on_response(std::optional<Response> response) {
+  if (done()) return;
+  // Verifier-side phases are measured between response deliveries.
+  if (const char* phase = phase_at(delivered_)) timeline_.phase(phase);
+  if (response.has_value()) {
+    if (response->type == ResponseType::kAck) {
+      response = std::nullopt;  // acks are transport-level only
+    } else if (response->type == ResponseType::kError) {
+      note_failure(FailureKind::kDeviceError);
+    }
+  }
+  (void)verifier_.on_response(delivered_++, std::move(response));
+}
+
+void VerifierSession::on_retries_exhausted() {
+  note_failure(FailureKind::kTimeoutExhausted);
+  on_response(Response{.type = ResponseType::kError,
+                       .status = ProverStatus::kBadCommand});
+}
+
+void VerifierSession::note_failure(FailureKind kind) {
   if (transport_failure_ == FailureKind::kNone) transport_failure_ = kind;
 }
+
+VerifierSession::Report VerifierSession::finish() {
+  Report report;
+  timeline_.phase(kVerdictPhase);
+  report.verdict = verifier_.finish();
+  timeline_.finish();
+  // Typed cause: the first transport failure wins; a transport-clean
+  // session inherits the verifier's crypto classification.
+  report.failure = transport_failure_ != FailureKind::kNone
+                       ? transport_failure_
+                       : report.verdict.kind;
+  report.expected_mac = verifier_.expected_mac();
+  report.commands = delivered_;
+  report.host_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - host_start_)
+          .count());
+  auto& registry = obs::MetricsRegistry::global();
+  static obs::Counter& attested = registry.counter("sacha.session.attested");
+  static obs::Counter& failed = registry.counter("sacha.session.failed");
+  (report.verdict.ok() ? attested : failed).add(1);
+  if (report.failure != FailureKind::kNone) {
+    // Per-cause counters so fleet dashboards can alert on tampering
+    // (mac_mismatch) separately from infrastructure rot (timeouts).
+    registry
+        .counter(std::string("sacha.session.failure.") +
+                 to_string(report.failure))
+        .add(1);
+  }
+  return report;
+}
+
+// ---- Prover half -----------------------------------------------------------
+
+ProverSession::ProverSession(SachaProver& device,
+                             std::function<void(SachaProver&)> after_config,
+                             std::uint64_t session_seed,
+                             double flip_probability)
+    : device_(device),
+      after_config_(std::move(after_config)),
+      session_seed_(session_seed),
+      flip_probability_(flip_probability) {}
+
+void ProverSession::note_command(CommandType type) {
+  if (config_phase_done_ || type == CommandType::kIcapConfig) return;
+  // Phase boundary: the whole DynMem is (over)written; the adversary gets
+  // its window, then the application starts running (register churn).
+  config_phase_done_ = true;
+  if (after_config_) after_config_(device_);
+  apply_register_churn(device_, session_seed_, flip_probability_);
+}
+
+// ---- In-process driver -----------------------------------------------------
 
 bool SessionMachine::past_deadline() const {
   return options_.deadline > 0 && report_.total_time >= options_.deadline;
@@ -67,39 +192,23 @@ bool SessionMachine::past_deadline() const {
 SessionMachine::SessionMachine(SachaVerifier& verifier, SachaProver& prover,
                                const SessionOptions& options,
                                const SessionHooks& hooks)
-    : verifier_(verifier),
-      prover_(prover),
-      options_(options),
+    : options_(options),
       hooks_(hooks),
+      verifier_(verifier),
+      prover_(prover, hooks.after_config, options.seed,
+              options.register_flip_probability),
       channel_(options.channel, options.seed),
-      churn_rng_(options.seed ^ kChurnSeedSalt),
       // Drawn only when a retransmission happens, so fault-free sessions
       // are bit-identical whatever the backoff settings.
-      backoff_rng_(options.seed ^ 0x5acab0ff5ac4a11eULL),
-      host_start_(std::chrono::steady_clock::now()) {
-  verifier_.begin();
-  commands_ = verifier_.command_count();
-  // Command schedule: [0, configs-1) app configuration, configs-1 the nonce
-  // frame, [configs, n-1) readback rounds, n-1 the MAC checksum.
-  configs_ = commands_ - verifier_.readback_steps().size() - 1;
-
-  if (verifier_.schedule_error().has_value()) {
-    // Rejected up front: no message of this schedule may reach the wire.
-    note_failure(FailureKind::kDecodeError);
-    aborted_ = true;
-  }
-
-  report_.trace_id = obs::make_trace_id(prover_.device_id(), verifier_.nonce());
-  static obs::Counter& sessions_started =
-      obs::MetricsRegistry::global().counter("sacha.session.started");
-  sessions_started.add(1);
+      backoff_rng_(options.seed ^ 0x5acab0ff5ac4a11eULL) {
+  report_.trace_id = obs::make_trace_id(prover.device_id(), verifier.nonce());
 
   // Session timeline: one top-level span, one child span per protocol phase
   // (the Table 4 steps), one grandchild per readback round. The phase spans
   // tile the session (see begin_phase), so the timeline covers its
   // wall-clock.
   session_span_.emplace("session", report_.trace_id);
-  session_span_->arg("device", prover_.device_id());
+  session_span_->arg("device", prover.device_id());
 }
 
 std::uint64_t SessionMachine::begin_phase(const char* name) {
@@ -118,46 +227,28 @@ std::uint64_t SessionMachine::begin_phase(const char* name) {
 }
 
 SessionMachine::Round SessionMachine::step() {
-  const std::size_t i = next_;
+  const std::size_t i = verifier_.issued();
   Round out;
-  out.index = i;
   const sim::SimDuration elapsed_before = report_.total_time;
 
-  if (i == 0 && configs_ > 1) begin_phase("configure.stream_in");
-  if (i + 1 == configs_) {
-    begin_phase("nonce.inject");
-  } else if (i == configs_) {
-    begin_phase("readback.absorb");
-  } else if (i + 1 == commands_) {
-    begin_phase("cmac.finish");
+  if (const char* phase = verifier_.phase_at(i)) begin_phase(phase);
+  const Command command = verifier_.next_command();
+  std::optional<obs::Span> round_span;
+  if (obs::enabled() && command.type == CommandType::kIcapReadback) {
+    round_span.emplace("readback.round", report_.trace_id, "readback");
+    round_span->arg("frame", std::to_string(command.frame_nb));
   }
-  if (obs::enabled() && i >= configs_ && i + 1 < commands_) {
-    round_span_.emplace("readback.round", report_.trace_id, "readback");
-  }
-  const Command command = verifier_.command(i);
-  if (round_span_.has_value()) {
-    round_span_->arg("frame", std::to_string(command.frame_nb));
-  }
-  if (hooks_.before_command) hooks_.before_command(i, prover_);
+  if (hooks_.before_command) hooks_.before_command(i, prover_.device());
 
   // Session deadline: the fleet verifier's port-occupancy bound. Abort
   // before starting another round once simulated time is exhausted.
   if (past_deadline()) {
     report_.deadline_hit = true;
-    note_failure(FailureKind::kDeadlineExceeded);
+    verifier_.note_failure(FailureKind::kDeadlineExceeded);
     aborted_ = true;
-    out.elapsed = report_.total_time - elapsed_before;
     return out;
   }
-
-  // Phase boundary: the whole DynMem is (over)written; the application
-  // starts running (register churn) and the adversary gets its window.
-  if (!config_phase_done_ && command.type != CommandType::kIcapConfig) {
-    config_phase_done_ = true;
-    if (hooks_.after_config) hooks_.after_config(prover_);
-    prover_.memory().tick_registers(churn_rng_,
-                                    options_.register_flip_probability);
-  }
+  prover_.note_command(command.type);
 
   const ActionKeys keys = keys_for(command.type);
   std::optional<Response> final_response;
@@ -178,7 +269,7 @@ SessionMachine::Round SessionMachine::step() {
       report_.backoff_wait += wait;
       if (past_deadline()) {
         report_.deadline_hit = true;
-        note_failure(FailureKind::kDeadlineExceeded);
+        verifier_.note_failure(FailureKind::kDeadlineExceeded);
         break;
       }
     }
@@ -220,8 +311,9 @@ SessionMachine::Round SessionMachine::step() {
         result.response = cached_device_response;
       }
     } else {
-      result = hooks_.on_command ? prover_.handle_packet(packet)
-                                 : prover_.handle(command);
+      SachaProver& device = prover_.device();
+      result = hooks_.on_command ? device.handle_packet(packet)
+                                 : device.handle(command);
       if (result.dropped) {
         // Crashed or stalled device: the packet never reached the ICAP.
         // No dedup-cache entry — a later retransmission must actually
@@ -253,10 +345,7 @@ SessionMachine::Round SessionMachine::step() {
     // Response path (or a synthetic ack in reliable mode so the verifier
     // can detect loss of fire-and-forget configuration commands).
     std::optional<Response> response = std::move(result.response);
-    if (!response.has_value() && options_.reliable) {
-      response =
-          Response{.type = ResponseType::kAck, .status = ProverStatus::kOk};
-    }
+    if (!response.has_value() && options_.reliable) response = Response::ack();
     if (!response.has_value()) {
       final_response = std::nullopt;
       delivered_and_answered = true;
@@ -273,9 +362,9 @@ SessionMachine::Round SessionMachine::step() {
     }
     const auto downlink = channel_.transfer(reply_bytes);
     const sim::SimDuration wire_down = wire.frame_time(reply_bytes);
-    const char* reply_key = keys.reply;
-    if (response->type == ResponseType::kAck) reply_key = actions::kAck;
-    if (response->type == ResponseType::kError) reply_key = actions::kAck;
+    // Acks and errors go to the acknowledgement row, not a sendback row.
+    const char* reply_key =
+        response->is_sendback() ? keys.reply : actions::kAck;
     if (reply_key != nullptr) {
       report_.ledger.add(reply_key, wire_down);
       report_.total_time += wire_down;
@@ -296,16 +385,8 @@ SessionMachine::Round SessionMachine::step() {
       // double-step.
       continue;
     } else {
-      note_failure(FailureKind::kDecodeError);
+      verifier_.note_failure(FailureKind::kDecodeError);
       final_response = std::nullopt;
-    }
-    if (final_response.has_value() &&
-        final_response->type == ResponseType::kAck) {
-      final_response = std::nullopt;  // acks are transport-level only
-    }
-    if (final_response.has_value() &&
-        final_response->type == ResponseType::kError) {
-      note_failure(FailureKind::kDeviceError);
     }
     delivered_and_answered = true;
     break;
@@ -313,37 +394,20 @@ SessionMachine::Round SessionMachine::step() {
 
   if (report_.deadline_hit) {  // deadline tripped mid-retry loop
     aborted_ = true;
-    out.elapsed = report_.total_time - elapsed_before;
-    return out;
-  }
-  if (delivered_and_answered || !options_.reliable) {
-    out.deliver = true;
-    out.response = std::move(final_response);
+  } else if (delivered_and_answered || !options_.reliable) {
+    if (final_response.has_value()) {
+      out.verify_words = final_response->frame_words.size();
+    }
+    verifier_.on_response(std::move(final_response));
   } else {
-    // Retries exhausted: record the absence so finish() reports it.
-    note_failure(FailureKind::kTimeoutExhausted);
+    // Retries exhausted: the verifier records the absence.
     static obs::Counter& exhausted = obs::MetricsRegistry::global().counter(
         "sacha.session.retries_exhausted");
     exhausted.add(1);
-    out.deliver = true;
-    out.response = Response{.type = ResponseType::kError,
-                            .status = ProverStatus::kBadCommand};
+    verifier_.on_retries_exhausted();
   }
-  if (out.response.has_value() &&
-      out.response->type == ResponseType::kFrameData) {
-    out.verify_words = out.response->frame_words.size();
-  }
-  ++next_;
   out.elapsed = report_.total_time - elapsed_before;
   return out;
-}
-
-void SessionMachine::deliver(Round round) {
-  if (round.deliver) {
-    (void)verifier_.on_response(round.index, std::move(round.response));
-  }
-  // Close the round's readback span (a no-op for config rounds).
-  round_span_.reset();
 }
 
 AttestationReport SessionMachine::finish() {
@@ -353,52 +417,35 @@ AttestationReport SessionMachine::finish() {
         actions::kA10}) {
     report_.theoretical_time += report_.ledger.total(key);
   }
-  round_span_.reset();
   // Streaming mode did its masked compares during readback.absorb; this
   // phase is where the retained oracle does all of its comparing.
-  begin_phase("compare.verdict");
-  report_.verdict = verifier_.finish();
+  begin_phase(VerifierSession::kVerdictPhase);
+  VerifierSession::Report verdict = verifier_.finish();
   // The session span ends where its last phase does.
   const std::uint64_t verdict_end = begin_phase(nullptr);
-  report_.verifier_retained_bytes = verifier_.retained_readback_bytes();
+  report_.verdict = std::move(verdict.verdict);
+  report_.failure = verdict.failure;
+  report_.host_ns = verdict.host_ns;
+  report_.verifier_retained_bytes =
+      verifier_.verifier().retained_readback_bytes();
   report_.messages_lost = channel_.messages_lost();
   report_.channel_time = channel_.transfer_time();
-  // Typed cause: the first transport failure wins; a transport-clean
-  // session inherits the verifier's crypto classification.
-  report_.failure = transport_failure_ != FailureKind::kNone
-                        ? transport_failure_
-                        : report_.verdict.kind;
   if (report_.failure != FailureKind::kNone && session_span_.has_value()) {
     session_span_->arg("failure", to_string(report_.failure));
   }
   if (session_span_.has_value()) session_span_->end_at(verdict_end);
   session_span_.reset();
-  report_.host_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - host_start_)
-          .count());
 
   {
     auto& registry = obs::MetricsRegistry::global();
-    static obs::Counter& attested = registry.counter("sacha.session.attested");
-    static obs::Counter& failed = registry.counter("sacha.session.failed");
     static obs::Counter& commands = registry.counter("sacha.session.commands");
     static obs::Counter& retransmissions =
         registry.counter("sacha.session.retransmissions");
     static obs::Histogram& host_hist =
         registry.histogram("sacha.session.host_ns");
-    (report_.verdict.ok() ? attested : failed).add(1);
     commands.add(report_.commands_sent);
     retransmissions.add(report_.retransmissions);
     host_hist.observe(report_.host_ns);
-    if (report_.failure != FailureKind::kNone) {
-      // Per-cause counters so fleet dashboards can alert on tampering
-      // (mac_mismatch) separately from infrastructure rot (timeouts).
-      registry
-          .counter(std::string("sacha.session.failure.") +
-                   to_string(report_.failure))
-          .add(1);
-    }
     if (report_.backoff_wait > 0) {
       static obs::Histogram& backoff_hist =
           registry.histogram("sacha.session.backoff_sim_ns");
@@ -407,8 +454,8 @@ AttestationReport SessionMachine::finish() {
   }
   if (log_enabled(LogLevel::kDebug)) {
     (log_debug() << "attestation session finished")
-        .kv("device", prover_.device_id())
-        .kv("nonce", verifier_.nonce())
+        .kv("device", prover_.device().device_id())
+        .kv("nonce", verifier_.verifier().nonce())
         .kv("trace", obs::to_string(report_.trace_id))
         .kv("verdict", report_.verdict.ok() ? "attested" : "failed")
         .kv("failure", to_string(report_.failure))
@@ -424,143 +471,8 @@ AttestationReport run_attestation(SachaVerifier& verifier, SachaProver& prover,
                                   const SessionOptions& options,
                                   const SessionHooks& hooks) {
   SessionMachine machine(verifier, prover, options, hooks);
-  while (!machine.done()) machine.deliver(machine.step());
+  while (!machine.done()) machine.step();
   return machine.finish();
-}
-
-void apply_register_churn(SachaProver& prover, std::uint64_t session_seed,
-                          double flip_probability) {
-  Rng rng(session_seed ^ kChurnSeedSalt);
-  prover.memory().tick_registers(rng, flip_probability);
-}
-
-namespace {
-/// Lane-key salt for verifier-side span records: both halves of a
-/// cross-process timeline key their Chrome lane off the trace id (not the
-/// OS thread — verify strands hop threads), the verifier half offset so
-/// prover and verifier render as two adjacent lanes per session.
-constexpr std::uint64_t kVerifierLaneSalt = 0x5643;  // "VC"
-}  // namespace
-
-VerifierSession::VerifierSession(SachaVerifier& verifier)
-    : verifier_(verifier), host_start_(std::chrono::steady_clock::now()) {
-  verifier_.begin();
-  if (verifier_.schedule_error().has_value()) {
-    // Rejected up front, exactly as SessionMachine does: nothing to issue,
-    // and finish() reports the verifier's detail as kDecodeError.
-    note_failure(FailureKind::kDecodeError);
-  } else {
-    commands_ = verifier_.command_count();
-    configs_ = commands_ - verifier_.readback_steps().size() - 1;
-  }
-  static obs::Counter& sessions_started =
-      obs::MetricsRegistry::global().counter("sacha.session.started");
-  sessions_started.add(1);
-}
-
-void VerifierSession::set_trace(const obs::TraceId& trace, bool sampled) {
-  trace_ = trace;
-  sampled_ = sampled;
-  // The propagated flag is authoritative (it IS the client's deterministic
-  // decision); telemetry still has to be on locally for spans to exist.
-  tracing_ = sampled_ && trace_.valid() && obs::enabled();
-  if (tracing_) session_start_ns_ = obs::Tracer::global().now_ns();
-}
-
-void VerifierSession::emit_span(const char* name, const char* category,
-                                std::uint64_t start, std::uint64_t end,
-                                std::uint32_t depth) {
-  obs::SpanRecord r;
-  r.name = name;
-  r.category = category;
-  r.trace = trace_;
-  r.thread_id = trace_.lo ^ kVerifierLaneSalt;
-  r.start_ns = start;
-  r.duration_ns = end > start ? end - start : 0;
-  r.depth = depth;
-  r.args.emplace_back("side", "verifier");
-  if (std::string_view(category) == "phase") {
-    obs::observe_phase_duration(r.name, r.duration_ns);
-  }
-  timeline_.push_back(r);
-  obs::Tracer::global().record(std::move(r));
-}
-
-void VerifierSession::begin_phase(const char* name) {
-  if (!tracing_) return;
-  const std::uint64_t now = obs::Tracer::global().now_ns();
-  if (phase_name_ != nullptr) {
-    emit_span(phase_name_, "phase", phase_start_ns_, now, 1);
-  }
-  phase_name_ = name;
-  phase_start_ns_ = now;
-}
-
-std::optional<Bytes> VerifierSession::next_command_wire() {
-  if (issued_ >= commands_) return std::nullopt;
-  return verifier_.command(issued_++).encode();
-}
-
-void VerifierSession::on_response(std::optional<Response> response) {
-  if (delivered_ >= commands_) return;
-  // Phase boundaries mirror SessionMachine::step(): [0, configs-1) app
-  // configuration, configs-1 the nonce frame, [configs, n-1) readback,
-  // n-1 the MAC checksum. Measured between response deliveries — the
-  // verifier-side view of where the session's wall-clock went.
-  const std::size_t i = delivered_;
-  if (i == 0 && configs_ > 1) begin_phase("configure.stream_in");
-  if (i + 1 == configs_) {
-    begin_phase("nonce.inject");
-  } else if (i == configs_) {
-    begin_phase("readback.absorb");
-  } else if (i + 1 == commands_) {
-    begin_phase("cmac.finish");
-  }
-  if (response.has_value()) {
-    if (response->type == ResponseType::kAck) {
-      response = std::nullopt;  // acks are transport-level only
-    } else if (response->type == ResponseType::kError) {
-      note_failure(FailureKind::kDeviceError);
-    }
-  }
-  (void)verifier_.on_response(delivered_++, std::move(response));
-}
-
-void VerifierSession::note_failure(FailureKind kind) {
-  if (transport_failure_ == FailureKind::kNone) transport_failure_ = kind;
-}
-
-VerifierSession::Report VerifierSession::finish() {
-  Report report;
-  begin_phase("compare.verdict");
-  report.verdict = verifier_.finish();
-  begin_phase(nullptr);  // close compare.verdict
-  if (tracing_) {
-    // Top-level verifier-side session span, parent of the phases above.
-    emit_span("session", "session", session_start_ns_,
-              obs::Tracer::global().now_ns(), 0);
-    tracing_ = false;
-  }
-  report.failure = transport_failure_ != FailureKind::kNone
-                       ? transport_failure_
-                       : report.verdict.kind;
-  report.expected_mac = verifier_.expected_mac();
-  report.commands = delivered_;
-  report.host_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - host_start_)
-          .count());
-  auto& registry = obs::MetricsRegistry::global();
-  static obs::Counter& attested = registry.counter("sacha.session.attested");
-  static obs::Counter& failed = registry.counter("sacha.session.failed");
-  (report.verdict.ok() ? attested : failed).add(1);
-  if (report.failure != FailureKind::kNone) {
-    registry
-        .counter(std::string("sacha.session.failure.") +
-                 to_string(report.failure))
-        .add(1);
-  }
-  return report;
 }
 
 }  // namespace sacha::core

@@ -1,8 +1,12 @@
-// Attestation session driver.
+// Attestation session core: one verifier half, one prover half, and the
+// in-process driver that runs them over a simulated channel.
 //
-// Connects a SachaVerifier to a SachaProver over a simulated channel and
-// executes the full protocol of Fig. 9, accounting simulated time per
-// low-level action (A1-A10 of Table 3) in a ledger. The report separates
+// VerifierSession and ProverSession are the protocol of Fig. 9 with no
+// transport: commands out, responses in, and the device-side rule at the
+// configuration/readback boundary. SessionMachine drives the pair over the
+// simulated channel and accounts simulated time per low-level action
+// (A1-A10 of Table 3) in a ledger; attestd (net/attest_server) and
+// net::ProverAgent drive the same pair over a socket. The report separates
 // the paper's two headline numbers: `theoretical_time` (wire occupancy +
 // device work, 1.44 s on the PoC) and `total_time` (adding per-command
 // network latency, 28.5 s in the authors' lab).
@@ -25,12 +29,6 @@
 #include "sim/ledger.hpp"
 
 namespace sacha::core {
-
-/// Seed salt for the phase-boundary register-churn RNG. Shared with the
-/// socket transport: the remote prover agent must replay the exact churn
-/// SessionMachine would apply locally (same salt, same session seed) for
-/// loopback runs to be bit-identical to the in-process engine.
-inline constexpr std::uint64_t kChurnSeedSalt = 0xfeedface12345678ULL;
 
 struct SessionOptions {
   net::ChannelParams channel = net::ChannelParams::ideal();
@@ -129,112 +127,31 @@ struct AttestationReport {
   std::uint64_t host_ns = 0;
 };
 
-/// Resumable form of the attestation session driver.
-///
-/// One SessionMachine runs exactly the protocol loop of run_attestation,
-/// split at the channel boundary: step() executes one full command round
-/// (transfer, device, retries — everything except the verifier absorb) and
-/// returns the round's outcome; deliver() folds that outcome into the
-/// verifier (the streaming CMAC absorb + masked compare); finish()
-/// assembles the report. Driving `while (!done()) deliver(step())` then
-/// finish() is bit-identical to run_attestation — same RNG draw order,
-/// same ledger, same failure precedence — because the split only moves the
-/// on_response call, which the command schedule never depends on (it is
-/// frozen at begin()). The fleet engine uses the split to record each
-/// round's simulated time and verify cost for its makespan model.
-///
-/// A machine stays on one thread from construction to finish(): its
-/// session, phase and readback-round spans are RAII obs::Spans, which are
-/// thread-affine.
-class SessionMachine {
- public:
-  /// Outcome of one command round, produced by step() and consumed by
-  /// deliver(). `response` is what the verifier absorbs (nullopt for
-  /// fire-and-forget config commands in unreliable mode); `verify_words`
-  /// is the frame-data payload size, the verify-side cost driver.
-  struct Round {
-    std::size_t index = 0;
-    /// False only when the round aborted on the session deadline — there
-    /// is nothing to absorb and the session is over.
-    bool deliver = false;
-    std::optional<Response> response;
-    /// Simulated time this round added to the session (wire + latency +
-    /// device + backoff).
-    sim::SimDuration elapsed = 0;
-    std::size_t verify_words = 0;
-  };
-
-  /// Calls verifier.begin() (fresh nonce, frozen schedule). A schedule the
-  /// wire cannot carry (SachaVerifier::schedule_error) is rejected here:
-  /// the machine starts done and finish() reports kDecodeError.
-  SessionMachine(SachaVerifier& verifier, SachaProver& prover,
-                 const SessionOptions& options = {},
-                 const SessionHooks& hooks = {});
-
-  bool done() const { return aborted_ || next_ >= commands_; }
-  /// Executes the next command round. Precondition: !done().
-  Round step();
-  /// Absorbs a round produced by step(), in production order.
-  void deliver(Round round);
-  /// Finalises the verdict and returns the report. Call exactly once,
-  /// after done() and after every produced round was delivered.
-  AttestationReport finish();
-
- private:
-  void note_failure(FailureKind kind);
-  bool past_deadline() const;
-  /// Ends the running phase span and opens `name` (nullptr: none) at one
-  /// clock reading, which it returns.
-  std::uint64_t begin_phase(const char* name);
-
-  SachaVerifier& verifier_;
-  SachaProver& prover_;
-  const SessionOptions options_;
-  const SessionHooks hooks_;
-  AttestationReport report_;
-  net::Channel channel_;
-  Rng churn_rng_;
-  Rng backoff_rng_;
-  FailureKind transport_failure_ = FailureKind::kNone;
-  std::chrono::steady_clock::time_point host_start_;
-  std::size_t commands_ = 0;
-  std::size_t configs_ = 0;
-  std::size_t next_ = 0;
-  bool config_phase_done_ = false;
-  bool aborted_ = false;  // session deadline tripped; no further rounds
-  std::optional<obs::Span> session_span_;
-  std::optional<obs::Span> phase_span_;
-  std::optional<obs::Span> round_span_;
-};
-
-/// Runs one full attestation. The verifier's begin() is called internally.
-AttestationReport run_attestation(SachaVerifier& verifier, SachaProver& prover,
-                                  const SessionOptions& options = {},
-                                  const SessionHooks& hooks = {});
-
-/// Applies the phase-boundary register churn exactly as SessionMachine
-/// does at the first non-config command: a fresh Rng seeded
-/// `session_seed ^ kChurnSeedSalt`, one tick_registers pass. The remote
-/// prover agent calls this so a device driven over a socket holds the same
-/// DynMem contents as one driven in-process with the same seed.
+/// Applies the phase-boundary register churn: one tick_registers pass
+/// under a fresh Rng seeded from the session seed and a fixed salt. The
+/// one place the churn RNG is built; ProverSession calls it at the
+/// boundary, so a device driven over a socket holds the same DynMem
+/// contents as one driven in process with the same seed.
 void apply_register_churn(SachaProver& prover, std::uint64_t session_seed,
                           double flip_probability);
 
-/// Verifier half of a *remote* attestation session (socket transport).
+/// Verifier half of a session, free of transport: it takes responses in
+/// and gives commands out, and every driver runs it — SessionMachine over
+/// the simulated channel, attestd over a socket.
 ///
-/// SessionMachine drives verifier and prover in one process over the
-/// simulated channel; on a real socket the prover lives in another process
-/// and the transport carries bytes, not simulated time. VerifierSession
-/// keeps only the verifier-side bookkeeping: the frozen command schedule
-/// feeds the wire (pipelined — a window of commands may be in flight),
-/// responses absorb in strict index order, and finish() applies the same
-/// response mapping and failure precedence as SessionMachine — kAck
-/// responses are transport-level only (absorbed as nullopt), a kError
-/// response notes kDeviceError but is still absorbed, and the first
-/// transport failure wins over the crypto verdict. Combined with the
-/// client replaying apply_register_churn under the same session seed, a
-/// loss-free loopback run is bit-identical (verdict + MAC) to the
-/// in-process engine.
+/// It owns the verifier's whole rule set: begin() (fresh nonce, frozen
+/// schedule) and the up-front rejection of a schedule the wire cannot
+/// carry; the index→phase rule; the response mapping (kAck is
+/// transport-level only and absorbs as nullopt, kError notes kDeviceError
+/// and is still absorbed); the failure precedence (the first failure noted
+/// wins over the crypto verdict); and the sacha.session.{started,attested,
+/// failed,failure.*} counters. Commands go out in schedule order, possibly
+/// pipelined (a window of them in flight); responses absorb in strict
+/// index order.
+///
+/// Issuing (next_command, next_command_wire) and absorbing (on_response)
+/// touch disjoint state, so one thread may issue while another absorbs, as
+/// attestd's loop and verify lanes do; finish() needs both quiesced.
 class VerifierSession {
  public:
   struct Report {
@@ -246,49 +163,64 @@ class VerifierSession {
     std::uint64_t host_ns = 0;
   };
 
-  /// Calls verifier.begin() (fresh nonce, frozen schedule).
+  /// The phase finish() runs in: the masked compare and the verdict.
+  static constexpr const char* kVerdictPhase = "compare.verdict";
+
+  /// Calls verifier.begin(). A schedule the wire cannot carry
+  /// (SachaVerifier::schedule_error) is rejected here: the session starts
+  /// done, with nothing to issue, and finish() reports kDecodeError.
   explicit VerifierSession(SachaVerifier& verifier);
 
   /// Adopts the trace context propagated in the HELLO frame. When
   /// `sampled` is set (the client's deterministic head-sampling decision)
-  /// and telemetry is enabled, the session emits verifier-side phase spans
-  /// (Table-4 names, category "phase", arg side=verifier) under the
-  /// client's TraceId — the other half of the cross-process timeline. The
-  /// spans are assembled manually (Tracer::record) rather than via the
-  /// RAII Span because verify strands hop between worker threads; their
-  /// lane key derives from the trace id, not the OS thread, so one
-  /// session's two halves sit adjacent in the merged Chrome trace.
-  void set_trace(const obs::TraceId& trace, bool sampled);
+  /// and telemetry is enabled, the session records verifier-side phase
+  /// spans (Table-4 names, arg side=verifier) under the client's TraceId,
+  /// measured between response deliveries — the other half of the
+  /// cross-process timeline.
+  void set_trace(const obs::TraceId& trace, bool sampled) {
+    timeline_.start(trace, sampled);
+  }
 
-  const obs::TraceId& trace() const { return trace_; }
-  bool sampled() const { return sampled_; }
   /// Copy of the verifier-side span records this session emitted (session
   /// + phases), for endpoints that show recent timelines (/tracez).
-  const std::vector<obs::SpanRecord>& timeline() const { return timeline_; }
+  const std::vector<obs::SpanRecord>& timeline() const {
+    return timeline_.records();
+  }
 
   std::size_t command_count() const { return commands_; }
   std::size_t issued() const { return issued_; }
-  std::size_t delivered() const { return delivered_; }
   bool all_issued() const { return issued_ >= commands_; }
   bool done() const { return delivered_ >= commands_; }
 
-  /// Encoded wire payload of the next command; nullopt once the schedule
-  /// is exhausted.
+  /// The Table-4 phase that begins at command `index`, or nullptr: [0,
+  /// configs-1) app configuration, configs-1 the nonce frame, [configs,
+  /// n-1) readback, n-1 the MAC checksum.
+  const char* phase_at(std::size_t index) const;
+
+  /// The next command of the schedule, as words. Precondition:
+  /// !all_issued().
+  Command next_command();
+  /// The next command's wire encoding; nullopt once the schedule is
+  /// exhausted.
   std::optional<Bytes> next_command_wire();
 
-  /// Absorbs the response to the next undelivered command. The transport
-  /// is an ordered byte stream, so responses arrive in command order;
-  /// nullopt means the command produced no response (fire-and-forget
-  /// configuration).
+  /// Absorbs the response to the next undelivered command; nullopt means
+  /// the command produced no response (fire-and-forget configuration).
   void on_response(std::optional<Response> response);
+  /// Absorbs the next undelivered command as unanswered after the
+  /// transport exhausted its retries: notes kTimeoutExhausted and absorbs
+  /// a device error in the response's place.
+  void on_retries_exhausted();
 
   /// Records a transport-layer failure (peer disconnect, decode poison,
-  /// timeout); the first one observed wins.
+  /// timeout, deadline); the first one noted wins.
   void note_failure(FailureKind kind);
 
   /// Finalises the verdict. Call once, after every response was delivered
   /// or the session was abandoned to a transport failure.
   Report finish();
+
+  const SachaVerifier& verifier() const { return verifier_; }
 
   /// Routes streaming CMAC folds into a verify-lane batch (see
   /// SachaVerifier::set_absorb_sink for the ordering contract: flush
@@ -298,12 +230,6 @@ class VerifierSession {
   }
 
  private:
-  /// Closes the running phase (if any) and opens `name`; nullptr closes
-  /// without opening. No-op unless this session is traced.
-  void begin_phase(const char* name);
-  void emit_span(const char* name, const char* category, std::uint64_t start,
-                 std::uint64_t end, std::uint32_t depth);
-
   SachaVerifier& verifier_;
   FailureKind transport_failure_ = FailureKind::kNone;
   std::chrono::steady_clock::time_point host_start_;
@@ -311,13 +237,93 @@ class VerifierSession {
   std::size_t configs_ = 0;
   std::size_t issued_ = 0;
   std::size_t delivered_ = 0;
-  obs::TraceId trace_{};
-  bool sampled_ = false;
-  bool tracing_ = false;
-  const char* phase_name_ = nullptr;
-  std::uint64_t phase_start_ns_ = 0;
-  std::uint64_t session_start_ns_ = 0;
-  std::vector<obs::SpanRecord> timeline_;
+  obs::SessionTimeline timeline_;
 };
+
+/// Prover half of a session: the device, and the one rule the protocol
+/// applies on the device side at the configuration/readback boundary. At
+/// the first non-configuration command the adversary's tamper window opens
+/// (the `after_config` hook), then the application starts running: one
+/// register-churn pass under the session seed (apply_register_churn).
+/// SessionMachine applies the rule when it issues that command, a socket
+/// prover (net::ProverAgent) when the command arrives.
+class ProverSession {
+ public:
+  ProverSession(SachaProver& device,
+                std::function<void(SachaProver&)> after_config,
+                std::uint64_t session_seed, double flip_probability);
+
+  SachaProver& device() { return device_; }
+
+  /// Applies the boundary rule for a command of `type`; only the first
+  /// non-configuration command of the session does anything.
+  void note_command(CommandType type);
+
+ private:
+  SachaProver& device_;
+  std::function<void(SachaProver&)> after_config_;
+  std::uint64_t session_seed_;
+  double flip_probability_;
+  bool config_phase_done_ = false;
+};
+
+/// In-process session driver: runs a VerifierSession and a ProverSession
+/// over the simulated channel, one command round per step(). What only
+/// the in-process path has lives here: the channel model, retries with
+/// exponential backoff and the device's dedup cache, the session
+/// deadline, the byte hooks, and the Table 3 ledger with its RAII spans.
+/// Driving `while (!done()) step()` then finish() is run_attestation; the
+/// fleet engine drives it the same way and records each round's simulated
+/// time and verify cost for its makespan model.
+///
+/// A machine stays on one thread from construction to finish(): its
+/// session, phase and readback-round spans are RAII obs::Spans, which are
+/// thread-affine.
+class SessionMachine {
+ public:
+  /// What one command round cost: the simulated time it added to the
+  /// session (wire + latency + device + backoff), and the frame-data words
+  /// the verifier absorbed, the verify-side cost driver.
+  struct Round {
+    sim::SimDuration elapsed = 0;
+    std::size_t verify_words = 0;
+  };
+
+  /// Starts the verifier half; a schedule it rejects leaves the machine
+  /// done before its first step (see VerifierSession's constructor).
+  SessionMachine(SachaVerifier& verifier, SachaProver& prover,
+                 const SessionOptions& options = {},
+                 const SessionHooks& hooks = {});
+
+  bool done() const { return aborted_ || verifier_.all_issued(); }
+  /// Runs the next command round, through the verifier's absorb.
+  /// Precondition: !done().
+  Round step();
+  /// Finalises the verdict and returns the report. Call exactly once,
+  /// after done().
+  AttestationReport finish();
+
+ private:
+  bool past_deadline() const;
+  /// Ends the running phase span and opens `name` (nullptr: none) at one
+  /// clock reading, which it returns.
+  std::uint64_t begin_phase(const char* name);
+
+  const SessionOptions options_;
+  const SessionHooks hooks_;
+  VerifierSession verifier_;
+  ProverSession prover_;
+  AttestationReport report_;
+  net::Channel channel_;
+  Rng backoff_rng_;
+  bool aborted_ = false;  // session deadline tripped; no further rounds
+  std::optional<obs::Span> session_span_;
+  std::optional<obs::Span> phase_span_;
+};
+
+/// Runs one full attestation. The verifier's begin() is called internally.
+AttestationReport run_attestation(SachaVerifier& verifier, SachaProver& prover,
+                                  const SessionOptions& options = {},
+                                  const SessionHooks& hooks = {});
 
 }  // namespace sacha::core

@@ -27,22 +27,14 @@ std::uint64_t ns_since(Clock::time_point start) {
 
 ProverAgent::ProverAgent(const HelloMsg& hello,
                          std::function<void(core::SachaProver&)> after_config)
-    : hello_(hello),
-      after_config_(std::move(after_config)),
-      prover_(prover_for(hello)) {}
+    : prover_(prover_for(hello)),
+      session_(prover_, std::move(after_config), hello.session_seed,
+               hello.flip_probability) {}
 
 Bytes ProverAgent::handle_command(ByteSpan payload) {
-  // Each packet is decoded once. Phase boundary, in SessionMachine's order:
-  // tamper hook first, then the register churn under the session seed; the
-  // command *type* decides the boundary.
+  // Each packet is decoded once; its command type decides the boundary.
   auto command = core::Command::decode(payload);
-  if (command.ok() && !config_phase_done_ &&
-      command.value().type != core::CommandType::kIcapConfig) {
-    config_phase_done_ = true;
-    if (after_config_) after_config_(prover_);
-    core::apply_register_churn(prover_, hello_.session_seed,
-                               hello_.flip_probability);
-  }
+  if (command.ok()) session_.note_command(command.value().type);
   // An undecodable packet goes through handle_packet, whose fault gate
   // runs ahead of its decode (and whose error response it then earns).
   core::SachaProver::HandleResult result =
@@ -81,46 +73,11 @@ struct Member {
   /// Delay-shim queue: responses held until their due time.
   std::deque<std::pair<Clock::time_point, Bytes>> delayed;
   MemberOutcome outcome;
-  /// Prover-side span assembly for head-sampled sessions. All members
-  /// multiplex on one loop thread, so spans are recorded manually with the
-  /// trace id as the lane key (the RAII Span's thread-local nesting would
-  /// interleave members).
-  bool traced = false;
-  const char* phase = nullptr;
-  std::uint64_t phase_start_ns = 0;
-  std::uint64_t session_start_ns = 0;
+  /// Prover-side phase spans of a head-sampled session, in the prover lane
+  /// of its timeline: every member shares the one loop thread.
+  obs::SessionTimeline timeline{"prover", /*lane_salt=*/0,
+                                /*keep_records=*/false};
 };
-
-/// Appends one prover-side span record under the member's trace id.
-void emit_prover_span(const Member& m, const char* name, const char* category,
-                      std::uint64_t start, std::uint64_t end,
-                      std::uint32_t depth) {
-  obs::SpanRecord r;
-  r.name = name;
-  r.category = category;
-  r.trace = m.hello.trace;
-  r.thread_id = m.hello.trace.lo;  // prover lane of this session's timeline
-  r.start_ns = start;
-  r.duration_ns = end > start ? end - start : 0;
-  r.depth = depth;
-  r.args.emplace_back("side", "prover");
-  if (std::string_view(category) == "phase") {
-    obs::observe_phase_duration(r.name, r.duration_ns);
-  }
-  obs::Tracer::global().record(std::move(r));
-}
-
-/// Closes the member's running phase (if different) and opens `name`;
-/// nullptr closes without opening.
-void note_phase(Member& m, const char* name) {
-  if (!m.traced || m.phase == name) return;
-  const std::uint64_t now = obs::Tracer::global().now_ns();
-  if (m.phase != nullptr) {
-    emit_prover_span(m, m.phase, "phase", m.phase_start_ns, now, 1);
-  }
-  m.phase = name;
-  m.phase_start_ns = now;
-}
 
 class LoadRunner {
  public:
@@ -198,7 +155,6 @@ class LoadRunner {
     // Head-sampling decision, made once at the edge and propagated in the
     // HELLO so the server records the matching half of the timeline.
     member->hello.sampled = obs::should_trace(member->hello.trace);
-    member->traced = member->hello.sampled;
     member->outcome.trace = member->hello.trace;
     member->outcome.sampled = member->hello.sampled;
     std::function<void(core::SachaProver&)> tamper;
@@ -215,9 +171,7 @@ class LoadRunner {
     member->channel = std::move(channel).take();
     member->start = Clock::now();
     member->last_activity = member->start;
-    if (member->traced) {
-      member->session_start_ns = obs::Tracer::global().now_ns();
-    }
+    member->timeline.start(member->hello.trace, member->hello.sampled);
     active_.emplace(member->channel.fd(), member);
     // Wait for writability = connect completion.
     (void)loop_.add(member->channel.fd(), /*want_read=*/true,
@@ -231,13 +185,7 @@ class LoadRunner {
         !member->outcome.completed) {
       member->outcome.error = std::move(error);
     }
-    if (member->traced) {
-      note_phase(*member, nullptr);  // close the running phase span
-      emit_prover_span(*member, "session", "session",
-                       member->session_start_ns,
-                       obs::Tracer::global().now_ns(), 0);
-      member->traced = false;
-    }
+    member->timeline.finish();
     if (member->outcome.latency_ns == 0) {
       member->outcome.latency_ns = ns_since(member->start);
     }
@@ -400,18 +348,18 @@ class LoadRunner {
     // Prover-side phase tracking (sampled sessions only, so the decode is
     // off the unsampled hot path): command-type transitions mark the
     // Table-4 phase boundaries as the device sees them.
-    if (member->traced) {
+    if (member->timeline.active()) {
       auto command = core::Command::decode(payload);
       if (command.ok()) {
         switch (command.value().type) {
           case core::CommandType::kIcapConfig:
-            note_phase(*member, "configure.stream_in");
+            member->timeline.phase("configure.stream_in");
             break;
           case core::CommandType::kIcapReadback:
-            note_phase(*member, "readback.respond");
+            member->timeline.phase("readback.respond");
             break;
           case core::CommandType::kMacChecksum:
-            note_phase(*member, "mac.sendback");
+            member->timeline.phase("mac.sendback");
             break;
         }
       }

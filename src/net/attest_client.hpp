@@ -1,10 +1,11 @@
 // Prover-side socket client: per-member agent + fleet load generator.
 //
-// ProverAgent is the remote half of a session: it answers COMMAND frames
-// exactly as the in-process prover would — including the phase-boundary
-// register churn SessionMachine applies (core::apply_register_churn under
-// the HELLO's session seed), so a loopback run is bit-identical to the
-// in-process engine driving the same device.
+// ProverAgent is the socket driver of the prover half of a session
+// (core::ProverSession): it decodes each COMMAND frame, applies the
+// prover half's configuration/readback boundary rule when the first
+// non-configuration command arrives, and answers as the in-process prover
+// would, so a loopback run is bit-identical to the in-process engine
+// driving the same device.
 //
 // run_load replays an N-member fleet against one attestd: a single
 // event-loop thread multiplexes every connection (nonblocking connect,
@@ -24,23 +25,26 @@
 #include <vector>
 
 #include "core/prover.hpp"
+#include "core/session.hpp"
 #include "net/provision.hpp"
 
 namespace sacha::net {
 
-/// Client-side session state for one fleet member.
+/// Client-side session state for one fleet member. Not movable: the
+/// prover half refers to the device the agent owns.
 class ProverAgent {
  public:
   /// Provisions and boots the member's device from the HELLO parameters
-  /// (prover_for — the same construction the oracle fleet uses).
+  /// (prover_for — the same construction the oracle fleet uses) and starts
+  /// its prover half under the HELLO's session seed and flip probability.
   explicit ProverAgent(const HelloMsg& hello,
                        std::function<void(core::SachaProver&)> after_config =
                            nullptr);
+  ProverAgent(const ProverAgent&) = delete;
+  ProverAgent& operator=(const ProverAgent&) = delete;
 
   /// Handles one COMMAND frame payload and returns the RESPONSE frame
-  /// payload (u8 has_response + optional Response::encode()). Applies the
-  /// tamper hook and the register churn at the configuration/readback
-  /// phase boundary, in SessionMachine's order.
+  /// payload (u8 has_response + optional Response::encode()).
   Bytes handle_command(ByteSpan payload);
 
   const core::SachaProver& prover() const { return prover_; }
@@ -49,10 +53,8 @@ class ProverAgent {
   }
 
  private:
-  HelloMsg hello_;
-  std::function<void(core::SachaProver&)> after_config_;
   core::SachaProver prover_;
-  bool config_phase_done_ = false;
+  core::ProverSession session_;
 };
 
 /// The canonical post-configuration tamper (flip bit 7 of frame 5) used by

@@ -112,6 +112,9 @@ struct AttestServer::Impl {
     /// RESPONSE frames seen by the loop; bounds the pipelined window
     /// (issued <= responses_seen + command_window).
     std::size_t responses_seen = 0;
+    /// Counted in sessions_active: HELLO accepted, verdict not yet sent.
+    /// Loop-thread-only.
+    bool session_open = false;
     std::string http_request;  // bytes accumulated in HTTP mode
 
     std::mutex mu;
@@ -196,6 +199,7 @@ struct AttestServer::Impl {
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> active{0};  // conns.size(), readable off-loop
+  std::atomic<std::uint64_t> sessions_active{0};
   std::atomic<std::uint64_t> updates_offered{0};
   std::atomic<std::uint64_t> updates_accepted{0};
   std::atomic<std::uint64_t> updates_rejected{0};
@@ -316,6 +320,7 @@ struct AttestServer::Impl {
           break;
         }
       }
+      end_session_slot(*conn);  // the verdict went out (or never will)
       if (dead) {
         close_conn(conn, /*mid_session=*/false);
         continue;
@@ -350,6 +355,12 @@ struct AttestServer::Impl {
       return;
     }
     update_interest(conn);
+  }
+
+  void end_session_slot(Conn& conn) {
+    if (!conn.session_open) return;
+    conn.session_open = false;
+    sessions_active.fetch_sub(1, std::memory_order_relaxed);
   }
 
   bool mid_session(const std::shared_ptr<Conn>& conn) {
@@ -534,6 +545,7 @@ struct AttestServer::Impl {
         << ",\"attested\":" << attested.load(std::memory_order_relaxed)
         << ",\"failed\":" << failed.load(std::memory_order_relaxed)
         << ",\"quarantined\":" << quarantined.load(std::memory_order_relaxed)
+        << ",\"active\":" << sessions_active.load(std::memory_order_relaxed)
         << ",\"http_requests\":"
         << http_requests.load(std::memory_order_relaxed) << "}";
     // Golden-model provisioning tiers and the audit chain head — the shard
@@ -744,6 +756,8 @@ struct AttestServer::Impl {
     // sets land under one trace id.
     conn->session->set_trace(conn->hello.trace, conn->hello.sampled);
     conn->session_start = Clock::now();
+    conn->session_open = true;
+    sessions_active.fetch_add(1, std::memory_order_relaxed);
     HelloAckMsg ack;
     ack.command_count =
         static_cast<std::uint32_t>(conn->session->command_count());
@@ -901,14 +915,12 @@ struct AttestServer::Impl {
     loop.remove(fd);
     conns.erase(fd);
     conn->channel.close();
+    end_session_slot(*conn);
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->want_close = true;
       if (quarantine && !conn->finished) {
-        conn->finished = true;
-        if (conn->session.has_value()) {
-          conn->session->note_failure(core::FailureKind::kPeerDisconnect);
-        }
+        conn->finished = true;  // a quarantined session is never finished
       } else {
         quarantine = false;
       }
@@ -1223,6 +1235,8 @@ AttestServerStats AttestServer::stats() const {
   out.quarantined = impl_->quarantined.load(std::memory_order_relaxed);
   out.http_requests = impl_->http_requests.load(std::memory_order_relaxed);
   out.active_connections = impl_->active.load(std::memory_order_relaxed);
+  out.sessions_active =
+      impl_->sessions_active.load(std::memory_order_relaxed);
   out.peak_connections = impl_->peak.load(std::memory_order_relaxed);
   out.verify_steals = impl_->steals.load(std::memory_order_relaxed);
   out.verify_batches = impl_->batches.load(std::memory_order_relaxed);

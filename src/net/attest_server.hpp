@@ -105,6 +105,9 @@ struct AttestServerStats {
   std::uint64_t http_requests = 0;
   /// Connections open right now.
   std::uint64_t active_connections = 0;
+  /// Sessions whose HELLO was accepted and whose verdict has not been sent
+  /// yet: what a drain lets finish.
+  std::uint64_t sessions_active = 0;
   /// Largest concurrent-connection count observed.
   std::uint64_t peak_connections = 0;
   std::uint64_t verify_steals = 0;

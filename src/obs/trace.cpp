@@ -205,6 +205,48 @@ void Span::end_at(std::uint64_t end_ns) {
   Tracer::global().append(std::move(record_));
 }
 
+SessionTimeline::SessionTimeline(const char* side, std::uint64_t lane_salt,
+                                 bool keep_records)
+    : side_(side), lane_salt_(lane_salt), keep_records_(keep_records) {}
+
+void SessionTimeline::start(const TraceId& trace, bool sampled) {
+  trace_ = trace;
+  active_ = sampled && trace.valid() && enabled();
+  if (active_) session_start_ns_ = Tracer::global().now_ns();
+}
+
+void SessionTimeline::emit(const char* name, const char* category,
+                           std::uint64_t start, std::uint64_t end,
+                           std::uint32_t depth) {
+  SpanRecord r;
+  r.name = name;
+  r.category = category;
+  r.trace = trace_;
+  r.thread_id = trace_.lo ^ lane_salt_;
+  r.start_ns = start;
+  r.duration_ns = end > start ? end - start : 0;
+  r.depth = depth;
+  r.args.emplace_back("side", side_);
+  if (depth == 1) observe_phase_duration(r.name, r.duration_ns);
+  if (keep_records_) records_.push_back(r);
+  Tracer::global().record(std::move(r));
+}
+
+void SessionTimeline::phase(const char* name) {
+  if (!active_ || phase_ == name) return;
+  const std::uint64_t now = Tracer::global().now_ns();
+  if (phase_ != nullptr) emit(phase_, "phase", phase_start_ns_, now, 1);
+  phase_ = name;
+  phase_start_ns_ = now;
+}
+
+void SessionTimeline::finish() {
+  if (!active_) return;
+  phase(nullptr);
+  emit("session", "session", session_start_ns_, Tracer::global().now_ns(), 0);
+  active_ = false;
+}
+
 double timeline_coverage(const std::vector<SpanRecord>& records,
                          const TraceId& id, std::string_view session_name) {
   const SpanRecord* session = nullptr;

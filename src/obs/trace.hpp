@@ -159,6 +159,51 @@ class Span {
   SpanRecord record_;
 };
 
+/// One side's half of a cross-process session timeline, recorded by hand:
+/// a top-level "session" span and the Table-4 phase spans under it, all in
+/// one lane keyed off the trace id and tagged `side`. The RAII Span is
+/// thread-affine, which does not fit a session whose work hops threads
+/// (attestd's verify lanes) or shares one thread with hundreds of others
+/// (the multiplexed client loop); both sides of a socket session record
+/// through this instead. Phase durations also feed observe_phase_duration.
+class SessionTimeline {
+ public:
+  /// `lane_salt` is XORed into the trace id's low word to pick the lane,
+  /// so the two sides of a session render as two adjacent lanes.
+  /// `keep_records` keeps a copy of every record for records().
+  SessionTimeline(const char* side, std::uint64_t lane_salt,
+                  bool keep_records);
+
+  /// Opens the session span under `trace` when `sampled` is set (the
+  /// deterministic head-sampling decision), the id is valid and telemetry
+  /// is enabled; otherwise nothing is recorded.
+  void start(const TraceId& trace, bool sampled);
+  bool active() const { return active_; }
+
+  /// Closes the running phase and opens `name`; nullptr closes without
+  /// opening, and naming the running phase again does nothing.
+  void phase(const char* name);
+  /// Closes the running phase and records the session span, which ends
+  /// recording.
+  void finish();
+
+  const std::vector<SpanRecord>& records() const { return records_; }
+
+ private:
+  void emit(const char* name, const char* category, std::uint64_t start,
+            std::uint64_t end, std::uint32_t depth);
+
+  const char* side_;
+  std::uint64_t lane_salt_;
+  bool keep_records_;
+  bool active_ = false;
+  TraceId trace_{};
+  const char* phase_ = nullptr;
+  std::uint64_t phase_start_ns_ = 0;
+  std::uint64_t session_start_ns_ = 0;
+  std::vector<SpanRecord> records_;
+};
+
 /// Fraction of the interval of the `session_name` span with trace id `id`
 /// covered by the union of its direct children (depth + 1, same thread).
 /// Returns 0 when the session span is missing. This is the acceptance

@@ -31,6 +31,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Receive/send timeout of one scrape GET. Fixed, not derived from the
+/// health interval: a short interval asks for frequent scrapes, not for
+/// ones that give up on a shard slowed by a loaded host.
+constexpr int kScrapeTimeoutMs = 1000;
+
 std::string shard_node_label(std::size_t index) {
   return "shard-" + std::to_string(index);
 }
@@ -691,8 +696,6 @@ struct ShardCoordinator::Impl {
         }
       }
     }
-    const int timeout_ms =
-        static_cast<int>(std::max<std::uint64_t>(opts.health_interval_ms, 50));
     struct Scrape {
       std::size_t index;
       bool ok = false;
@@ -707,7 +710,7 @@ struct ShardCoordinator::Impl {
       Scrape scrape;
       scrape.index = target.index;
       const std::string status =
-          http_get_body(opts.host, target.port, "/statusz", timeout_ms);
+          http_get_body(opts.host, target.port, "/statusz", kScrapeTimeoutMs);
       if (!status.empty()) {
         scrape.ok = true;
         const std::size_t sessions = status.find("\"sessions\":{");
@@ -730,7 +733,7 @@ struct ShardCoordinator::Impl {
           }
         }
         const std::string metrics_text =
-            http_get_body(opts.host, target.port, "/metrics", timeout_ms);
+            http_get_body(opts.host, target.port, "/metrics", kScrapeTimeoutMs);
         if (!metrics_text.empty()) {
           scrape.metrics = obs::parse_prometheus_text(metrics_text);
         }

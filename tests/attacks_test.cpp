@@ -3,6 +3,8 @@
 // must still pass under the same harness.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "attacks/library.hpp"
 
 namespace sacha::attacks {
@@ -32,6 +34,10 @@ struct SuiteCase {
   const char* expected_name;
   AttackResult expected_result;
 };
+
+// Prints the attack's name: gtest would otherwise dump the raw bytes, the
+// name's pointer included, so the test names would change with every build.
+void PrintTo(const SuiteCase& c, std::ostream* os) { *os << c.expected_name; }
 
 class StandardSuite : public ::testing::TestWithParam<SuiteCase> {};
 

@@ -8,6 +8,9 @@
 #include <atomic>
 #include <deque>
 #include <filesystem>
+#include <functional>
+#include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include <unistd.h>
 
 #include "bitstream/golden_model.hpp"
+#include "core/session.hpp"
 #include "core/signed_attest.hpp"
 #include "core/swarm.hpp"
 #include "crypto/merkle.hpp"
@@ -26,6 +30,7 @@
 #include "net/attest_server.hpp"
 #include "net/provision.hpp"
 #include "net/tcp.hpp"
+#include "net/wire.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "update/manifest.hpp"
@@ -113,6 +118,165 @@ net::LoadOptions loopback_load(const net::AttestServer& server,
   load.timeout_ms = 60000;
   return load;
 }
+
+// ---- Both drivers of the session core on error paths ---------------------
+
+/// What goes wrong in a session, applied the same way on both drivers.
+enum class SessionFault {
+  kNone,
+  kTamperAfterConfig,
+  kErrorResponse,    // one readback response rewritten to kError
+  kDroppedResponse,  // one readback response delivered as "no response"
+};
+
+struct DriverCase {
+  const char* name;
+  SessionFault fault;
+};
+
+void PrintTo(const DriverCase& c, std::ostream* os) { *os << c.name; }
+
+/// Rewrites or drops the third frame-data response of a session.
+class ResponseFault {
+ public:
+  explicit ResponseFault(SessionFault fault) : fault_(fault) {}
+
+  /// `reply` is an encoded Response; returns false to drop it.
+  bool apply(Bytes& reply) {
+    if (fault_ != SessionFault::kErrorResponse &&
+        fault_ != SessionFault::kDroppedResponse) {
+      return true;
+    }
+    auto decoded = core::Response::decode(reply);
+    if (!decoded.ok() ||
+        decoded.value().type != core::ResponseType::kFrameData ||
+        ++frames_ != 3) {
+      return true;
+    }
+    if (fault_ == SessionFault::kDroppedResponse) return false;
+    reply = core::Response{.type = core::ResponseType::kError,
+                           .status = core::ProverStatus::kIcapError}
+                .encode();
+    return true;
+  }
+
+ private:
+  SessionFault fault_;
+  int frames_ = 0;
+};
+
+struct DriverOutcome {
+  core::SachaVerifier::Verdict verdict;
+  core::FailureKind failure = core::FailureKind::kNone;
+  std::optional<crypto::Mac> expected_mac;
+};
+
+std::function<void(core::SachaProver&)> tamper_for(SessionFault fault) {
+  if (fault != SessionFault::kTamperAfterConfig) return nullptr;
+  return net::standard_tamper();
+}
+
+/// The in-process driver: SessionMachine over an ideal simulated channel.
+DriverOutcome run_in_process(const net::HelloMsg& hello, SessionFault fault) {
+  core::SachaVerifier verifier = net::verifier_for(hello);
+  core::SachaProver prover = net::prover_for(hello);
+  core::SessionOptions options;
+  options.seed = hello.session_seed;
+  options.register_flip_probability = hello.flip_probability;
+  core::SessionHooks hooks;
+  hooks.after_config = tamper_for(fault);
+  ResponseFault response_fault(fault);
+  hooks.on_response = [&response_fault](Bytes& reply) {
+    return response_fault.apply(reply);
+  };
+  core::AttestationReport report =
+      core::run_attestation(verifier, prover, options, hooks);
+  return {std::move(report.verdict), report.failure, verifier.expected_mac()};
+}
+
+/// Frames one message and reassembles it, as a socket carries it.
+Bytes carry(net::FrameKind kind, Bytes payload) {
+  net::FrameDecoder decoder;
+  decoder.feed(net::encode_frame(net::Frame{kind, std::move(payload)}));
+  auto frame = decoder.next();
+  EXPECT_TRUE(frame.ok() && frame.value().has_value());
+  if (!frame.ok() || !frame.value().has_value()) return {};
+  EXPECT_EQ(frame.value()->kind, kind);
+  return std::move(frame).take()->payload;
+}
+
+/// The socket driver: attestd's VerifierSession and the client's
+/// ProverAgent, exchanging COMMAND and RESPONSE frames through memory.
+DriverOutcome run_over_pipe(const net::HelloMsg& hello, SessionFault fault) {
+  core::SachaVerifier verifier = net::verifier_for(hello);
+  core::VerifierSession session(verifier);
+  net::ProverAgent agent(hello, tamper_for(fault));
+  ResponseFault response_fault(fault);
+  while (!session.done()) {
+    const std::optional<Bytes> command = session.next_command_wire();
+    if (!command.has_value()) break;
+    const Bytes payload = carry(
+        net::FrameKind::kResponse,
+        agent.handle_command(carry(net::FrameKind::kCommand, *command)));
+    // RESPONSE payload: u8 has_response, then Response::encode() if set.
+    std::optional<core::Response> response;
+    if (!payload.empty() && payload[0] != 0) {
+      Bytes reply(payload.begin() + 1, payload.end());
+      if (response_fault.apply(reply)) {
+        auto decoded = core::Response::decode(reply);
+        EXPECT_TRUE(decoded.ok()) << decoded.message();
+        if (decoded.ok()) response = std::move(decoded).take();
+      }
+    }
+    session.on_response(std::move(response));
+  }
+  core::VerifierSession::Report report = session.finish();
+  return {std::move(report.verdict), report.failure, report.expected_mac};
+}
+
+class BothDrivers : public ::testing::TestWithParam<DriverCase> {};
+
+TEST_P(BothDrivers, SameVerdictInProcessAndOverTheWire) {
+  const SessionFault fault = GetParam().fault;
+  net::FleetSpec spec;
+  const net::HelloMsg hello = net::member_hello(spec, 3);
+  const DriverOutcome local = run_in_process(hello, fault);
+  const DriverOutcome remote = run_over_pipe(hello, fault);
+
+  EXPECT_EQ(local.verdict.protocol_ok, remote.verdict.protocol_ok);
+  EXPECT_EQ(local.verdict.mac_ok, remote.verdict.mac_ok);
+  EXPECT_EQ(local.verdict.config_ok, remote.verdict.config_ok);
+  EXPECT_EQ(local.verdict.kind, remote.verdict.kind);
+  EXPECT_EQ(local.verdict.detail, remote.verdict.detail);
+  EXPECT_EQ(local.failure, remote.failure);
+  EXPECT_EQ(local.expected_mac, remote.expected_mac);
+
+  // Each case takes the path it names.
+  switch (fault) {
+    case SessionFault::kNone:
+      EXPECT_TRUE(local.verdict.ok()) << local.verdict.detail;
+      break;
+    case SessionFault::kTamperAfterConfig:
+      EXPECT_EQ(local.failure, core::FailureKind::kMaskedCompareMismatch);
+      break;
+    case SessionFault::kErrorResponse:
+      EXPECT_EQ(local.failure, core::FailureKind::kDeviceError);
+      break;
+    case SessionFault::kDroppedResponse:
+      EXPECT_FALSE(local.verdict.protocol_ok);
+      EXPECT_FALSE(local.expected_mac.has_value());
+      break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SessionCore, BothDrivers,
+    ::testing::Values(
+        DriverCase{"honest", SessionFault::kNone},
+        DriverCase{"tampered_after_config", SessionFault::kTamperAfterConfig},
+        DriverCase{"error_response", SessionFault::kErrorResponse},
+        DriverCase{"dropped_response", SessionFault::kDroppedResponse}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(NetService, LoopbackSmoke) {
   net::AttestServer server;
@@ -543,11 +707,14 @@ TEST(NetService, DrainFinishesInFlightAndRefusesNewHellos) {
   load.delay_us = 100000;
   net::LoadResult result;
   std::thread fleet([&] { result = net::run_load(load); });
+  // Wait for both HELLOs to be accepted, not just both TCP connections: a
+  // HELLO read after the drain begins is refused as a new session.
   net::AttestServerStats stats = server.stats();
-  for (int spin = 0; spin < 200 && stats.active_connections < 2; ++spin) {
+  for (int spin = 0; spin < 200 && stats.sessions_active < 2; ++spin) {
     ::usleep(5000);
     stats = server.stats();
   }
+  ASSERT_GE(stats.sessions_active, 2u) << "fleet never started its sessions";
   ASSERT_GE(stats.active_connections, 2u) << "fleet never connected";
 
   server.begin_drain(/*drain_ms=*/30000);
@@ -596,10 +763,11 @@ TEST(NetService, DrainDeadlineQuarantinesStragglers) {
   net::LoadResult result;
   std::thread fleet([&] { result = net::run_load(load); });
   net::AttestServerStats stats = server.stats();
-  for (int spin = 0; spin < 200 && stats.active_connections < 1; ++spin) {
+  for (int spin = 0; spin < 200 && stats.sessions_active < 1; ++spin) {
     ::usleep(5000);
     stats = server.stats();
   }
+  ASSERT_GE(stats.sessions_active, 1u);
   ASSERT_GE(stats.active_connections, 1u);
 
   server.begin_drain(/*drain_ms=*/200);

@@ -3,6 +3,8 @@
 // that make Tables 3/4 derivable rather than coincidental.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "attacks/env.hpp"
 #include "core/session.hpp"
 
@@ -123,6 +125,12 @@ struct RetransmitCase {
   std::uint32_t max_retries;
   std::uint64_t seed;
 };
+
+// Prints the two fields: gtest would otherwise dump the raw bytes, padding
+// included, so the test names would change between builds.
+void PrintTo(const RetransmitCase& c, std::ostream* os) {
+  *os << "max_retries=" << c.max_retries << ",seed=" << c.seed;
+}
 
 class RetransmitDedup : public ::testing::TestWithParam<RetransmitCase> {};
 

@@ -4,6 +4,7 @@
 // rollup, and the aggregated /metrics + /statusz endpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
@@ -315,6 +316,16 @@ TEST(ShardCoordinator, ShardDeathRepairsRingAndKeepsServing) {
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan.value().crash.has_value());
   const std::size_t victim = plan.value().crash->at_command;
+
+  // A rollup covers a shard only through a scrape that reached it, so
+  // scrape once after the warm load: the victim's audit chain must cover
+  // every member it owns before it dies.
+  coordinator.refresh();
+  const shard::ShardInfo before_kill = coordinator.shard(victim);
+  ASSERT_TRUE(before_kill.scraped);
+  const auto victim_members = static_cast<std::uint64_t>(
+      std::count(owner_before.begin(), owner_before.end(), victim));
+  EXPECT_EQ(before_kill.audit_entries, victim_members);
   ASSERT_TRUE(coordinator.kill_shard(victim));
 
   // One synchronous control pass reaps the corpse and repairs the ring.

@@ -1,10 +1,7 @@
-// Tests for the simulation substrate: clock domains, event queue ordering,
-// the time ledger, and the bounded FIFO model.
+// Tests for the simulation substrate: clock domains and the time ledger.
 #include <gtest/gtest.h>
 
 #include "sim/clock.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/fifo.hpp"
 #include "sim/ledger.hpp"
 
 namespace sacha::sim {
@@ -27,56 +24,6 @@ TEST(ClockDomain, TimeToCyclesRoundsUp) {
   EXPECT_EQ(icap.time_to_cycles(10), 1u);
   EXPECT_EQ(icap.time_to_cycles(11), 2u);
   EXPECT_EQ(icap.time_to_cycles(20), 2u);
-}
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(30, [&] { order.push_back(3); });
-  queue.schedule(10, [&] { order.push_back(1); });
-  queue.schedule(20, [&] { order.push_back(2); });
-  queue.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(queue.now(), 30u);
-}
-
-TEST(EventQueue, SimultaneousEventsAreFifo) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    queue.schedule(7, [&order, i] { order.push_back(i); });
-  }
-  queue.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue queue;
-  int fired = 0;
-  queue.schedule(5, [&] {
-    ++fired;
-    queue.schedule(5, [&] { ++fired; });
-  });
-  queue.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(queue.now(), 10u);
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue queue;
-  int fired = 0;
-  queue.schedule(10, [&] { ++fired; });
-  queue.schedule(100, [&] { ++fired; });
-  EXPECT_EQ(queue.run_until(50), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(queue.now(), 50u);
-  EXPECT_EQ(queue.pending(), 1u);
-}
-
-TEST(EventQueue, AdvanceMovesClock) {
-  EventQueue queue;
-  queue.advance(123);
-  EXPECT_EQ(queue.now(), 123u);
 }
 
 TEST(Ledger, AccumulatesPerAction) {
@@ -111,35 +58,6 @@ TEST(Ledger, ClearResets) {
   ledger.clear();
   EXPECT_EQ(ledger.grand_total(), 0u);
   EXPECT_TRUE(ledger.actions().empty());
-}
-
-TEST(FifoModel, PushPopOrder) {
-  Fifo<int> fifo(4);
-  EXPECT_TRUE(fifo.push(1));
-  EXPECT_TRUE(fifo.push(2));
-  EXPECT_EQ(fifo.pop(), 1);
-  EXPECT_EQ(fifo.pop(), 2);
-  EXPECT_EQ(fifo.pop(), std::nullopt);
-}
-
-TEST(FifoModel, RejectsWhenFull) {
-  Fifo<int> fifo(2);
-  EXPECT_TRUE(fifo.push(1));
-  EXPECT_TRUE(fifo.push(2));
-  EXPECT_FALSE(fifo.push(3));
-  EXPECT_EQ(fifo.overflows(), 1u);
-  EXPECT_EQ(fifo.size(), 2u);
-}
-
-TEST(FifoModel, TracksHighWater) {
-  Fifo<int> fifo(8);
-  fifo.push(1);
-  fifo.push(2);
-  fifo.push(3);
-  (void)fifo.pop();
-  (void)fifo.pop();
-  fifo.push(4);
-  EXPECT_EQ(fifo.high_water(), 3u);
 }
 
 }  // namespace
