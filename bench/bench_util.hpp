@@ -6,6 +6,8 @@
 
 #include <sched.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -131,6 +133,56 @@ inline bool write_bench_json(const std::string& path,
   if (ok) std::printf("\n[bench-json] wrote %s (%zu records)\n", path.c_str(),
                       records.size());
   return ok;
+}
+
+// ---- Wall-clock gates ----------------------------------------------------
+//
+// A throughput gate compares medians, not single windows: each side runs
+// kGateTrials trials of at least kMinTrialSeconds of measured load, and
+// the gate reads the nearest-rank median of the trials' rates.
+
+inline constexpr int kGateTrials = 5;
+inline constexpr double kMinTrialSeconds = 2.0;
+
+/// Median by the nearest-rank definition perfbench's stats use: the
+/// ceil(n/2)-th smallest value (0 for an empty set).
+inline double nearest_rank_median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  const std::size_t rank = (values.size() + 1) / 2;
+  std::nth_element(values.begin(),
+                   values.begin() + static_cast<std::ptrdiff_t>(rank - 1),
+                   values.end());
+  return values[rank - 1];
+}
+
+struct Trial {
+  double rate = 0.0;  // completed sessions per second of measured load
+  bool all_completed = true;
+  std::vector<double> latencies_ms;  // every completed session
+};
+
+/// Calls `run_once` (returning a net::LoadResult) back to back until the
+/// loads' summed wall time reaches `min_seconds`; only run_once is timed.
+template <typename RunOnce>
+Trial timed_trial(RunOnce run_once, double min_seconds = kMinTrialSeconds) {
+  Trial trial;
+  std::size_t completed = 0;
+  std::uint64_t wall_ns = 0;
+  do {
+    const auto result = run_once();
+    completed += result.completed;
+    wall_ns += result.wall_ns;
+    trial.all_completed = trial.all_completed && result.all_completed();
+    for (const auto& member : result.members) {
+      if (member.completed) {
+        trial.latencies_ms.push_back(static_cast<double>(member.latency_ns) /
+                                     1e6);
+      }
+    }
+  } while (static_cast<double>(wall_ns) < min_seconds * 1e9);
+  trial.rate = static_cast<double>(completed) /
+               (static_cast<double>(wall_ns) / 1e9);
+  return trial;
 }
 
 struct V6Run {

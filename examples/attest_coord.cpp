@@ -1,8 +1,8 @@
 // attest_coord — sharded attestation front door.
 //
 // Forks N attestd shard processes, consistent-hashes device ids onto them,
-// and serves one well-known endpoint: v4 provers get a redirect HELLO_ACK
-// naming their owning shard, older provers are proxied transparently.
+// and serves one well-known endpoint: every HELLO gets a redirect
+// HELLO_ACK naming the owning shard, and the prover reconnects there.
 // /statusz shows the shard table and the fleet Merkle root (every shard's
 // hash-chained audit head folded into one digest); /metrics re-exports the
 // union of every shard's scrape plus the routing counters.
@@ -43,7 +43,6 @@ void print_help() {
       "  --model-cache DIR  shared golden-model .sgm cache directory\n"
       "  --no-model-map     heap-load cached models instead of mmap\n"
       "  --health-ms N      control-thread cadence (default 200)\n"
-      "  --poll             force the poll(2) fallback instead of epoll\n"
       "  --help             this text\n"
       "HTTP (front door): /metrics /healthz /statusz\n");
 }
@@ -88,8 +87,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--health-ms") {
       options.health_interval_ms =
           std::strtoull(next("--health-ms"), nullptr, 10);
-    } else if (arg == "--poll") {
-      options.prefer_epoll = false;
     } else {
       std::fprintf(stderr, "unknown option '%s' (try --help)\n", arg.c_str());
       return 2;
@@ -137,12 +134,11 @@ int main(int argc, char** argv) {
   std::string root_hex = to_hex(
       ByteSpan(rollup.root.data(), rollup.root.size()));
   std::printf(
-      "attest_coord: %llu accepted (%llu redirected, %llu proxied), "
+      "attest_coord: %llu accepted (%llu redirected), "
       "%llu http, %llu shards lost; fleet root %s over %zu shards "
       "(%llu audit entries)\n",
       static_cast<unsigned long long>(stats.accepted),
       static_cast<unsigned long long>(stats.redirects),
-      static_cast<unsigned long long>(stats.proxied),
       static_cast<unsigned long long>(stats.http_requests),
       static_cast<unsigned long long>(stats.shards_lost), root_hex.c_str(),
       rollup.shards_covered,

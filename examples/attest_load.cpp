@@ -42,7 +42,6 @@ void print_help() {
       "  --disconnect I:K   member I closes abruptly after K responses\n"
       "                     (repeatable)\n"
       "  --timeout-ms N     per-member watchdog (default 30000)\n"
-      "  --poll             force the poll(2) fallback in the client loop\n"
       "  --trace-sample R   head-sampling rate 0..1 (enables telemetry;\n"
       "                     default: keep SACHA_OBS / SACHA_OBS_SAMPLE)\n"
       "  --trace-out PATH   write the client-side spans as a Chrome trace\n"
@@ -126,8 +125,6 @@ int main(int argc, char** argv) {
           std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
     } else if (arg == "--timeout-ms") {
       options.timeout_ms = std::strtoull(next("--timeout-ms"), nullptr, 10);
-    } else if (arg == "--poll") {
-      options.prefer_epoll = false;
     } else if (arg == "--trace-sample") {
       options.trace_sample = std::strtod(next("--trace-sample"), nullptr);
       obs::set_enabled(true);  // sampling a disabled tracer keeps nothing

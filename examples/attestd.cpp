@@ -13,7 +13,7 @@
 // With --update-manifest the daemon stages a signed OTA offer: the spec is
 // parsed, signed with the operator identity derived from
 // --update-signer-seed, and offered (UPDATE_OFFER) after every passing
-// session to peers speaking wire v3+.
+// session.
 //
 //   ./attestd --port 7460 --update-manifest "version=2;app=app-v2:7" &
 //   ./attest_load --connect 127.0.0.1:7460 --members 64
@@ -49,7 +49,6 @@ void print_help() {
       "  --batch-width N    members per CMAC batch drain, 1-8 (default 4)\n"
       "  --window N         pipelined commands per session (default 32)\n"
       "  --timeout-ms N     idle session cut-off (default 30000, 0 = never)\n"
-      "  --poll             force the poll(2) fallback instead of epoll\n"
       "  --reuseport        bind with SO_REUSEPORT (several attestd\n"
       "                     processes can accept on one port)\n"
       "  --model-cache DIR  golden-model .sgm disk cache directory\n"
@@ -105,8 +104,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeout-ms") {
       options.session_timeout_ms =
           std::strtoull(next("--timeout-ms"), nullptr, 10);
-    } else if (arg == "--poll") {
-      options.prefer_epoll = false;
     } else if (arg == "--reuseport") {
       options.reuseport = true;
     } else if (arg == "--model-cache") {
@@ -166,8 +163,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "attestd: %s\n", started.message().c_str());
     return 1;
   }
-  std::printf("attestd listening on %s:%u (%s)\n", options.host.c_str(),
-              server.port(), server.using_epoll() ? "epoll" : "poll");
+  std::printf("attestd listening on %s:%u\n", options.host.c_str(),
+              server.port());
   std::fflush(stdout);
 
   std::signal(SIGINT, on_signal);

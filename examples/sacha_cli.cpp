@@ -315,10 +315,9 @@ int run_listen_mode(const CliOptions& options) {
     std::fprintf(stderr, "--listen: %s\n", started.message().c_str());
     return 1;
   }
-  std::printf("listening on %s:%u (%s); GET /metrics served; "
+  std::printf("listening on %s:%u; GET /metrics served; "
               "ctrl-c or stdin EOF to stop\n",
-              server_options.host.c_str(), server.port(),
-              server.using_epoll() ? "epoll" : "poll");
+              server_options.host.c_str(), server.port());
   std::fflush(stdout);
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);

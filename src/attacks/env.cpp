@@ -1,5 +1,6 @@
 #include "attacks/env.hpp"
 
+#include "bitstream/golden_model.hpp"
 #include "crypto/prg.hpp"
 
 namespace sacha::attacks {
@@ -39,10 +40,11 @@ core::SachaProver AttackEnv::make_prover(bool genuine_key) const {
   }
   core::SachaProver prover(plan.device(), "dev-under-attack", device_key,
                            prover_options);
-  // BootMem provisioning: static image from the same design the verifier
-  // holds golden.
-  const core::SachaVerifier verifier = make_verifier();
-  prover.boot(verifier.static_image());
+  // BootMem provisioning: static image from the same golden model the
+  // verifier interns for this design.
+  const auto model =
+      bitstream::GoldenModel::shared(plan, static_spec, app_spec);
+  prover.boot(model->static_image());
   return prover;
 }
 

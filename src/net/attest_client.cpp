@@ -23,6 +23,19 @@ std::uint64_t ns_since(Clock::time_point start) {
                                                            start)
           .count());
 }
+
+/// The Table-4 phase a command of `type` belongs to, as the device sees it.
+const char* prover_phase(core::CommandType type) {
+  switch (type) {
+    case core::CommandType::kIcapConfig:
+      return "configure.stream_in";
+    case core::CommandType::kIcapReadback:
+      return "readback.respond";
+    case core::CommandType::kMacChecksum:
+      return "mac.sendback";
+  }
+  return nullptr;
+}
 }  // namespace
 
 ProverAgent::ProverAgent(const HelloMsg& hello,
@@ -31,10 +44,14 @@ ProverAgent::ProverAgent(const HelloMsg& hello,
       session_(prover_, std::move(after_config), hello.session_seed,
                hello.flip_probability) {}
 
-Bytes ProverAgent::handle_command(ByteSpan payload) {
+Bytes ProverAgent::handle_command(
+    ByteSpan payload, const std::function<void(core::CommandType)>& on_type) {
   // Each packet is decoded once; its command type decides the boundary.
   auto command = core::Command::decode(payload);
-  if (command.ok()) session_.note_command(command.value().type);
+  if (command.ok()) {
+    if (on_type) on_type(command.value().type);
+    session_.note_command(command.value().type);
+  }
   // An undecodable packet goes through handle_packet, whose fault gate
   // runs ahead of its decode (and whose error response it then earns).
   core::SachaProver::HandleResult result =
@@ -82,7 +99,7 @@ struct Member {
 class LoadRunner {
  public:
   explicit LoadRunner(const LoadOptions& options)
-      : opts_(options), loop_(options.prefer_epoll), shim_rng_(options.shim_seed) {}
+      : opts_(options), shim_rng_(options.shim_seed) {}
 
   LoadResult run() {
     const auto wall_start = Clock::now();
@@ -300,7 +317,7 @@ class LoadRunner {
         }
         member->outcome.completed = true;
         member->outcome.report = std::move(report).take();
-        // Session latency ends at the verdict, not at teardown: a v3
+        // Session latency ends at the verdict, not at teardown: the
         // server may keep the connection open for one UPDATE_OFFER /
         // UPDATE_STATUS exchange after the REPORT, and closes it either
         // way once done (the close is what finishes the member).
@@ -345,26 +362,16 @@ class LoadRunner {
 
   bool handle_command(const std::shared_ptr<Member>& member,
                       const Bytes& payload) {
-    // Prover-side phase tracking (sampled sessions only, so the decode is
-    // off the unsampled hot path): command-type transitions mark the
-    // Table-4 phase boundaries as the device sees them.
+    // Prover-side phase tracking (sampled sessions only): command-type
+    // transitions, handed back by the agent's one decode, mark the Table-4
+    // phase boundaries as the device sees them.
+    std::function<void(core::CommandType)> mark_phase;
     if (member->timeline.active()) {
-      auto command = core::Command::decode(payload);
-      if (command.ok()) {
-        switch (command.value().type) {
-          case core::CommandType::kIcapConfig:
-            member->timeline.phase("configure.stream_in");
-            break;
-          case core::CommandType::kIcapReadback:
-            member->timeline.phase("readback.respond");
-            break;
-          case core::CommandType::kMacChecksum:
-            member->timeline.phase("mac.sendback");
-            break;
-        }
-      }
+      mark_phase = [&timeline = member->timeline](core::CommandType type) {
+        timeline.phase(prover_phase(type));
+      };
     }
-    Bytes response = member->agent->handle_command(payload);
+    Bytes response = member->agent->handle_command(payload, mark_phase);
     ++member->responses_sent;
     // Injected abrupt disconnect: close without a goodbye, mid-window —
     // the server must quarantine, not crash.

@@ -10,9 +10,12 @@
 // run_load replays an N-member fleet against one attestd: a single
 // event-loop thread multiplexes every connection (nonblocking connect,
 // pipelined command handling), which is what lets the bench hold 500+
-// concurrent provers from one process. Socket-level fault shims mirror
-// the FaultPlan vocabulary on a real transport: drop responses with a
-// seeded probability (the server's timeout path), delay responses, or
+// concurrent provers from one process. Each member opens with the HELLO
+// member_hello builds (the one wire version, trace context attached),
+// follows at most one coordinator redirect to its shard, and ends at the
+// REPORT, whose trace tail echoes the HELLO's. Socket-level fault shims
+// mirror the FaultPlan vocabulary on a real transport: drop responses with
+// a seeded probability (the server's timeout path), delay responses, or
 // disconnect abruptly after K responses (the quarantine path).
 #pragma once
 
@@ -44,8 +47,13 @@ class ProverAgent {
   ProverAgent& operator=(const ProverAgent&) = delete;
 
   /// Handles one COMMAND frame payload and returns the RESPONSE frame
-  /// payload (u8 has_response + optional Response::encode()).
-  Bytes handle_command(ByteSpan payload);
+  /// payload (u8 has_response + optional Response::encode()). A set
+  /// `on_type` is handed the decoded command's type before the device
+  /// runs it, so a caller can name the prover phase without decoding the
+  /// payload again; an undecodable packet has no type to hand back.
+  Bytes handle_command(
+      ByteSpan payload,
+      const std::function<void(core::CommandType)>& on_type = nullptr);
 
   const core::SachaProver& prover() const { return prover_; }
   const std::optional<crypto::Mac>& last_mac() const {
@@ -81,8 +89,6 @@ struct LoadOptions {
   /// member index -> abrupt close after sending this many responses.
   std::map<std::size_t, std::size_t> disconnect_after;
   std::uint64_t shim_seed = 7;
-  /// Force the poll(2) fallback in the client's event loop.
-  bool prefer_epoll = true;
   /// Abort members idle longer than this (ms; also the overall watchdog
   /// granularity).
   std::uint64_t timeout_ms = 30000;
@@ -90,7 +96,7 @@ struct LoadOptions {
   /// the run (0 = trace nothing, 1 = everything); negative leaves the
   /// process-wide rate (SACHA_OBS_SAMPLE / --trace-sample) untouched.
   double trace_sample = -1.0;
-  /// OTA offer handler (wire v3): invoked when the server follows a
+  /// OTA offer handler: invoked when the server follows a
   /// passing session's REPORT with an UPDATE_OFFER; returns the
   /// UPDATE_STATUS reply (accepted + gate state + refusal detail). Null =
   /// refuse every offer ("no update handler"). The verification logic
@@ -121,8 +127,8 @@ struct MemberOutcome {
   /// this is the UPDATE_STATUS this member answered with.
   bool update_offered = false;
   UpdateStatusMsg update_status{};
-  /// Shard routing (wire v4): the first endpoint answered with a redirect
-  /// HELLO_ACK and the session ran on the shard it named.
+  /// Shard routing: the first endpoint answered with a redirect HELLO_ACK
+  /// and the session ran on the shard it named.
   bool redirected = false;
 };
 
@@ -135,7 +141,7 @@ struct LoadResult {
   /// OTA offers received / accepted across the fleet.
   std::size_t updates_offered = 0;
   std::size_t updates_accepted = 0;
-  /// Members that followed a coordinator redirect to a shard (wire v4).
+  /// Members that followed a coordinator redirect to a shard.
   std::size_t redirects = 0;
   std::uint64_t wall_ns = 0;
 

@@ -1,7 +1,6 @@
 #include "net/attest_server.hpp"
 
 #include <fcntl.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,6 +20,7 @@
 #include "core/session.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/cmac.hpp"
+#include "net/http.hpp"
 #include "net/tcp.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -40,16 +40,6 @@ std::uint64_t ms_since(Clock::time_point start) {
           .count());
 }
 
-std::string json_str(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
 /// RESPONSE frame payload: u8 has_response + optional Response::encode().
 Result<std::optional<core::Response>> parse_response_payload(ByteSpan payload) {
   using Out = Result<std::optional<core::Response>>;
@@ -62,13 +52,6 @@ Result<std::optional<core::Response>> parse_response_payload(ByteSpan payload) {
       core::Response::decode(ByteSpan(payload.data() + 1, payload.size() - 1));
   if (!decoded.ok()) return Out::error(decoded.message());
   return Out(std::optional<core::Response>(std::move(decoded).take()));
-}
-
-Bytes error_frame_payload(core::FailureKind kind, std::string detail) {
-  ErrorMsg msg;
-  msg.failure = kind;
-  msg.detail = std::move(detail);
-  return msg.encode();
 }
 
 /// Records one drained CmacBatch into the verify-lane occupancy metrics
@@ -116,6 +99,7 @@ struct AttestServer::Impl {
     /// Loop-thread-only.
     bool session_open = false;
     std::string http_request;  // bytes accumulated in HTTP mode
+    bool http_answered = false;  // response queued: read no further
 
     std::mutex mu;
     std::deque<std::optional<core::Response>> inbox;
@@ -131,7 +115,6 @@ struct AttestServer::Impl {
 
   explicit Impl(const AttestServerOptions& opts)
       : opts(opts),
-        loop(opts.prefer_epoll),
         slo({.latency_objective_ns = opts.slo_latency_ms * 1'000'000,
              .target = opts.slo_target}) {}
 
@@ -139,6 +122,20 @@ struct AttestServer::Impl {
   SocketListener listener;
   EventLoop loop;
   obs::SloTracker slo;
+  /// The HTTP paths served on the attestation port, in the order the 404
+  /// body lists them. Every handler runs on the loop thread.
+  const std::vector<HttpRoute> http_routes = {
+      {"/metrics", "text/plain; version=0.0.4",
+       [](std::string&) {
+         return obs::prometheus_text(obs::MetricsRegistry::global().snapshot());
+       }},
+      {"/healthz", "application/json",
+       [this](std::string& status) { return healthz_json(status); }},
+      {"/statusz", "application/json",
+       [this](std::string&) { return statusz_json(); }},
+      {"/tracez", "application/json",
+       [this](std::string&) { return tracez_json(); }},
+  };
   Clock::time_point start_time = Clock::now();
   /// Loop-liveness heartbeat for /healthz: stamped every loop iteration.
   std::atomic<std::uint64_t> last_tick_ms{0};
@@ -335,7 +332,7 @@ struct AttestServer::Impl {
 
   void update_interest(const std::shared_ptr<Conn>& conn) {
     if (!conn->channel.open()) return;
-    (void)loop.modify(conn->channel.fd(), /*want_read=*/true,
+    (void)loop.modify(conn->channel.fd(), !conn->http_answered,
                       conn->channel.want_write());
   }
 
@@ -370,7 +367,13 @@ struct AttestServer::Impl {
 
   void on_readable(const std::shared_ptr<Conn>& conn) {
     conn->last_activity = Clock::now();
-    if (conn->state == Conn::State::kSniff && !sniff(conn)) return;
+    if (conn->state == Conn::State::kSniff) {
+      const PortTraffic traffic = sniff_traffic(conn->channel.fd());
+      if (traffic == PortTraffic::kPending) return;
+      conn->state = traffic == PortTraffic::kHttp && opts.metrics_endpoint
+                        ? Conn::State::kHttp
+                        : Conn::State::kRunning;
+    }
     if (conn->state == Conn::State::kHttp) {
       serve_http(conn);
       return;
@@ -384,11 +387,8 @@ struct AttestServer::Impl {
       auto frame = conn->channel.next_frame();
       if (!frame.ok()) {
         // Undecodable stream: typed abort, then drop the connection.
-        (void)conn->channel.send(
-            FrameKind::kError,
-            error_frame_payload(core::FailureKind::kDecodeError,
-                                frame.message()));
-        close_conn(conn, mid_session(conn));
+        abort_conn(conn, core::FailureKind::kDecodeError, frame.message(),
+                   mid_session(conn));
         return;
       }
       if (!frame.value().has_value()) break;
@@ -401,84 +401,17 @@ struct AttestServer::Impl {
     update_interest(conn);
   }
 
-  /// First-byte dispatch: frames start 0x53 ('S' of the magic); HTTP
-  /// requests start 'G' (GET) or 'H' (HEAD). Returns false when the caller
-  /// should stop (peer already gone).
-  bool sniff(const std::shared_ptr<Conn>& conn) {
-    char c = 0;
-    const ssize_t n = ::recv(conn->channel.fd(), &c, 1, MSG_PEEK);
-    if (n == 0) {
-      close_conn(conn, /*mid_session=*/false);
-      return false;
-    }
-    if (n < 0) return false;  // EAGAIN: try again on next readiness
-    conn->state = (opts.metrics_endpoint && (c == 'G' || c == 'H'))
-                      ? Conn::State::kHttp
-                      : Conn::State::kRunning;
-    return true;
-  }
-
   void serve_http(const std::shared_ptr<Conn>& conn) {
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::recv(conn->channel.fd(), buf, sizeof(buf), 0);
-      if (n > 0) {
-        conn->http_request.append(buf, static_cast<std::size_t>(n));
-        if (conn->http_request.size() > 16384) {
-          close_conn(conn, /*mid_session=*/false);
-          return;
-        }
-        continue;
-      }
-      if (n == 0) {
-        close_conn(conn, /*mid_session=*/false);
-        return;
-      }
-      if (errno == EINTR) continue;
-      break;  // EAGAIN: check whether the request is complete
-    }
-    if (conn->http_request.find("\r\n\r\n") == std::string::npos) {
-      return;  // headers still in flight
-    }
+    const HttpRead read =
+        read_http_request(conn->channel.fd(), conn->http_request);
+    if (read == HttpRead::kDrop) close_conn(conn, /*mid_session=*/false);
+    if (read != HttpRead::kComplete) return;
     http_requests.fetch_add(1, std::memory_order_relaxed);
-    // Request line: METHOD SP PATH SP VERSION. Only GET and HEAD are
-    // served; HEAD gets the same status and headers, no body.
-    std::istringstream request_line(
-        conn->http_request.substr(0, conn->http_request.find("\r\n")));
-    std::string method, target;
-    request_line >> method >> target;
-    const std::string path = target.substr(0, target.find('?'));
-    std::string status = "200 OK";
-    std::string content_type = "text/plain; charset=utf-8";
-    std::string body;
-    if (method != "GET" && method != "HEAD") {
-      status = "405 Method Not Allowed";
-      body = "only GET and HEAD are served\n";
-    } else if (path == "/metrics") {
-      content_type = "text/plain; version=0.0.4";
-      body = obs::prometheus_text(obs::MetricsRegistry::global().snapshot());
-    } else if (path == "/healthz") {
-      body = healthz_json(&status);
-      content_type = "application/json";
-    } else if (path == "/statusz") {
-      body = statusz_json();
-      content_type = "application/json";
-    } else if (path == "/tracez") {
-      body = tracez_json();
-      content_type = "application/json";
-    } else {
-      status = "404 Not Found";
-      body = "not found: served paths are /metrics /healthz /statusz "
-             "/tracez\n";
-    }
-    std::string response = "HTTP/1.1 " + status + "\r\nContent-Type: " +
-                           content_type + "\r\nContent-Length: " +
-                           std::to_string(body.size()) +
-                           "\r\nConnection: close\r\n\r\n";
-    if (method != "HEAD") response += body;
+    const std::string response = http_response(conn->http_request, http_routes);
     (void)conn->channel.send_raw(
         ByteSpan(reinterpret_cast<const std::uint8_t*>(response.data()),
                  response.size()));
+    conn->http_answered = true;
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->want_close = true;
@@ -493,16 +426,18 @@ struct AttestServer::Impl {
 
   // ---- operability endpoints (all built on the loop thread) ----------------
 
-  /// /healthz: loop liveness plus per-lane verify queue depths. Serving it
-  /// at all proves the loop is turning (serve_http runs on the loop thread);
-  /// the tick-age field is for sidecar probes that read the body and alert
-  /// on staleness rather than on connect failures.
-  std::string healthz_json(std::string* status) {
+  /// /healthz: loop liveness, sessions in flight (HELLO accepted, verdict
+  /// not yet sent — never the probe's own connection) and per-lane verify
+  /// queue depths. Serving it at all proves the loop is turning (serve_http
+  /// runs on the loop thread); the tick-age field is for sidecar probes
+  /// that read the body and alert on staleness rather than on connect
+  /// failures.
+  std::string healthz_json(std::string& status) {
     const std::uint64_t now_ms = ms_since(start_time);
     const std::uint64_t tick = last_tick_ms.load(std::memory_order_relaxed);
     const std::uint64_t age_ms = now_ms > tick ? now_ms - tick : 0;
     const bool live = age_ms <= 5000;
-    if (!live) *status = "503 Service Unavailable";
+    if (!live) status = "503 Service Unavailable";
     // Draining is healthy-but-leaving: 200 so sidecars don't page, status
     // "draining" so load balancers stop routing new provers here.
     const char* state = !live ? "\"stale\""
@@ -512,7 +447,8 @@ struct AttestServer::Impl {
     std::ostringstream out;
     out << "{\"status\":" << state << ",\"loop_tick_age_ms\":" << age_ms
         << ",\"uptime_ms\":" << now_ms
-        << ",\"active_sessions\":" << active.load(std::memory_order_relaxed)
+        << ",\"active_sessions\":"
+        << sessions_active.load(std::memory_order_relaxed)
         << ",\"lane_depths\":[";
     {
       std::lock_guard<std::mutex> lock(sched_mu);
@@ -533,11 +469,9 @@ struct AttestServer::Impl {
   std::string statusz_json() {
     std::ostringstream out;
     out << "{\"uptime_ms\":" << ms_since(start_time)
-        << ",\"build\":{\"aes_tier\":"
-        << json_str(crypto::to_string(
-               crypto::Aes128::resolve(crypto::AesImpl::kAuto)))
-        << ",\"wire_version\":" << static_cast<unsigned>(kWireVersion)
-        << ",\"epoll\":" << (loop.using_epoll() ? "true" : "false")
+        << ",\"build\":{\"aes_tier\":\""
+        << crypto::to_string(crypto::Aes128::resolve(crypto::AesImpl::kAuto))
+        << "\",\"wire_version\":" << static_cast<unsigned>(kWireVersion)
         << ",\"pool\":" << lanes.size() << "}"
         << ",\"sessions\":{\"accepted\":"
         << accepted.load(std::memory_order_relaxed)
@@ -558,10 +492,9 @@ struct AttestServer::Impl {
         << "}";
     {
       std::lock_guard<std::mutex> lock(audit_mu);
-      out << ",\"audit\":{\"entries\":" << audit.size() << ",\"head\":"
-          << json_str(to_hex(ByteSpan(audit.head().data(),
-                                      audit.head().size())))
-          << "}";
+      out << ",\"audit\":{\"entries\":" << audit.size() << ",\"head\":\""
+          << to_hex(ByteSpan(audit.head().data(), audit.head().size()))
+          << "\"}";
     }
     out << ",\"slo\":{\"latency_objective_ms\":" << opts.slo_latency_ms
         << ",\"target\":" << opts.slo_target << ",\"total\":" << slo.total()
@@ -589,10 +522,10 @@ struct AttestServer::Impl {
       const char* state = conn->state == Conn::State::kSniff    ? "sniff"
                           : conn->state == Conn::State::kHttp   ? "http"
                                                                 : "running";
-      out << "{\"id\":" << conn->id << ",\"state\":" << json_str(state)
-          << ",\"device\":" << json_str(conn->hello.device_id)
-          << ",\"trace\":" << json_str(obs::to_string(conn->hello.trace))
-          << ",\"sampled\":" << (conn->hello.sampled ? "true" : "false")
+      out << "{\"id\":" << conn->id << ",\"state\":\"" << state
+          << "\",\"device\":\"" << obs::json_escape(conn->hello.device_id)
+          << "\",\"trace\":\"" << obs::to_string(conn->hello.trace)
+          << "\",\"sampled\":" << (conn->hello.sampled ? "true" : "false")
           << ",\"issued\":"
           << (conn->session.has_value() ? conn->session->issued() : 0)
           << ",\"responses_seen\":" << conn->responses_seen << ",\"idle_ms\":"
@@ -606,9 +539,9 @@ struct AttestServer::Impl {
     for (const auto& q : recent_quarantines) {
       if (!first) out << ',';
       first = false;
-      out << "{\"conn\":" << q.conn_id << ",\"device\":" << json_str(q.device)
-          << ",\"trace\":" << json_str(q.trace) << ",\"at_ms\":" << q.at_ms
-          << "}";
+      out << "{\"conn\":" << q.conn_id << ",\"device\":\""
+          << obs::json_escape(q.device) << "\",\"trace\":\"" << q.trace
+          << "\",\"at_ms\":" << q.at_ms << "}";
     }
     out << "]}\n";
     return out.str();
@@ -626,18 +559,18 @@ struct AttestServer::Impl {
     for (const auto& entry : tracez) {
       if (!first_entry) out << ',';
       first_entry = false;
-      out << "{\"device\":" << json_str(entry.device)
-          << ",\"trace\":" << json_str(obs::to_string(entry.trace))
-          << ",\"wall_ns\":" << entry.wall_ns
+      out << "{\"device\":\"" << obs::json_escape(entry.device)
+          << "\",\"trace\":\"" << obs::to_string(entry.trace)
+          << "\",\"wall_ns\":" << entry.wall_ns
           << ",\"attested\":" << (entry.attested ? "true" : "false")
           << ",\"spans\":[";
       bool first_span = true;
       for (const auto& span : entry.spans) {
         if (!first_span) out << ',';
         first_span = false;
-        out << "{\"name\":" << json_str(span.name)
-            << ",\"category\":" << json_str(span.category)
-            << ",\"start_ns\":" << span.start_ns
+        out << "{\"name\":\"" << obs::json_escape(span.name)
+            << "\",\"category\":\"" << obs::json_escape(span.category)
+            << "\",\"start_ns\":" << span.start_ns
             << ",\"duration_ns\":" << span.duration_ns
             << ",\"depth\":" << span.depth << "}";
       }
@@ -664,22 +597,16 @@ struct AttestServer::Impl {
         return false;
       }
       default:
-        (void)conn->channel.send(
-            FrameKind::kError,
-            error_frame_payload(core::FailureKind::kDecodeError,
-                                "unexpected frame kind"));
-        close_conn(conn, mid_session(conn));
+        abort_conn(conn, core::FailureKind::kDecodeError,
+                   "unexpected frame kind", mid_session(conn));
         return false;
     }
   }
 
   bool handle_hello(const std::shared_ptr<Conn>& conn, const Bytes& payload) {
     if (conn->session.has_value()) {
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kDecodeError,
-                              "duplicate HELLO"));
-      close_conn(conn, /*mid_session=*/true);
+      abort_conn(conn, core::FailureKind::kDecodeError, "duplicate HELLO",
+                 /*quarantine=*/true);
       return false;
     }
     static obs::Counter& hello_accepted =
@@ -687,15 +614,10 @@ struct AttestServer::Impl {
     static obs::Counter& hello_rejected =
         obs::MetricsRegistry::global().counter("sacha.attestd.hello_rejected");
     auto hello = HelloMsg::decode(payload);
-    if (!hello.ok() || hello.value().proto < kWireVersionMin ||
-        hello.value().proto > kWireVersion) {
+    if (!hello.ok()) {
       hello_rejected.add(1);
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kDecodeError,
-                              hello.ok() ? "unsupported protocol version"
-                                         : hello.message()));
-      close_conn(conn, /*mid_session=*/false);
+      abort_conn(conn, core::FailureKind::kDecodeError, hello.message(),
+                 /*quarantine=*/false);
       return false;
     }
     if (draining.load(std::memory_order_relaxed)) {
@@ -704,11 +626,9 @@ struct AttestServer::Impl {
       // instead of burning its retry budget here.
       hello_rejected.add(1);
       drain_refusals.fetch_add(1, std::memory_order_relaxed);
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kDeviceError,
-                              "server draining, not accepting sessions"));
-      close_conn(conn, /*mid_session=*/false);
+      abort_conn(conn, core::FailureKind::kDeviceError,
+                 "server draining, not accepting sessions",
+                 /*quarantine=*/false);
       return false;
     }
     hello_accepted.add(1);
@@ -745,10 +665,8 @@ struct AttestServer::Impl {
     if (const auto& rejected = conn->verifier->schedule_error()) {
       // The schedule cannot cross the wire: refuse it before any command,
       // with the typed failure an in-process session reports for it.
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kDecodeError, *rejected));
-      close_conn(conn, /*mid_session=*/false);
+      abort_conn(conn, core::FailureKind::kDecodeError, *rejected,
+                 /*quarantine=*/false);
       return false;
     }
     // The client's head-sampling decision arrived in the HELLO; honouring
@@ -773,20 +691,14 @@ struct AttestServer::Impl {
   bool handle_response(const std::shared_ptr<Conn>& conn,
                        const Bytes& payload) {
     if (!conn->session.has_value()) {
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kDecodeError,
-                              "RESPONSE before HELLO"));
-      close_conn(conn, /*mid_session=*/false);
+      abort_conn(conn, core::FailureKind::kDecodeError, "RESPONSE before HELLO",
+                 /*quarantine=*/false);
       return false;
     }
     auto response = parse_response_payload(payload);
     if (!response.ok()) {
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kDecodeError,
-                              response.message()));
-      close_conn(conn, /*mid_session=*/true);
+      abort_conn(conn, core::FailureKind::kDecodeError, response.message(),
+                 /*quarantine=*/true);
       return false;
     }
     ++conn->responses_seen;
@@ -818,20 +730,14 @@ struct AttestServer::Impl {
   bool handle_update_status(const std::shared_ptr<Conn>& conn,
                             const Bytes& payload) {
     if (!conn->offer_pending) {
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kDecodeError,
-                              "UPDATE_STATUS without a pending offer"));
-      close_conn(conn, mid_session(conn));
+      abort_conn(conn, core::FailureKind::kDecodeError,
+                 "UPDATE_STATUS without a pending offer", mid_session(conn));
       return false;
     }
     auto status = UpdateStatusMsg::decode(payload);
     if (!status.ok()) {
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kDecodeError,
-                              status.message()));
-      close_conn(conn, /*mid_session=*/false);
+      abort_conn(conn, core::FailureKind::kDecodeError, status.message(),
+                 /*quarantine=*/false);
       return false;
     }
     conn->offer_pending = false;
@@ -878,11 +784,8 @@ struct AttestServer::Impl {
       if (conn->last_activity < cutoff) stale.push_back(conn);
     }
     for (const auto& conn : stale) {
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kTimeoutExhausted,
-                              "session idle timeout"));
-      close_conn(conn, mid_session(conn));
+      abort_conn(conn, core::FailureKind::kTimeoutExhausted,
+                 "session idle timeout", mid_session(conn));
     }
   }
 
@@ -898,12 +801,17 @@ struct AttestServer::Impl {
     laggards.reserve(conns.size());
     for (const auto& [fd, conn] : conns) laggards.push_back(conn);
     for (const auto& conn : laggards) {
-      (void)conn->channel.send(
-          FrameKind::kError,
-          error_frame_payload(core::FailureKind::kTimeoutExhausted,
-                              "server drained before session completed"));
-      close_conn(conn, mid_session(conn));
+      abort_conn(conn, core::FailureKind::kTimeoutExhausted,
+                 "server drained before session completed", mid_session(conn));
     }
+  }
+
+  /// Typed abort: one ERROR frame, then close_conn.
+  void abort_conn(const std::shared_ptr<Conn>& conn, core::FailureKind kind,
+                  std::string detail, bool quarantine) {
+    (void)conn->channel.send(FrameKind::kError,
+                             ErrorMsg{kind, std::move(detail)}.encode());
+    close_conn(conn, quarantine);
   }
 
   /// Tears a connection down. `quarantine` marks a session the peer
@@ -1092,9 +1000,8 @@ struct AttestServer::Impl {
     msg.sampled = conn->hello.sampled;
     // A staged OTA rides on attestation health: only a device that just
     // proved its configuration gets the offer (an unattested device first
-    // needs escalation, not new firmware), and only over wire v3+.
-    const bool offer = !opts.update_offer.empty() && msg.attested() &&
-                       conn->hello.proto >= 3;
+    // needs escalation, not new firmware).
+    const bool offer = !opts.update_offer.empty() && msg.attested();
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->outbox.push_back(Frame{FrameKind::kReport, msg.encode()});
@@ -1194,7 +1101,6 @@ Status AttestServer::start() {
   if (!st.ok()) return st;
 
   port_ = impl->listener.bound_port();
-  using_epoll_ = impl->loop.using_epoll();
   impl_ = impl.release();
   impl_->loop_thread = std::thread([this] { impl_->loop_main(); });
   impl_->workers.reserve(pool);
@@ -1204,8 +1110,7 @@ Status AttestServer::start() {
   (log_info() << "attestd listening")
       .kv("host", options_.host)
       .kv("port", port_)
-      .kv("pool", pool)
-      .kv("epoll", using_epoll_);
+      .kv("pool", pool);
   return Status();
 }
 

@@ -1,7 +1,7 @@
 // attestd: the attestation service core.
 //
 // One event-loop thread owns every socket: it accepts provers off the
-// listener (epoll, poll fallback), assembles wire frames from nonblocking
+// listener (epoll), assembles wire frames from nonblocking
 // reads, issues each session's pipelined command window, and writes
 // whatever the verify workers produced. A fixed pool of verify lanes
 // absorbs the responses: each connection homes on `conn_id % lanes`,
@@ -18,15 +18,16 @@
 // after the last response was absorbed, when the loop has nothing left to
 // issue.
 //
-// A connection whose first byte is 'G' or 'H' (GET/HEAD) is an HTTP
-// request, served on the loop thread and closed: /metrics (Prometheus
-// text), /healthz (event-loop liveness + lane queue depths), /statusz
-// (per-connection state table, recent quarantines, uptime and tier info
-// as JSON), /tracez (ring of the most recent sampled cross-process
-// timelines). A prover that vanishes mid-session is quarantined —
-// counted, logged, its slot reclaimed — never a crash or a leaked
-// session. Every finished session writes one structured access-log line
-// and feeds the SLO tracker (latency objective + error-budget gauges).
+// A connection whose first byte opens an HTTP request line (net/http.hpp)
+// is served on the loop thread and closed: /metrics (Prometheus text),
+// /healthz (event-loop liveness, sessions in flight, lane queue depths),
+// /statusz (per-connection state table, recent quarantines, uptime and
+// tier info as JSON), /tracez (ring of the most recent sampled
+// cross-process timelines). A prover that vanishes mid-session is
+// quarantined — counted, logged, its slot reclaimed — never a crash or a
+// leaked session. Every finished session writes one structured access-log
+// line and feeds the SLO tracker (latency objective + error-budget
+// gauges).
 #pragma once
 
 #include <atomic>
@@ -67,8 +68,6 @@ struct AttestServerOptions {
   /// loading them, so colocated shard processes share one page-cache copy
   /// of the flat tables. No-op off Linux / under SACHA_PORTABLE.
   bool model_map = false;
-  /// Force the poll(2) fallback even where epoll exists (tested in ctest).
-  bool prefer_epoll = true;
   /// Serve HTTP (GET/HEAD /metrics /healthz /statusz /tracez) on the same
   /// port.
   bool metrics_endpoint = true;
@@ -85,8 +84,8 @@ struct AttestServerOptions {
   /// Sampled cross-process timelines retained for /tracez.
   std::size_t tracez_capacity = 32;
   /// Staged OTA offer: an update::SignedManifest::encode() blob, offered
-  /// (UPDATE_OFFER) after every PASSING session to peers that spoke wire
-  /// v3+. Empty = no update staged. Opaque here: sacha_net sits below
+  /// (UPDATE_OFFER) after every PASSING session. Empty = no update
+  /// staged. Opaque here: sacha_net sits below
   /// sacha_update, so the server ships bytes and counts answers; the
   /// receiving client verifies the signature against its own trusted root.
   Bytes update_offer{};
@@ -153,7 +152,6 @@ class AttestServer {
 
   /// Bound port (valid after start(); the ephemeral-port answer).
   std::uint16_t port() const { return port_; }
-  bool using_epoll() const { return using_epoll_; }
   AttestServerStats stats() const;
 
   /// Head digest of the server's hash-chained audit log (all-zero before
@@ -168,7 +166,6 @@ class AttestServer {
   Impl* impl_ = nullptr;
   AttestServerOptions options_;
   std::uint16_t port_ = 0;
-  bool using_epoll_ = false;
 };
 
 }  // namespace sacha::net

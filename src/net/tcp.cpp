@@ -63,30 +63,6 @@ Result<Socket> open_stream_socket(const std::string& host, std::uint16_t port,
   return Result<Socket>::error(last.message());
 }
 
-}  // namespace
-
-Socket& Socket::operator=(Socket&& other) noexcept {
-  if (this != &other) {
-    close_fd();
-    fd_ = other.fd_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
-int Socket::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
-void Socket::close_fd() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
 Status set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return errno_status("fcntl(F_GETFL)");
@@ -102,6 +78,24 @@ Status set_nodelay(int fd) {
     return errno_status("setsockopt(TCP_NODELAY)");
   }
   return Status();
+}
+
+}  // namespace
+
+Socket& Socket::operator=(Socket&& other) noexcept {
+  if (this != &other) {
+    close_fd();
+    fd_ = other.fd_;
+    other.fd_ = -1;
+  }
+  return *this;
+}
+
+void Socket::close_fd() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
 }
 
 void raise_nofile_limit(std::uint64_t want) {
@@ -170,14 +164,7 @@ Status TcpChannel::finish_connect() {
 }
 
 Status TcpChannel::send_frame(const Frame& frame) {
-  // Compact the consumed prefix before growing (mirrors FrameDecoder).
-  if (out_consumed_ > 0 && out_consumed_ >= out_.size() / 2) {
-    out_.erase(out_.begin(),
-               out_.begin() + static_cast<std::ptrdiff_t>(out_consumed_));
-    out_consumed_ = 0;
-  }
-  append(out_, encode_frame(frame));
-  return flush_some();
+  return send_raw(encode_frame(frame));
 }
 
 Status TcpChannel::send(FrameKind kind, Bytes payload) {
@@ -185,6 +172,7 @@ Status TcpChannel::send(FrameKind kind, Bytes payload) {
 }
 
 Status TcpChannel::send_raw(ByteSpan data) {
+  // Compact the consumed prefix before growing (mirrors FrameDecoder).
   if (out_consumed_ > 0 && out_consumed_ >= out_.size() / 2) {
     out_.erase(out_.begin(),
                out_.begin() + static_cast<std::ptrdiff_t>(out_consumed_));
@@ -351,35 +339,28 @@ Result<std::optional<Socket>> SocketListener::accept_one() {
 
 // -- EventLoop ---------------------------------------------------------------
 
-EventLoop::EventLoop(bool prefer_epoll) {
-  if (prefer_epoll) {
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);  // -1 on failure → poll path
-  }
-}
+EventLoop::EventLoop() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
 
 EventLoop::~EventLoop() {
   if (epfd_ >= 0) ::close(epfd_);
 }
 
 namespace {
-std::uint32_t epoll_mask(bool want_read, bool want_write) {
-  std::uint32_t ev = 0;
-  if (want_read) ev |= EPOLLIN;
-  if (want_write) ev |= EPOLLOUT;
-  return ev;
+/// epoll_ctl with the level-triggered interest mask.
+int epoll_update(int epfd, int op, int fd, bool want_read, bool want_write) {
+  struct epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  if (want_read) ev.events |= EPOLLIN;
+  if (want_write) ev.events |= EPOLLOUT;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epfd, op, fd, &ev);
 }
 }  // namespace
 
 Status EventLoop::add(int fd, bool want_read, bool want_write) {
   interest_[fd] = Interest{want_read, want_write};
-  if (epfd_ >= 0) {
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = epoll_mask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      return errno_status("epoll_ctl(ADD)");
-    }
+  if (epoll_update(epfd_, EPOLL_CTL_ADD, fd, want_read, want_write) < 0) {
+    return errno_status("epoll_ctl(ADD)");
   }
   return Status();
 }
@@ -391,69 +372,34 @@ Status EventLoop::modify(int fd, bool want_read, bool want_write) {
     return Status();
   }
   it->second = Interest{want_read, want_write};
-  if (epfd_ >= 0) {
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = epoll_mask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) < 0) {
-      return errno_status("epoll_ctl(MOD)");
-    }
+  if (epoll_update(epfd_, EPOLL_CTL_MOD, fd, want_read, want_write) < 0) {
+    return errno_status("epoll_ctl(MOD)");
   }
   return Status();
 }
 
 void EventLoop::remove(int fd) {
   if (interest_.erase(fd) == 0) return;
-  if (epfd_ >= 0) {
-    struct epoll_event ev;  // non-null for pre-2.6.9 kernels' sake
-    std::memset(&ev, 0, sizeof(ev));
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-  }
+  (void)epoll_update(epfd_, EPOLL_CTL_DEL, fd, false, false);
 }
 
 Status EventLoop::wait(std::vector<PollEvent>& events, int timeout_ms) {
   events.clear();
-  if (epfd_ >= 0) {
-    std::vector<struct epoll_event> ready(
-        interest_.empty() ? 1 : interest_.size());
-    int n;
-    do {
-      n = ::epoll_wait(epfd_, ready.data(), static_cast<int>(ready.size()),
-                       timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) return errno_status("epoll_wait");
-    events.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      PollEvent ev;
-      ev.fd = ready[i].data.fd;
-      ev.readable = (ready[i].events & EPOLLIN) != 0;
-      ev.writable = (ready[i].events & EPOLLOUT) != 0;
-      ev.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events.push_back(ev);
-    }
-    return Status();
-  }
-  std::vector<struct pollfd> pfds;
-  pfds.reserve(interest_.size());
-  for (const auto& [fd, want] : interest_) {
-    short mask = 0;
-    if (want.read) mask |= POLLIN;
-    if (want.write) mask |= POLLOUT;
-    pfds.push_back(pollfd{fd, mask, 0});
-  }
+  std::vector<struct epoll_event> ready(
+      interest_.empty() ? 1 : interest_.size());
   int n;
   do {
-    n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    n = ::epoll_wait(epfd_, ready.data(), static_cast<int>(ready.size()),
+                     timeout_ms);
   } while (n < 0 && errno == EINTR);
-  if (n < 0) return errno_status("poll");
-  for (const struct pollfd& pfd : pfds) {
-    if (pfd.revents == 0) continue;
+  if (n < 0) return errno_status("epoll_wait");
+  events.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
     PollEvent ev;
-    ev.fd = pfd.fd;
-    ev.readable = (pfd.revents & POLLIN) != 0;
-    ev.writable = (pfd.revents & POLLOUT) != 0;
-    ev.error = (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    ev.fd = ready[i].data.fd;
+    ev.readable = (ready[i].events & EPOLLIN) != 0;
+    ev.writable = (ready[i].events & EPOLLOUT) != 0;
+    ev.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     events.push_back(ev);
   }
   return Status();

@@ -10,9 +10,9 @@
 //    the server and the load generator use the nonblocking surface.
 //  - SocketListener: bound + listening socket, ephemeral-port aware
 //    (bind to port 0, read the kernel's choice back for ctest).
-//  - EventLoop: level-triggered readiness multiplexing — epoll(7) on
-//    Linux, with a poll(2) fallback selectable at runtime so the fallback
-//    path stays tested on the same host.
+//  - EventLoop: level-triggered epoll(7) readiness multiplexing. The
+//    service is Linux-only (epoll, accept4, SO_REUSEPORT, fork), so there
+//    is no second multiplexer.
 //
 // All sockets are CLOEXEC and use MSG_NOSIGNAL (a peer reset must surface
 // as an error return, never SIGPIPE, with thousands of connections).
@@ -42,16 +42,11 @@ class Socket {
 
   int fd() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
-  /// Relinquishes ownership without closing.
-  int release();
   void close_fd();
 
  private:
   int fd_ = -1;
 };
-
-Status set_nonblocking(int fd);
-Status set_nodelay(int fd);
 
 /// Raises the RLIMIT_NOFILE soft limit toward `want` (capped at the hard
 /// limit; best-effort). A 1000-connection bench needs more than the
@@ -93,15 +88,14 @@ class TcpChannel {
   /// socket accepts right now. Error = fatal socket error (peer gone).
   Status send_frame(const Frame& frame);
   Status send(FrameKind kind, Bytes payload);
-  /// Queues unframed bytes (the HTTP answer of the /metrics endpoint rides
-  /// the same partial-write machinery as the framed traffic).
+  /// Queues unframed bytes (the HTTP answers of the operability endpoints
+  /// ride the same partial-write machinery as the framed traffic).
   Status send_raw(ByteSpan data);
 
   /// Drains the outgoing buffer as far as EAGAIN allows.
   Status flush_some();
-  /// Bytes queued but not yet written — poll for writability while > 0.
-  std::size_t pending_out() const { return out_.size() - out_consumed_; }
-  bool want_write() const { return pending_out() > 0; }
+  /// Bytes are queued but not yet written — poll for writability.
+  bool want_write() const { return out_consumed_ < out_.size(); }
 
   /// Reads whatever is available into the frame decoder. Sets *closed on
   /// orderly EOF or peer reset; other socket errors return error().
@@ -109,7 +103,6 @@ class TcpChannel {
   /// Next complete frame; nullopt = need more bytes; error = stream
   /// poisoned (undecodable — tear the connection down).
   Result<std::optional<Frame>> next_frame() { return decoder_.next(); }
-  const FrameDecoder& decoder() const { return decoder_; }
 
   // Blocking conveniences for simple clients: poll + retry until the
   // frame is fully sent / a frame arrives (timeout_ms < 0 = forever).
@@ -157,22 +150,17 @@ struct PollEvent {
   bool error = false;  // EPOLLERR/EPOLLHUP (read() will surface the cause)
 };
 
-/// Level-triggered readiness multiplexer: epoll on Linux, poll fallback.
-/// `prefer_epoll = false` forces the fallback (exercised in ctest so the
-/// portable path cannot rot).
+/// Level-triggered epoll readiness multiplexer.
 class EventLoop {
  public:
-  explicit EventLoop(bool prefer_epoll = true);
+  EventLoop();
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  bool using_epoll() const { return epfd_ >= 0; }
-
   Status add(int fd, bool want_read, bool want_write);
   Status modify(int fd, bool want_read, bool want_write);
   void remove(int fd);
-  std::size_t watched() const { return interest_.size(); }
 
   /// Blocks up to timeout_ms (-1 = forever) and fills `events` with every
   /// ready descriptor.

@@ -9,7 +9,7 @@ namespace sacha::net {
 
 namespace {
 
-/// Trace-context tail shared by HELLO and REPORT (proto >= 2):
+/// Trace-context tail that ends every HELLO and REPORT:
 /// [trace.hi u64][trace.lo u64][flags u8], flags bit 0 = sampled.
 constexpr std::size_t kTraceTailBytes = 8 + 8 + 1;
 
@@ -19,11 +19,14 @@ void put_trace_tail(Bytes& out, const obs::TraceId& trace, bool sampled) {
   out.push_back(sampled ? 1 : 0);
 }
 
-void get_trace_tail(ByteSpan in, std::size_t offset, obs::TraceId& trace,
+/// Reads the tail that must fill exactly the rest of `in` after `offset`.
+bool get_trace_tail(ByteSpan in, std::size_t offset, obs::TraceId& trace,
                     bool& sampled) {
+  if (in.size() - offset != kTraceTailBytes) return false;
   trace.hi = get_u64be(in, offset);
   trace.lo = get_u64be(in, offset + 8);
   sampled = (in[offset + 16] & 1) != 0;
+  return true;
 }
 
 /// One central place for the decode-error counter so every malformed-input
@@ -66,7 +69,7 @@ Bytes encode_frame(const Frame& frame) {
   Bytes out;
   out.reserve(kFrameHeaderBytes + frame.payload.size());
   put_u16be(out, kWireMagic);
-  out.push_back(frame.version);
+  out.push_back(kWireVersion);
   out.push_back(static_cast<std::uint8_t>(frame.kind));
   put_u32be(out, static_cast<std::uint32_t>(frame.payload.size()));
   append(out, frame.payload);
@@ -108,7 +111,7 @@ Result<std::optional<Frame>> FrameDecoder::next() {
     return poison("bad frame magic");
   }
   const std::uint8_t version = in[2];
-  if (version < kWireVersionMin || version > kWireVersion) {
+  if (version != kWireVersion) {
     return poison("unsupported wire version " + std::to_string(version));
   }
   const std::uint8_t kind = in[3];
@@ -123,7 +126,6 @@ Result<std::optional<Frame>> FrameDecoder::next() {
   if (available < kFrameHeaderBytes + length) return Out(std::nullopt);
   Frame frame;
   frame.kind = static_cast<FrameKind>(kind);
-  frame.version = version;
   frame.payload.assign(in.begin() + kFrameHeaderBytes,
                        in.begin() + kFrameHeaderBytes + length);
   consumed_ += kFrameHeaderBytes + length;
@@ -134,7 +136,7 @@ Result<std::optional<Frame>> FrameDecoder::next() {
 
 Bytes HelloMsg::encode() const {
   Bytes out;
-  put_u16be(out, proto);
+  put_u16be(out, kWireVersion);
   out.push_back(static_cast<std::uint8_t>(scale));
   out.push_back(0);  // reserved
   put_u32be(out, member_index);
@@ -142,7 +144,7 @@ Bytes HelloMsg::encode() const {
   put_u64be(out, session_seed);
   put_u64be(out, std::bit_cast<std::uint64_t>(flip_probability));
   put_string(out, device_id);
-  if (proto >= 2) put_trace_tail(out, trace, sampled);
+  put_trace_tail(out, trace, sampled);
   return out;
 }
 
@@ -151,8 +153,10 @@ Result<HelloMsg> HelloMsg::decode(ByteSpan payload) {
   if (payload.size() < kFixed + 2) {
     return Result<HelloMsg>::error("truncated HELLO");
   }
+  if (get_u16be(payload, 0) != kWireVersion) {
+    return Result<HelloMsg>::error("unsupported HELLO version");
+  }
   HelloMsg msg;
-  msg.proto = get_u16be(payload, 0);
   const std::uint8_t scale = payload[2];
   if (scale > static_cast<std::uint8_t>(DeviceScale::kVirtex6)) {
     return Result<HelloMsg>::error("unknown device scale " +
@@ -170,27 +174,18 @@ Result<HelloMsg> HelloMsg::decode(ByteSpan payload) {
   auto id = get_string(payload, offset, 256, "device id");
   if (!id.ok()) return Result<HelloMsg>::error(id.message());
   msg.device_id = std::move(id).take();
-  // Version handling keys on the message's own proto field: a v1 HELLO
-  // ends at the device id; v2 requires the trace-context tail.
-  if (msg.proto >= 2) {
-    if (payload.size() - offset < kTraceTailBytes) {
-      return Result<HelloMsg>::error("truncated HELLO trace context");
-    }
-    get_trace_tail(payload, offset, msg.trace, msg.sampled);
-    offset += kTraceTailBytes;
-  }
-  if (offset != payload.size()) {
-    return Result<HelloMsg>::error("trailing bytes after HELLO");
+  if (!get_trace_tail(payload, offset, msg.trace, msg.sampled)) {
+    return Result<HelloMsg>::error("HELLO must end with its trace context");
   }
   return msg;
 }
 
 Bytes HelloAckMsg::encode() const {
   Bytes out;
-  put_u16be(out, proto);
+  put_u16be(out, kWireVersion);
   put_u32be(out, command_count);
-  // Shard redirect tail (v4): only on the wire when present, so a v1-v3
-  // peer that is never redirected sees the exact 6-byte ACK it always has.
+  // Shard redirect tail: only on the wire when present, so a plain accept
+  // is exactly 6 bytes.
   if (is_redirect()) {
     put_string(out, redirect_host);
     put_u16be(out, redirect_port);
@@ -202,11 +197,13 @@ Result<HelloAckMsg> HelloAckMsg::decode(ByteSpan payload) {
   if (payload.size() < 6) {
     return Result<HelloAckMsg>::error("bad HELLO_ACK size");
   }
+  if (get_u16be(payload, 0) != kWireVersion) {
+    return Result<HelloAckMsg>::error("unsupported HELLO_ACK version");
+  }
   HelloAckMsg msg;
-  msg.proto = get_u16be(payload, 0);
   msg.command_count = get_u32be(payload, 2);
   // Presence of the redirect tail is keyed on the remaining byte count —
-  // 0 from a plain accept, a length-prefixed host + u16 port from a v4
+  // 0 from a plain accept, a length-prefixed host + u16 port from a
   // coordinator, anything else malformed.
   if (payload.size() == 6) return msg;
   std::size_t offset = 6;
@@ -262,22 +259,13 @@ Result<ReportMsg> ReportMsg::decode(ByteSpan payload) {
   auto detail = get_string(payload, offset, 1024, "report detail");
   if (!detail.ok()) return Result<ReportMsg>::error(detail.message());
   msg.detail = std::move(detail).take();
-  // REPORT has no proto field of its own; presence of the trace-context
-  // tail is keyed on the remaining byte count — 0 from a v1 sender, the
-  // exact tail size from v2, anything else is malformed.
-  const std::size_t remaining = payload.size() - offset;
-  if (remaining == kTraceTailBytes) {
-    get_trace_tail(payload, offset, msg.trace, msg.sampled);
-    offset += kTraceTailBytes;
-  } else if (remaining != 0) {
-    return Result<ReportMsg>::error("trailing bytes after REPORT");
+  if (!get_trace_tail(payload, offset, msg.trace, msg.sampled)) {
+    return Result<ReportMsg>::error("REPORT must end with its trace context");
   }
   return msg;
 }
 
-// -- ERROR ------------------------------------------------------------------
-
-// -- UPDATE (v3) ------------------------------------------------------------
+// -- UPDATE -----------------------------------------------------------------
 
 Bytes UpdateOfferMsg::encode() const {
   Bytes out;
@@ -329,6 +317,8 @@ Result<UpdateStatusMsg> UpdateStatusMsg::decode(ByteSpan payload) {
   }
   return msg;
 }
+
+// -- ERROR ------------------------------------------------------------------
 
 Bytes ErrorMsg::encode() const {
   Bytes out;

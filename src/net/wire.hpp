@@ -6,7 +6,7 @@
 //
 //   offset  size  field
 //   0       2     magic 0x5341 ("SA")
-//   2       1     protocol version (kWireVersion)
+//   2       1     protocol version (kWireVersion, the only one spoken)
 //   3       1     frame kind (FrameKind)
 //   4       4     payload length in bytes (<= kMaxFramePayload)
 //   8       n     payload
@@ -14,16 +14,18 @@
 // The decoder is incremental and transport-agnostic: feed() takes whatever
 // byte run the socket produced (a 1-byte read, a coalesced burst of ten
 // frames, a frame cut mid-header) and next() yields complete frames in
-// order. Malformed input — bad magic, unknown version or kind, a length
-// above the bound — is a typed, unrecoverable decode error: a byte stream
-// is unframeable once desynchronised, so the connection must be dropped
-// (the session maps it to FailureKind::kDecodeError). A *truncated* stream
-// is not an error at this layer; the caller sees the missing-frame timeout
-// or the peer's close.
+// order. Malformed input — bad magic, any version but kWireVersion, an
+// unknown kind, a length above the bound — is a typed, unrecoverable
+// decode error: a byte stream is unframeable once desynchronised, so the
+// connection must be dropped (the session maps it to
+// FailureKind::kDecodeError). A *truncated* stream is not an error at this
+// layer; the caller sees the missing-frame timeout or the peer's close.
 //
 // Payload contents reuse the existing protocol codecs (Command::encode /
-// Response::encode); HELLO and REPORT add small codecs of their own here.
-// See PROTOCOL.md "Wire format (socket transport)".
+// Response::encode); HELLO, HELLO_ACK, REPORT, ERROR and the update frames
+// add small codecs of their own here. HELLO and REPORT always end with the
+// trace-context tail; HELLO_ACK carries a shard-redirect tail only when it
+// is a redirect. See PROTOCOL.md "Wire format (socket transport)".
 #pragma once
 
 #include <cstdint>
@@ -41,19 +43,9 @@
 namespace sacha::net {
 
 inline constexpr std::uint16_t kWireMagic = 0x5341;  // "SA"
-/// Version 2 added the optional trace-context tail (TraceId + sampling
-/// flag) to HELLO and REPORT. Version 3 added the OTA frames
-/// (UPDATE_OFFER / UPDATE_STATUS). Version 4 added the optional shard
-/// redirect tail to HELLO_ACK (the coordinator answers a v4 HELLO with the
-/// owning shard's address instead of running the session itself). Decoders
-/// accept every version in [kWireVersionMin, kWireVersion]: a v1 peer
-/// simply runs without cross-process trace propagation, a v2 peer is never
-/// sent an update offer (attestd checks the HELLO's proto before
-/// offering), a v1-v3 peer is never redirected — the coordinator proxies
-/// its bytes to the owning shard instead — so the added fields/frames are
-/// side channels and never feed the MAC path.
+/// The one wire version: a frame with any other header version poisons
+/// the stream. It reads 4 because three earlier layouts preceded it.
 inline constexpr std::uint8_t kWireVersion = 4;
-inline constexpr std::uint8_t kWireVersionMin = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 /// Upper bound on a frame payload. The largest legitimate frame is a
 /// batched-readback FrameData response (frames_per_readback * words_per
@@ -68,13 +60,13 @@ enum class FrameKind : std::uint8_t {
   kResponse = 4,  // prover -> verifier: optional Response::encode() packet
   kReport = 5,    // verifier -> prover: end-of-session verdict
   kError = 6,     // either direction: typed abort, connection closes
-  // v3 OTA frames. The verifier offers a staged signed manifest only after
-  // a PASSING session's REPORT; the prover answers with its gate decision.
+  // OTA frames. The verifier offers a staged signed manifest only after a
+  // PASSING session's REPORT; the prover answers with its gate decision.
   kUpdateOffer = 7,   // verifier -> prover: signed manifest, opaque bytes
   kUpdateStatus = 8,  // prover -> verifier: accept/reject + gate state
 };
 
-/// True when `kind` is a value this protocol version defines.
+/// True when `kind` is a value the protocol defines.
 constexpr bool frame_kind_valid(std::uint8_t kind) {
   return kind >= static_cast<std::uint8_t>(FrameKind::kHello) &&
          kind <= static_cast<std::uint8_t>(FrameKind::kUpdateStatus);
@@ -83,9 +75,6 @@ constexpr bool frame_kind_valid(std::uint8_t kind) {
 struct Frame {
   FrameKind kind = FrameKind::kError;
   Bytes payload;
-  /// Header version this frame was (or will be) framed with. The decoder
-  /// fills it from the stream; encoders default to the current version.
-  std::uint8_t version = kWireVersion;
 
   bool operator==(const Frame&) const = default;
 };
@@ -142,17 +131,19 @@ constexpr const char* to_string(DeviceScale scale) {
 /// deterministic inputs both sides need for a bit-identical protocol run
 /// (provisioning seed, session seed for the register-churn RNG, churn
 /// probability). The verifier rejects scales its registry does not serve.
+/// On the wire the body opens with a u16 copy of kWireVersion, which the
+/// decoder checks.
 struct HelloMsg {
-  std::uint16_t proto = kWireVersion;
   DeviceScale scale = DeviceScale::kSmall;
   std::uint32_t member_index = 0;  // registry slot: provisioning seed offset
   std::uint64_t base_seed = 0;     // fleet provisioning seed
   std::uint64_t session_seed = 0;  // per-session seed (churn RNG derivation)
   double flip_probability = 0.25;  // register churn at the phase boundary
   std::string device_id;
-  /// Trace context (proto >= 2): the client-minted 128-bit timeline key and
-  /// its deterministic head-sampling decision, propagated so both processes
-  /// record spans under one id. {0,0} / false when absent or from a v1 peer.
+  /// Trace context: the client-minted 128-bit timeline key and its
+  /// deterministic head-sampling decision, propagated so both processes
+  /// record spans under one id. {0,0} / false when the client traces
+  /// nothing.
   obs::TraceId trace{};
   bool sampled = false;
 
@@ -161,14 +152,14 @@ struct HelloMsg {
   bool operator==(const HelloMsg&) const = default;
 };
 
+/// The verifier's answer to a HELLO. Like HELLO, the body opens with a
+/// u16 copy of kWireVersion.
 struct HelloAckMsg {
-  std::uint16_t proto = kWireVersion;
   std::uint32_t command_count = 0;  // schedule length, for client progress
-  /// Shard redirect tail (v4): non-empty `redirect_host` tells the client
-  /// this endpoint is a coordinator and its session is owned by the shard
-  /// at host:port — reconnect there and resend the HELLO. Absent on the
-  /// wire (and ignored by v1-v3 decoders, which are never sent it) when
-  /// the host is empty: the ACK then means "session accepted here".
+  /// Shard redirect tail: non-empty `redirect_host` tells the client this
+  /// endpoint is a coordinator and its session is owned by the shard at
+  /// host:port — reconnect there and resend the HELLO. Absent on the wire
+  /// when the host is empty: the ACK then means "session accepted here".
   std::string redirect_host;
   std::uint16_t redirect_port = 0;
 
@@ -194,8 +185,8 @@ struct ReportMsg {
   std::uint64_t commands = 0;
   std::uint64_t wall_ns = 0;  // server-side session wall-clock
   std::string detail;
-  /// Trace context echoed back from the HELLO (v2 tail; absent from v1
-  /// peers). Lets the client assert both sides agreed on the timeline key.
+  /// Trace context echoed back from the HELLO. Lets the client assert both
+  /// sides agreed on the timeline key.
   obs::TraceId trace{};
   bool sampled = false;
 
@@ -206,7 +197,7 @@ struct ReportMsg {
   bool operator==(const ReportMsg&) const = default;
 };
 
-// -- UPDATE (v3) ------------------------------------------------------------
+// -- UPDATE -----------------------------------------------------------------
 
 /// A staged signed update, offered after a passing session. The manifest
 /// bytes are an update::SignedManifest::encode() blob — opaque at this

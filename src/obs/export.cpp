@@ -8,8 +8,6 @@
 
 namespace sacha::obs {
 
-namespace {
-
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -20,8 +18,6 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string prometheus_name(std::string_view name) {
   std::string out;

@@ -41,6 +41,9 @@ std::string prometheus_name(std::string_view name);
 /// Escapes a label value per the text exposition format (backslash,
 /// double-quote, newline).
 std::string prometheus_label_escape(std::string_view value);
+/// Escapes the inside of a JSON string literal: backslash and double-quote
+/// get a backslash, control characters are dropped.
+std::string json_escape(std::string_view s);
 
 /// Writes `content` to `path`; false on I/O error.
 bool write_text_file(const std::string& path, const std::string& content);

@@ -21,6 +21,7 @@
 #include "common/log.hpp"
 #include "crypto/merkle.hpp"
 #include "net/attest_server.hpp"
+#include "net/http.hpp"
 #include "net/tcp.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -101,16 +102,6 @@ bool parse_digest_hex(const std::string& hex, crypto::Sha256Digest* out) {
   return true;
 }
 
-std::string json_str(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
 /// Shard child body: a full attestd on an ephemeral port, reporting the
 /// bound port over `port_fd`, parked on `life_fd` until the coordinator
 /// closes its end (or dies — EOF either way), then a clean exit. Runs in
@@ -126,7 +117,6 @@ std::string json_str(std::string_view s) {
   shard_opts.session_timeout_ms = opts.session_timeout_ms;
   shard_opts.model_cache_dir = opts.model_cache_dir;
   shard_opts.model_map = opts.model_map;
-  shard_opts.prefer_epoll = opts.prefer_epoll;
   net::AttestServer server(shard_opts);
   const Status started = server.start();
   std::uint16_t port = started.ok() ? server.port() : 0;
@@ -150,7 +140,7 @@ std::string json_str(std::string_view s) {
 
 struct ShardCoordinator::Impl {
   explicit Impl(const CoordinatorOptions& opts)
-      : opts(opts), ring(opts.vnodes), loop(opts.prefer_epoll) {}
+      : opts(opts), ring(opts.vnodes) {}
 
   CoordinatorOptions opts;
 
@@ -184,31 +174,38 @@ struct ShardCoordinator::Impl {
 
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> redirects{0};
-  std::atomic<std::uint64_t> proxied{0};
   std::atomic<std::uint64_t> http_requests{0};
   std::atomic<std::uint64_t> shards_lost{0};
   std::atomic<std::uint64_t> active{0};
 
   // ---- front-door loop -----------------------------------------------------
   //
-  // Raw-fd connection handling: the coordinator never decodes past the
-  // first frame, so it buffers bytes itself instead of running a
-  // FrameDecoder per connection. States: sniffing the first bytes (HTTP
-  // verb vs wire magic), serving one HTTP request, or pumping a proxy leg.
+  // Every connection gets exactly one reply: an HTTP response, a redirect
+  // HELLO_ACK naming the owning shard, or a typed ERROR. It then closes
+  // once that reply is flushed, so the coordinator never carries session
+  // traffic.
 
   struct Conn {
-    int fd = -1;
-    enum class State { kSniff, kHttp, kProxyConnecting, kProxy } state =
-        State::kSniff;
-    Bytes in;                     // sniffed bytes (replayed upstream)
-    Bytes out;                    // pending writes to this fd
-    std::size_t out_off = 0;
-    int peer_fd = -1;             // the other leg of a proxy pair
-    bool close_when_flushed = false;
-    Clock::time_point last_activity = Clock::now();
+    net::TcpChannel channel;
+    enum class State { kSniff, kWire, kHttp } state = State::kSniff;
+    std::string http_request;  // bytes accumulated in HTTP mode
+    bool replied = false;      // reply queued: close once it is flushed
   };
 
   std::unordered_map<int, Conn> conns;  // loop-thread only
+
+  /// The front door's HTTP paths, in the order the 404 body lists them.
+  const std::vector<net::HttpRoute> http_routes = {
+      {"/metrics", "text/plain; version=0.0.4",
+       [this](std::string&) {
+         std::lock_guard<std::mutex> lock(mu);
+         return obs::prometheus_text(merged);
+       }},
+      {"/healthz", "application/json",
+       [this](std::string& status) { return healthz_json(status); }},
+      {"/statusz", "application/json",
+       [this](std::string&) { return statusz_json(); }},
+  };
 
   void loop_main() {
     std::vector<net::PollEvent> events;
@@ -222,16 +219,14 @@ struct ShardCoordinator::Impl {
         }
         auto it = conns.find(ev.fd);
         if (it == conns.end()) continue;
-        if (ev.writable || ev.error) on_writable(ev.fd);
-        if ((ev.readable || ev.error) && conns.count(ev.fd) != 0) {
-          on_readable(ev.fd);
+        if (ev.writable || ev.error) on_writable(ev.fd, it->second);
+        it = conns.find(ev.fd);
+        if ((ev.readable || ev.error) && it != conns.end()) {
+          on_readable(ev.fd, it->second);
         }
       }
     }
-    for (auto& [fd, conn] : conns) {
-      loop.remove(fd);
-      ::close(fd);
-    }
+    for (auto& [fd, conn] : conns) loop.remove(fd);
     conns.clear();
     active.store(0, std::memory_order_relaxed);
   }
@@ -240,12 +235,9 @@ struct ShardCoordinator::Impl {
     for (;;) {
       auto accepted_sock = listener.accept_one();
       if (!accepted_sock.ok() || !accepted_sock.value().has_value()) return;
-      net::Socket sock = std::move(*accepted_sock.value());
-      const int fd = sock.release();
-      (void)net::set_nonblocking(fd);
-      (void)net::set_nodelay(fd);
       Conn conn;
-      conn.fd = fd;
+      conn.channel = net::TcpChannel(*std::move(accepted_sock).take());
+      const int fd = conn.channel.fd();
       conns.emplace(fd, std::move(conn));
       (void)loop.add(fd, /*want_read=*/true, /*want_write=*/false);
       accepted.fetch_add(1, std::memory_order_relaxed);
@@ -254,193 +246,77 @@ struct ShardCoordinator::Impl {
   }
 
   void close_conn(int fd) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    const int peer = it->second.peer_fd;
     loop.remove(fd);
-    ::close(fd);
-    conns.erase(it);
-    if (peer >= 0) {
-      auto pit = conns.find(peer);
-      if (pit != conns.end()) {
-        // Let the other leg flush what it already holds, then close.
-        pit->second.peer_fd = -1;
-        if (pit->second.out_off >= pit->second.out.size()) {
-          loop.remove(peer);
-          ::close(peer);
-          conns.erase(pit);
-        } else {
-          pit->second.close_when_flushed = true;
-          update_interest(peer);
-        }
-      }
-    }
+    conns.erase(fd);  // the channel closes the socket
     active.store(conns.size(), std::memory_order_relaxed);
   }
 
-  void update_interest(int fd) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    const Conn& conn = it->second;
-    const bool want_write = conn.out_off < conn.out.size() ||
-                            conn.state == Conn::State::kProxyConnecting;
-    const bool want_read = conn.state != Conn::State::kProxyConnecting &&
-                           !conn.close_when_flushed;
-    (void)loop.modify(fd, want_read, want_write);
+  /// Reads until the reply is queued, writes while it is pending.
+  void update_interest(int fd, const Conn& conn) {
+    (void)loop.modify(fd, !conn.replied, conn.channel.want_write());
   }
 
-  void queue_bytes(int fd, const std::uint8_t* data, std::size_t size) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    it->second.out.insert(it->second.out.end(), data, data + size);
-    flush_conn(fd);
-  }
-
-  void flush_conn(int fd) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    Conn& conn = it->second;
-    while (conn.out_off < conn.out.size()) {
-      const ssize_t n =
-          ::send(fd, conn.out.data() + conn.out_off,
-                 conn.out.size() - conn.out_off, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn.out_off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+  void on_writable(int fd, Conn& conn) {
+    if (!conn.channel.flush_some().ok() ||
+        (conn.replied && !conn.channel.want_write())) {
       close_conn(fd);
       return;
     }
-    if (conn.out_off >= conn.out.size()) {
-      conn.out.clear();
-      conn.out_off = 0;
-      if (conn.close_when_flushed) {
-        close_conn(fd);
-        return;
-      }
-    }
-    update_interest(fd);
+    update_interest(fd, conn);
   }
 
-  void on_writable(int fd) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    if (it->second.state == Conn::State::kProxyConnecting) {
-      int err = 0;
-      socklen_t len = sizeof(err);
-      if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
-          err != 0) {
-        close_conn(fd);  // tears the client leg down too
-        return;
-      }
-      it->second.state = Conn::State::kProxy;
-      update_interest(fd);
-    }
-    flush_conn(fd);
-  }
-
-  void on_readable(int fd) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    Conn& conn = it->second;
-    std::uint8_t buf[16384];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        conn.last_activity = Clock::now();
-        if (!ingest(fd, buf, static_cast<std::size_t>(n))) return;
-        if (conns.count(fd) == 0) return;
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      close_conn(fd);  // EOF or hard error
-      return;
-    }
-  }
-
-  /// Routes freshly read bytes by connection state. Returns false when the
-  /// connection was torn down.
-  bool ingest(int fd, const std::uint8_t* data, std::size_t size) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return false;
-    Conn& conn = it->second;
-    switch (conn.state) {
-      case Conn::State::kProxy:
-      case Conn::State::kProxyConnecting: {
-        if (conn.peer_fd < 0) {
-          close_conn(fd);
-          return false;
-        }
-        queue_bytes(conn.peer_fd, data, size);
-        return conns.count(fd) != 0;
-      }
-      case Conn::State::kHttp:
-      case Conn::State::kSniff:
-        conn.in.insert(conn.in.end(), data, data + size);
-        return sniff(fd);
-    }
-    return true;
-  }
-
-  bool sniff(int fd) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return false;
-    Conn& conn = it->second;
-    if (conn.in.empty()) return true;
+  void on_readable(int fd, Conn& conn) {
     if (conn.state == Conn::State::kSniff) {
-      if (conn.in[0] == 'G' || conn.in[0] == 'H') {
-        conn.state = Conn::State::kHttp;
-      }
+      const net::PortTraffic traffic = net::sniff_traffic(fd);
+      if (traffic == net::PortTraffic::kPending) return;
+      conn.state = traffic == net::PortTraffic::kHttp ? Conn::State::kHttp
+                                                      : Conn::State::kWire;
     }
     if (conn.state == Conn::State::kHttp) {
-      const std::string request(reinterpret_cast<const char*>(conn.in.data()),
-                                conn.in.size());
-      if (request.find("\r\n\r\n") == std::string::npos) {
-        if (conn.in.size() > 16384) {
-          close_conn(fd);
-          return false;
-        }
-        return true;
-      }
-      serve_http(fd, request);
-      return conns.count(fd) != 0;
+      const net::HttpRead read = net::read_http_request(fd, conn.http_request);
+      if (read == net::HttpRead::kDrop) close_conn(fd);
+      if (read != net::HttpRead::kComplete) return;
+      http_requests.fetch_add(1, std::memory_order_relaxed);
+      const std::string response =
+          net::http_response(conn.http_request, http_routes);
+      (void)conn.channel.send_raw(
+          ByteSpan(reinterpret_cast<const std::uint8_t*>(response.data()),
+                   response.size()));
+      reply_queued(fd, conn);
+      return;
     }
-    // Wire mode: wait for the complete first frame, decode the HELLO.
-    if (conn.in.size() < net::kFrameHeaderBytes) return true;
-    const ByteSpan head(conn.in.data(), conn.in.size());
-    if (get_u16be(head, 0) != net::kWireMagic) {
+    bool closed = false;
+    if (!conn.channel.read_some(&closed).ok()) {
       close_conn(fd);
-      return false;
+      return;
     }
-    const std::uint8_t version = conn.in[2];
-    const std::uint8_t kind = conn.in[3];
-    const std::uint32_t length = get_u32be(head, 4);
-    if (version < net::kWireVersionMin || version > net::kWireVersion ||
-        kind != static_cast<std::uint8_t>(net::FrameKind::kHello) ||
-        length > net::kMaxFramePayload) {
-      send_error_and_close(fd, core::FailureKind::kDecodeError,
-                           "coordinator expects a HELLO frame first");
-      return false;
+    auto frame = conn.channel.next_frame();
+    if (!frame.ok()) {
+      send_error(fd, conn, core::FailureKind::kDecodeError, frame.message());
+    } else if (frame.value().has_value()) {
+      route(fd, conn, *frame.value());
+    } else if (closed) {
+      close_conn(fd);
     }
-    if (conn.in.size() < net::kFrameHeaderBytes + length) return true;
-    auto hello = net::HelloMsg::decode(
-        ByteSpan(conn.in.data() + net::kFrameHeaderBytes, length));
-    if (!hello.ok()) {
-      send_error_and_close(fd, core::FailureKind::kDecodeError,
-                           hello.message());
-      return false;
-    }
-    return route(fd, hello.value());
   }
 
-  /// First frame decoded: answer a v4 peer with a redirect to the owning
-  /// shard, splice a v1-v3 peer through a proxy pair.
-  bool route(int fd, const net::HelloMsg& hello) {
+  /// The first frame must be a HELLO: answer it with a redirect to the
+  /// shard that owns its device.
+  void route(int fd, Conn& conn, const net::Frame& frame) {
+    if (frame.kind != net::FrameKind::kHello) {
+      send_error(fd, conn, core::FailureKind::kDecodeError,
+                 "coordinator expects a HELLO frame first");
+      return;
+    }
+    auto hello = net::HelloMsg::decode(frame.payload);
+    if (!hello.ok()) {
+      send_error(fd, conn, core::FailureKind::kDecodeError, hello.message());
+      return;
+    }
     std::uint16_t shard_port = 0;
     {
       std::lock_guard<std::mutex> lock(mu);
-      const std::string& node = ring.owner(hello.device_id);
+      const std::string& node = ring.owner(hello.value().device_id);
       if (!node.empty()) {
         for (const Shard& shard : shards) {
           if (shard.info.alive &&
@@ -452,133 +328,51 @@ struct ShardCoordinator::Impl {
       }
     }
     if (shard_port == 0) {
-      send_error_and_close(fd, core::FailureKind::kDeviceError,
-                           "no shard available for device");
-      return false;
+      send_error(fd, conn, core::FailureKind::kDeviceError,
+                 "no shard available for device");
+      return;
     }
-    if (hello.proto >= 4) {
-      net::HelloAckMsg ack;
-      ack.command_count = 0;  // the owning shard states the real schedule
-      ack.redirect_host = opts.host;
-      ack.redirect_port = shard_port;
-      const Bytes frame = net::encode_frame(
-          net::Frame{net::FrameKind::kHelloAck, ack.encode()});
-      redirects.fetch_add(1, std::memory_order_relaxed);
-      auto it = conns.find(fd);
-      if (it == conns.end()) return false;
-      it->second.close_when_flushed = true;
-      queue_bytes(fd, frame.data(), frame.size());
-      return conns.count(fd) != 0;
-    }
-    // Legacy peer: open the upstream leg and replay everything buffered so
-    // far (the HELLO frame plus any pipelined bytes behind it).
-    const int up = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (up < 0) {
-      send_error_and_close(fd, core::FailureKind::kDeviceError,
-                           "proxy socket failed");
-      return false;
-    }
-    (void)net::set_nonblocking(up);
-    (void)net::set_nodelay(up);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(shard_port);
-    if (::inet_pton(AF_INET, opts.host.c_str(), &addr.sin_addr) != 1) {
-      ::close(up);
-      send_error_and_close(fd, core::FailureKind::kDeviceError,
-                           "proxy address invalid");
-      return false;
-    }
-    const int rc = ::connect(up, reinterpret_cast<sockaddr*>(&addr),
-                             sizeof(addr));
-    if (rc != 0 && errno != EINPROGRESS) {
-      ::close(up);
-      send_error_and_close(fd, core::FailureKind::kDeviceError,
-                           "proxy connect failed");
-      return false;
-    }
-    auto it = conns.find(fd);
-    if (it == conns.end()) {
-      ::close(up);
-      return false;
-    }
-    Conn upstream;
-    upstream.fd = up;
-    upstream.state = rc == 0 ? Conn::State::kProxy
-                             : Conn::State::kProxyConnecting;
-    upstream.peer_fd = fd;
-    upstream.out = std::move(it->second.in);
-    it->second.in.clear();
-    it->second.state = Conn::State::kProxy;
-    it->second.peer_fd = up;
-    conns.emplace(up, std::move(upstream));
-    (void)loop.add(up, /*want_read=*/rc == 0, /*want_write=*/true);
-    proxied.fetch_add(1, std::memory_order_relaxed);
-    active.store(conns.size(), std::memory_order_relaxed);
-    if (rc == 0) flush_conn(up);
-    return conns.count(fd) != 0;
+    net::HelloAckMsg ack;
+    ack.command_count = 0;  // the owning shard states the real schedule
+    ack.redirect_host = opts.host;
+    ack.redirect_port = shard_port;
+    redirects.fetch_add(1, std::memory_order_relaxed);
+    (void)conn.channel.send(net::FrameKind::kHelloAck, ack.encode());
+    reply_queued(fd, conn);
   }
 
-  void send_error_and_close(int fd, core::FailureKind kind,
-                            std::string detail) {
+  void send_error(int fd, Conn& conn, core::FailureKind kind,
+                  std::string detail) {
     net::ErrorMsg msg;
     msg.failure = kind;
     msg.detail = std::move(detail);
-    const Bytes frame =
-        net::encode_frame(net::Frame{net::FrameKind::kError, msg.encode()});
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    it->second.close_when_flushed = true;
-    queue_bytes(fd, frame.data(), frame.size());
+    (void)conn.channel.send(net::FrameKind::kError, msg.encode());
+    reply_queued(fd, conn);
+  }
+
+  /// The connection's one reply is queued: close now if it went out in
+  /// full, else once on_writable has flushed it.
+  void reply_queued(int fd, Conn& conn) {
+    conn.replied = true;
+    if (!conn.channel.want_write()) {
+      close_conn(fd);
+    } else {
+      update_interest(fd, conn);
+    }
   }
 
   // ---- HTTP (front-door operability) ---------------------------------------
 
-  void serve_http(int fd, const std::string& request) {
-    http_requests.fetch_add(1, std::memory_order_relaxed);
-    std::istringstream request_line(
-        request.substr(0, request.find("\r\n")));
-    std::string method, target;
-    request_line >> method >> target;
-    const std::string path = target.substr(0, target.find('?'));
-    std::string status = "200 OK";
-    std::string content_type = "text/plain; charset=utf-8";
-    std::string body;
-    if (method != "GET" && method != "HEAD") {
-      status = "405 Method Not Allowed";
-      body = "only GET and HEAD are served\n";
-    } else if (path == "/metrics") {
-      content_type = "text/plain; version=0.0.4";
+  std::string healthz_json(std::string& status) {
+    std::size_t alive = 0;
+    {
       std::lock_guard<std::mutex> lock(mu);
-      body = obs::prometheus_text(merged);
-    } else if (path == "/statusz") {
-      content_type = "application/json";
-      body = statusz_json();
-    } else if (path == "/healthz") {
-      content_type = "application/json";
-      std::size_t alive = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        for (const Shard& shard : shards) alive += shard.info.alive ? 1 : 0;
-      }
-      if (alive == 0) status = "503 Service Unavailable";
-      body = std::string("{\"status\":") +
-             (alive != 0 ? "\"ok\"" : "\"no-shards\"") +
-             ",\"shards_alive\":" + std::to_string(alive) + "}\n";
-    } else {
-      status = "404 Not Found";
-      body = "not found: served paths are /metrics /healthz /statusz\n";
+      for (const Shard& shard : shards) alive += shard.info.alive ? 1 : 0;
     }
-    std::string response = "HTTP/1.1 " + status + "\r\nContent-Type: " +
-                           content_type + "\r\nContent-Length: " +
-                           std::to_string(body.size()) +
-                           "\r\nConnection: close\r\n\r\n";
-    if (method != "HEAD") response += body;
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    it->second.close_when_flushed = true;
-    queue_bytes(fd, reinterpret_cast<const std::uint8_t*>(response.data()),
-                response.size());
+    if (alive == 0) status = "503 Service Unavailable";
+    return std::string("{\"status\":") +
+           (alive != 0 ? "\"ok\"" : "\"no-shards\"") +
+           ",\"shards_alive\":" + std::to_string(alive) + "}\n";
   }
 
   std::string statusz_json() {
@@ -591,7 +385,6 @@ struct ShardCoordinator::Impl {
         << ",\"routing\":{\"accepted\":"
         << accepted.load(std::memory_order_relaxed)
         << ",\"redirects\":" << redirects.load(std::memory_order_relaxed)
-        << ",\"proxied\":" << proxied.load(std::memory_order_relaxed)
         << ",\"http_requests\":"
         << http_requests.load(std::memory_order_relaxed)
         << ",\"shards_lost\":" << shards_lost.load(std::memory_order_relaxed)
@@ -602,7 +395,7 @@ struct ShardCoordinator::Impl {
     for (const std::string& node : ring.nodes()) {
       if (!first) out << ',';
       first = false;
-      out << json_str(node);
+      out << '"' << obs::json_escape(node) << '"';
     }
     out << "]},\"shards\":[";
     first = true;
@@ -616,15 +409,15 @@ struct ShardCoordinator::Impl {
           << ",\"sessions_completed\":" << shard.info.sessions_completed
           << ",\"sessions_attested\":" << shard.info.sessions_attested
           << ",\"audit_entries\":" << shard.info.audit_entries
-          << ",\"audit_head\":"
-          << json_str(to_hex(ByteSpan(shard.info.audit_head.data(),
-                                      shard.info.audit_head.size())))
-          << "}";
+          << ",\"audit_head\":\""
+          << to_hex(ByteSpan(shard.info.audit_head.data(),
+                             shard.info.audit_head.size()))
+          << "\"}";
     }
-    out << "],\"fleet\":{\"merkle_root\":"
-        << json_str(to_hex(ByteSpan(current_rollup.root.data(),
-                                    current_rollup.root.size())))
-        << ",\"shards_covered\":" << current_rollup.shards_covered
+    out << "],\"fleet\":{\"merkle_root\":\""
+        << to_hex(ByteSpan(current_rollup.root.data(),
+                           current_rollup.root.size()))
+        << "\",\"shards_covered\":" << current_rollup.shards_covered
         << ",\"audit_entries\":" << current_rollup.audit_entries << "}}\n";
     return out.str();
   }
@@ -784,8 +577,6 @@ struct ShardCoordinator::Impl {
         {"sacha.coord.accepted", accepted.load(std::memory_order_relaxed)});
     next.counters.push_back(
         {"sacha.coord.redirects", redirects.load(std::memory_order_relaxed)});
-    next.counters.push_back(
-        {"sacha.coord.proxied", proxied.load(std::memory_order_relaxed)});
     next.counters.push_back(
         {"sacha.coord.shards_lost",
          shards_lost.load(std::memory_order_relaxed)});
@@ -973,7 +764,6 @@ CoordinatorStats ShardCoordinator::stats() const {
   if (impl_ == nullptr) return out;
   out.accepted = impl_->accepted.load(std::memory_order_relaxed);
   out.redirects = impl_->redirects.load(std::memory_order_relaxed);
-  out.proxied = impl_->proxied.load(std::memory_order_relaxed);
   out.http_requests = impl_->http_requests.load(std::memory_order_relaxed);
   out.shards_lost = impl_->shards_lost.load(std::memory_order_relaxed);
   out.active = impl_->active.load(std::memory_order_relaxed);

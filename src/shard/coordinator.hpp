@@ -7,12 +7,12 @@
 //
 //  - Routing. Device ids are consistent-hashed (HashRing, virtual nodes)
 //    onto N forked shard processes, each a full AttestServer on its own
-//    ephemeral port. A v4 prover gets a redirect HELLO_ACK naming its
-//    owning shard and reconnects there (one extra round-trip at session
-//    start, then zero coordinator involvement); a v1-v3 prover is proxied
-//    — the coordinator forwards its buffered HELLO bytes upstream and
-//    pumps bytes both ways for the session's lifetime, so old peers keep
-//    working unchanged.
+//    ephemeral port. Every HELLO is answered with a redirect HELLO_ACK
+//    naming the owning shard; the prover reconnects there (one extra
+//    round-trip at session start, then zero coordinator involvement). A
+//    front-door connection gets exactly one reply — that redirect, a typed
+//    ERROR, or an HTTP response — and closes, so the coordinator never
+//    carries session traffic.
 //  - Repair. A control thread reaps dead shard children (waitpid) and
 //    probes /statusz liveness; a shard that dies or stops answering is
 //    removed from the ring — consistent hashing moves only its ~1/N of
@@ -65,7 +65,6 @@ struct CoordinatorOptions {
   /// flat tables exist once in page cache instead of once per process.
   std::string model_cache_dir;
   bool model_map = true;
-  bool prefer_epoll = true;
   /// Control-thread cadence: child reaping, /statusz health probes,
   /// metric scrapes, fleet-root refresh.
   std::uint64_t health_interval_ms = 200;
@@ -94,14 +93,13 @@ struct ShardInfo {
 struct CoordinatorStats {
   /// Connections accepted on the front door.
   std::uint64_t accepted = 0;
-  /// v4 HELLOs answered with a shard redirect.
+  /// HELLOs answered with a shard redirect.
   std::uint64_t redirects = 0;
-  /// v1-v3 HELLOs proxied to their owning shard.
-  std::uint64_t proxied = 0;
   std::uint64_t http_requests = 0;
   /// Shards removed from the ring (child exit or probe failure).
   std::uint64_t shards_lost = 0;
-  /// Front-door connections open right now (sniffing / HTTP / proxy legs).
+  /// Front-door connections open right now (not yet answered, or flushing
+  /// their one reply).
   std::uint64_t active = 0;
 };
 

@@ -1,8 +1,9 @@
 // Attestation-service tests: loopback smoke, verdict + MAC bit-identity
 // against the in-process SwarmSchedule::kMultiplexed oracle, the
-// quarantine path for abrupt disconnects, the Prometheus endpoint, the
-// poll(2) fallback, the OTA offer handshake (signed manifests offered
-// after passing sessions only), and graceful drain.
+// quarantine path for abrupt disconnects, the Prometheus and operability
+// endpoints (with the HTTP hygiene table shared with the shard
+// coordinator), the OTA offer handshake (signed manifests offered after
+// passing sessions only), and graceful drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,10 +35,13 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "update/manifest.hpp"
+#include "http_hygiene.hpp"
 
 using namespace sacha;
 
 namespace {
+
+using testing_http::http_get;
 
 /// The in-process oracle: the same fleet attested by the multiplexed
 /// engine, no sockets. The service must match this run verdict-for-verdict
@@ -72,39 +76,6 @@ core::SwarmReport oracle_run(const net::FleetSpec& spec, std::size_t members,
   options.schedule = core::SwarmSchedule::kMultiplexed;
   options.retry_budget = 0;
   return core::attest_swarm(swarm, options);
-}
-
-/// One blocking HTTP exchange against the server's port: sends `request`
-/// verbatim, reads to EOF (the server closes after each response).
-std::string http_exchange(std::uint16_t port, const std::string& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return {};
-  }
-  std::string reply;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    reply.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return reply;
-}
-
-std::string http_get(std::uint16_t port, const std::string& path) {
-  return http_exchange(port, "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n");
 }
 
 net::LoadOptions loopback_load(const net::AttestServer& server,
@@ -474,25 +445,25 @@ TEST(NetService, OperabilityEndpointsServeJson) {
 TEST(NetService, HttpHygieneNotFoundHeadAndBadMethod) {
   net::AttestServer server;
   ASSERT_TRUE(server.start().ok());
+  testing_http::expect_http_hygiene(server.port(),
+                                    "/metrics /healthz /statusz /tracez");
+  server.stop();
+}
 
-  const std::string missing = http_get(server.port(), "/nope");
-  EXPECT_NE(missing.find("HTTP/1.1 404 Not Found"), std::string::npos);
-  EXPECT_NE(missing.find("served paths are /metrics /healthz /statusz"),
-            std::string::npos);
+TEST(NetService, IdleServerHealthzCountsNoSessions) {
+  net::AttestServer server;
+  ASSERT_TRUE(server.start().ok());
+  // The probe's own connection is not a session: an idle server reads 0,
+  // the same count /statusz and the stats give.
+  const std::string idle = http_get(server.port(), "/healthz");
+  EXPECT_NE(idle.find("\"active_sessions\":0,"), std::string::npos) << idle;
+  EXPECT_EQ(server.stats().sessions_active, 0u);
 
-  // HEAD gets the same status line and headers, no body.
-  const std::string head = http_exchange(
-      server.port(), "HEAD /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-  EXPECT_NE(head.find("200 OK"), std::string::npos);
-  EXPECT_NE(head.find("text/plain; version=0.0.4"), std::string::npos);
-  const auto header_end = head.find("\r\n\r\n");
-  ASSERT_NE(header_end, std::string::npos);
-  EXPECT_EQ(head.size(), header_end + 4) << "HEAD reply must omit the body";
-
-  // Unknown method ("G..." so the sniffer still routes it to HTTP): 405.
-  const std::string bad_method = http_exchange(
-      server.port(), "GRAB /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-  EXPECT_NE(bad_method.find("405 Method Not Allowed"), std::string::npos);
+  net::FleetSpec spec;
+  ASSERT_TRUE(net::run_load(loopback_load(server, spec, 2)).all_completed());
+  const std::string after = http_get(server.port(), "/healthz");
+  EXPECT_NE(after.find("\"active_sessions\":0,"), std::string::npos)
+      << after;
   server.stop();
 }
 
@@ -534,22 +505,6 @@ TEST(NetService, ConcurrentScrapesDuringFleetLoad) {
   EXPECT_EQ(result.attested, 14u) << "scrapes must not disturb verdicts";
   EXPECT_EQ(good, scrapes) << "every mid-load scrape must succeed";
   EXPECT_NE(after.find("sacha_attestd_hello_accepted 16"), std::string::npos);
-}
-
-TEST(NetService, PollFallbackServesSessions) {
-  net::AttestServerOptions options;
-  options.prefer_epoll = false;
-  net::AttestServer server(options);
-  ASSERT_TRUE(server.start().ok());
-  EXPECT_FALSE(server.using_epoll());
-
-  net::FleetSpec spec;
-  net::LoadOptions load = loopback_load(server, spec, 4);
-  load.prefer_epoll = false;  // both sides on the poll(2) path
-  const net::LoadResult result = net::run_load(load);
-  server.stop();
-  EXPECT_EQ(result.completed, 4u);
-  EXPECT_EQ(result.attested, 4u);
 }
 
 TEST(NetService, DroppedResponsesHitTheServerTimeout) {

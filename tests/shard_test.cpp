@@ -1,12 +1,15 @@
 // Shard layer: consistent-hash ring properties (determinism, balance,
-// bounded movement), coordinator routing (v4 redirects, v1-v3 proxying),
-// shard-death repair driven by FaultPlan vocabulary, the fleet Merkle
-// rollup, and the aggregated /metrics + /statusz endpoints.
+// bounded movement), coordinator routing (every HELLO redirected, any
+// other wire version refused with a typed error by the coordinator and by
+// attestd alike), shard-death repair driven by FaultPlan vocabulary, the
+// fleet Merkle rollup, the aggregated /metrics + /statusz endpoints, and
+// the HTTP hygiene table shared with attestd.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,16 +23,20 @@
 #include "crypto/merkle.hpp"
 #include "fault/plan.hpp"
 #include "net/attest_client.hpp"
+#include "net/attest_server.hpp"
 #include "net/provision.hpp"
 #include "net/wire.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/hash_ring.hpp"
+#include "http_hygiene.hpp"
 
 using namespace sacha;
 
 namespace {
+
+using testing_http::http_get;
 
 // ---- hash ring ------------------------------------------------------------
 
@@ -144,30 +151,6 @@ core::SwarmReport oracle_run(const net::FleetSpec& spec, std::size_t members,
   return core::attest_swarm(swarm, options);
 }
 
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string request = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
-  (void)!::send(fd, request.data(), request.size(), 0);
-  std::string reply;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    reply.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return reply;
-}
-
 net::LoadOptions coord_load(const shard::ShardCoordinator& coordinator,
                             std::size_t members) {
   net::LoadOptions load;
@@ -217,7 +200,6 @@ TEST(ShardCoordinator, RedirectRoutingIsBitIdenticalToOracle) {
   const shard::CoordinatorStats stats = coordinator.stats();
   EXPECT_GE(stats.accepted, kMembers);
   EXPECT_EQ(stats.redirects, kMembers);
-  EXPECT_EQ(stats.proxied, 0u);
   EXPECT_EQ(stats.shards_lost, 0u);
 
   // The router and the session layer agree on ownership: each member's
@@ -230,66 +212,64 @@ TEST(ShardCoordinator, RedirectRoutingIsBitIdenticalToOracle) {
   coordinator.stop();
 }
 
-TEST(ShardCoordinator, LegacyPeersAreProxiedNotRedirected) {
+/// Sends `stream` to 127.0.0.1:`port` over a blocking socket and returns
+/// the ERROR frame that answers it (the test fails on any other answer).
+net::ErrorMsg answer_error(std::uint16_t port, const Bytes& stream) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_EQ(::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+  net::FrameDecoder decoder;
+  std::optional<net::Frame> reply;
+  char buf[4096];
+  while (!reply.has_value()) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    decoder.feed(ByteSpan(reinterpret_cast<const std::uint8_t*>(buf),
+                          static_cast<std::size_t>(n)));
+    auto next = decoder.next();
+    EXPECT_TRUE(next.ok()) << next.message();
+    if (!next.ok()) break;
+    reply = std::move(next).take();
+  }
+  ::close(fd);
+  EXPECT_TRUE(reply.has_value()) << "connection closed without a reply";
+  if (!reply.has_value()) return {};
+  EXPECT_EQ(reply->kind, net::FrameKind::kError);
+  auto error = net::ErrorMsg::decode(reply->payload);
+  EXPECT_TRUE(error.ok()) << error.message();
+  return error.ok() ? std::move(error).take() : net::ErrorMsg{};
+}
+
+TEST(ShardCoordinator, OtherWireVersionsGetTypedDecodeErrorFromBothFrontDoors) {
+  // A well-formed HELLO framed as version 3: neither front door decodes
+  // it, and both answer with the typed decode error instead of routing or
+  // running a session.
+  const net::HelloMsg hello = net::member_hello(net::FleetSpec{}, 0);
+  Bytes old_frame = net::encode_frame({net::FrameKind::kHello, hello.encode()});
+  old_frame[2] = 3;
+
   shard::CoordinatorOptions options;
   options.shards = 2;
   shard::ShardCoordinator coordinator(options);
   ASSERT_TRUE(coordinator.start().ok());
-
-  // Hand-rolled v3 HELLO: pre-shard peers don't understand redirects, so
-  // the coordinator must splice their bytes through to the owning shard.
-  net::HelloMsg hello;
-  hello.proto = 3;
-  hello.device_id = net::member_id(0);
-  hello.base_seed = net::FleetSpec{}.base_seed;
-  hello.session_seed = net::FleetSpec{}.session_seed;
-  net::Frame frame;
-  frame.kind = net::FrameKind::kHello;
-  frame.payload = hello.encode();
-  frame.version = 3;
-  const Bytes wire = net::encode_frame(frame);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(coordinator.port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
-            static_cast<ssize_t>(wire.size()));
-
-  // The shard's reply comes back through the proxy: a HELLO_ACK that
-  // accepts the session here (no redirect tail), then COMMAND frames.
-  net::FrameDecoder decoder;
-  bool got_ack = false;
-  char buf[4096];
-  while (!got_ack) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0) << "proxied connection closed before HELLO_ACK";
-    decoder.feed(ByteSpan(reinterpret_cast<const std::uint8_t*>(buf),
-                          static_cast<std::size_t>(n)));
-    for (;;) {
-      auto next = decoder.next();
-      ASSERT_TRUE(next.ok()) << next.message();
-      if (!next.value().has_value()) break;
-      const net::Frame& f = *next.value();
-      ASSERT_EQ(f.kind, net::FrameKind::kHelloAck);
-      auto ack = net::HelloAckMsg::decode(f.payload);
-      ASSERT_TRUE(ack.ok());
-      EXPECT_FALSE(ack.value().is_redirect());
-      EXPECT_GT(ack.value().command_count, 0u);
-      got_ack = true;
-      break;
-    }
-  }
-  ::close(fd);
-
-  const shard::CoordinatorStats stats = coordinator.stats();
-  EXPECT_EQ(stats.proxied, 1u);
-  EXPECT_EQ(stats.redirects, 0u);
+  EXPECT_EQ(answer_error(coordinator.port(), old_frame).failure,
+            core::FailureKind::kDecodeError);
+  EXPECT_EQ(coordinator.stats().redirects, 0u);
   coordinator.stop();
+
+  net::AttestServer server;
+  ASSERT_TRUE(server.start().ok());
+  EXPECT_EQ(answer_error(server.port(), old_frame).failure,
+            core::FailureKind::kDecodeError);
+  EXPECT_EQ(server.stats().sessions_completed, 0u);
+  server.stop();
 }
 
 TEST(ShardCoordinator, ShardDeathRepairsRingAndKeepsServing) {
@@ -447,6 +427,18 @@ TEST(ShardCoordinator, AggregatedEndpointsMergeShardScrapes) {
   coordinator.stop();
   obs::MetricsRegistry::global().reset_values();
   obs::set_enabled(false);
+}
+
+TEST(ShardCoordinator, HttpHygieneMatchesAttestd) {
+  shard::CoordinatorOptions options;
+  options.shards = 1;
+  shard::ShardCoordinator coordinator(options);
+  ASSERT_TRUE(coordinator.start().ok());
+  coordinator.refresh();  // /metrics re-exports the first control pass
+  testing_http::expect_http_hygiene(coordinator.port(),
+                                    "/metrics /healthz /statusz");
+  EXPECT_GE(coordinator.stats().http_requests, 5u);
+  coordinator.stop();
 }
 
 }  // namespace

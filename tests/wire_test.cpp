@@ -1,6 +1,8 @@
 // Wire-codec tests: framing round-trips under arbitrary byte splits,
-// truncation semantics, malformed-header rejection (typed + poisoning),
-// and the HELLO/REPORT/ERROR message codecs.
+// truncation semantics, malformed-header rejection (typed + poisoning,
+// every header version but the current one included), the pinned bytes of
+// the session-opening and verdict frames, and the HELLO/REPORT/ERROR
+// message codecs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -190,6 +192,10 @@ TEST(WireMessages, HelloRejectsBadFields) {
   Bytes bad_scale = wire;
   bad_scale[2] = 77;
   EXPECT_FALSE(net::HelloMsg::decode(bad_scale).ok());
+  // The body's own version field must name the current wire version.
+  Bytes old_version = wire;
+  old_version[1] = 3;
+  EXPECT_FALSE(net::HelloMsg::decode(old_version).ok());
 }
 
 TEST(WireMessages, HelloCarriesTraceContext) {
@@ -203,29 +209,8 @@ TEST(WireMessages, HelloCarriesTraceContext) {
   EXPECT_EQ(back.value(), hello);
   EXPECT_EQ(back.value().trace, hello.trace);
   EXPECT_TRUE(back.value().sampled);
-}
-
-TEST(WireMessages, VersionOneHelloDecodesWithoutTraceFields) {
-  // A v1 peer's HELLO ends at the device id: no trace-context tail. The
-  // decoder keys on the message's own proto field and must accept it —
-  // trace fields stay at their "no trace" defaults.
-  net::HelloMsg v1;
-  v1.proto = 1;
-  v1.device_id = "legacy-node";
-  // Even if a trace id is set locally, a v1 encode omits the tail.
-  v1.trace = obs::make_trace_id("legacy-node", 1);
-  v1.sampled = true;
-  const Bytes wire = v1.encode();
-  auto back = net::HelloMsg::decode(wire);
-  ASSERT_TRUE(back.ok()) << back.message();
-  EXPECT_EQ(back.value().proto, 1u);
-  EXPECT_EQ(back.value().device_id, "legacy-node");
-  EXPECT_FALSE(back.value().trace.valid());
-  EXPECT_FALSE(back.value().sampled);
-  // A v2 HELLO missing its trace tail is malformed, not silently v1.
-  net::HelloMsg v2;
-  v2.device_id = "modern-node";
-  Bytes truncated = v2.encode();
+  // A HELLO missing its trace tail is malformed: the tail is not optional.
+  Bytes truncated = hello.encode();
   truncated.resize(truncated.size() - 17);  // strip [hi u64][lo u64][flags u8]
   EXPECT_FALSE(net::HelloMsg::decode(truncated).ok());
 }
@@ -254,8 +239,8 @@ TEST(WireMessages, HelloAckRedirectTailRoundTrip) {
 }
 
 TEST(WireMessages, HelloAckPlainSixByteBodyStillAccepts) {
-  // A v1-v3 server's ACK is exactly [proto u16][command_count u32]; the v4
-  // decoder must keep reading it as "session accepted here", no redirect.
+  // A plain accept is exactly [version u16][command_count u32], read as
+  // "session accepted here", no redirect.
   net::HelloAckMsg plain;
   plain.command_count = 42;
   const Bytes wire = plain.encode();
@@ -264,6 +249,10 @@ TEST(WireMessages, HelloAckPlainSixByteBodyStillAccepts) {
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(back.value().is_redirect());
   EXPECT_EQ(back.value().command_count, 42u);
+  // The version field must name the current wire version.
+  Bytes old_version = wire;
+  old_version[1] = 3;
+  EXPECT_FALSE(net::HelloAckMsg::decode(old_version).ok());
 }
 
 TEST(WireMessages, HelloAckRejectsTruncatedOrTrailingRedirectTail) {
@@ -304,7 +293,7 @@ TEST(WireMessages, ReportRoundTrip) {
   EXPECT_FALSE(net::ReportMsg::decode(trailing).ok());
 }
 
-TEST(WireMessages, ReportCarriesTraceContextAndToleratesV1Tail) {
+TEST(WireMessages, ReportRequiresTraceContext) {
   net::ReportMsg report;
   report.protocol_ok = true;
   report.mac_ok = true;
@@ -318,39 +307,93 @@ TEST(WireMessages, ReportCarriesTraceContextAndToleratesV1Tail) {
   ASSERT_TRUE(back.ok()) << back.message();
   EXPECT_EQ(back.value(), report);
 
-  // A v1 REPORT simply lacks the 17-byte trace tail: still valid, trace
-  // fields default. Any other trailing length stays malformed.
-  Bytes v1_wire = report.encode();
-  v1_wire.resize(v1_wire.size() - 17);
-  auto v1_back = net::ReportMsg::decode(v1_wire);
-  ASSERT_TRUE(v1_back.ok()) << v1_back.message();
-  EXPECT_FALSE(v1_back.value().trace.valid());
-  EXPECT_FALSE(v1_back.value().sampled);
-  EXPECT_TRUE(v1_back.value().attested());
+  // A REPORT without its 17-byte trace tail is malformed, and so is any
+  // other trailing length.
+  Bytes no_tail = report.encode();
+  no_tail.resize(no_tail.size() - 17);
+  EXPECT_FALSE(net::ReportMsg::decode(no_tail).ok());
   Bytes partial = report.encode();
   partial.resize(partial.size() - 1);
   EXPECT_FALSE(net::ReportMsg::decode(partial).ok());
 }
 
-TEST(WireFraming, VersionOneFrameHeaderStillDecodes) {
-  // kWireVersionMin..kWireVersion are all accepted on the wire; the decoder
-  // surfaces which version framed each frame so sessions can adapt.
-  Frame v1{FrameKind::kHello, Bytes{1, 2, 3}, 1};
+TEST(WireFraming, OnlyTheCurrentVersionDecodes) {
+  // One wire version: a header naming any other poisons the stream,
+  // including the versions the protocol grew out of.
+  for (const std::uint8_t version : {0, 1, 2, 3, 5}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    expect_poisons({0x53, 0x41, version,
+                    static_cast<std::uint8_t>(FrameKind::kHello)});
+  }
   FrameDecoder decoder;
-  decoder.feed(net::encode_frame(v1));
+  decoder.feed(net::encode_frame({FrameKind::kHello, Bytes{1, 2, 3}}));
   auto got = decoder.next();
   ASSERT_TRUE(got.ok()) << got.message();
   ASSERT_TRUE(got.value().has_value());
-  EXPECT_EQ(got.value()->version, 1u);
   EXPECT_EQ(got.value()->payload, (Bytes{1, 2, 3}));
   EXPECT_FALSE(decoder.poisoned());
-  // Below the floor (version 0) poisons like any unknown version.
-  FrameDecoder reject;
-  Bytes zero = net::encode_frame(v1);
-  zero[2] = 0;
-  reject.feed(zero);
-  EXPECT_FALSE(reject.next().ok());
-  EXPECT_TRUE(reject.poisoned());
+}
+
+/// The exact bytes a session opens and closes with: a HELLO, the two forms
+/// of HELLO_ACK and a REPORT, each as a whole frame. Any change here is a
+/// change to what every peer sends or receives.
+TEST(WireMessages, SessionFramesArePinned) {
+  const obs::TraceId trace{0x0102030405060708ULL, 0x090a0b0c0d0e0f10ULL};
+  const auto framed = [](FrameKind kind, Bytes payload) {
+    return to_hex(net::encode_frame(Frame{kind, std::move(payload)}));
+  };
+
+  net::HelloMsg hello;
+  hello.scale = net::DeviceScale::kSoftcore;
+  hello.member_index = 11;
+  hello.base_seed = 0x1122334455667788ULL;
+  hello.session_seed = 99;
+  hello.flip_probability = 0.625;
+  hello.device_id = "node-11";
+  hello.trace = trace;
+  hello.sampled = true;
+  EXPECT_EQ(framed(FrameKind::kHello, hello.encode()),
+            "534104010000003a"                  // magic, v4, HELLO, 58 bytes
+            "0004" "01" "00" "0000000b"         // version, scale, -, member
+            "1122334455667788"                  // base seed
+            "0000000000000063"                  // session seed
+            "3fe4000000000000"                  // flip probability 0.625
+            "0007" "6e6f64652d3131"             // "node-11"
+            "0102030405060708" "090a0b0c0d0e0f10" "01");  // trace, sampled
+
+  net::HelloAckMsg plain;
+  plain.command_count = 123456;
+  EXPECT_EQ(framed(FrameKind::kHelloAck, plain.encode()),
+            "5341040200000006" "0004" "0001e240");
+
+  net::HelloAckMsg redirect;
+  redirect.redirect_host = "127.0.0.1";
+  redirect.redirect_port = 7461;
+  EXPECT_EQ(framed(FrameKind::kHelloAck, redirect.encode()),
+            "5341040200000013" "0004" "00000000"
+            "0009" "3132372e302e302e31" "1d25");  // "127.0.0.1", port
+
+  net::ReportMsg report;
+  report.protocol_ok = true;
+  report.mac_ok = true;
+  report.config_ok = true;
+  report.mac_present = true;
+  for (std::size_t i = 0; i < report.mac.size(); ++i) {
+    report.mac[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  report.commands = 49;
+  report.wall_ns = 123456789;
+  report.detail = "ok";
+  report.trace = trace;
+  report.sampled = true;
+  EXPECT_EQ(framed(FrameKind::kReport, report.encode()),
+            "534104050000003a"                  // magic, v4, REPORT, 58 bytes
+            "0101010001"                        // verdict, kNone, mac present
+            "00070e151c232a31383f464d545b6269"  // H_Vrf
+            "0000000000000031"                  // commands
+            "00000000075bcd15"                  // wall ns
+            "0002" "6f6b"                       // "ok"
+            "0102030405060708" "090a0b0c0d0e0f10" "01");  // trace, sampled
 }
 
 TEST(WireMessages, ErrorRoundTripAndBoundsCheck) {
