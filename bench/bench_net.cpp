@@ -232,8 +232,7 @@ int main() {
     std::fprintf(stderr, "bench_net: %s\n", started.message().c_str());
     return 1;
   }
-  std::printf("bench_net: attestd on 127.0.0.1:%u, pool auto\n",
-              server.port());
+  std::printf("bench_net: attestd on 127.0.0.1:%u\n", server.port());
 
   bool gates_ok = run_identity_gate(server, "obs off", -1.0);
 
@@ -325,10 +324,6 @@ int main() {
   }
 
   const net::AttestServerStats stats = server.stats();
-  records.push_back({"net/server", "verify_batches",
-                     static_cast<double>(stats.verify_batches), "count"});
-  records.push_back({"net/server", "verify_steals",
-                     static_cast<double>(stats.verify_steals), "count"});
   records.push_back({"net/server", "peak_connections",
                      static_cast<double>(stats.peak_connections), "conns"});
   server.stop();

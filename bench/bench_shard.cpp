@@ -202,7 +202,6 @@ ShardPoint run_shard_point(std::size_t shards, std::size_t members,
                            const std::string& cache_dir) {
   shard::CoordinatorOptions options;
   options.shards = shards;
-  options.shard_pool = 1;  // the shards ARE the parallelism under test
   options.model_cache_dir = cache_dir;
   shard::ShardCoordinator coordinator(options);
   ShardPoint point;
@@ -404,7 +403,6 @@ bool run_rollup_gate(const std::string& cache_dir) {
   constexpr std::size_t kMembers = 64;
   shard::CoordinatorOptions options;
   options.shards = kShards;
-  options.shard_pool = 1;
   options.model_cache_dir = cache_dir;
   shard::ShardCoordinator coordinator(options);
   if (!coordinator.start().ok()) {

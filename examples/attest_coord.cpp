@@ -37,8 +37,6 @@ void print_help() {
       "  --port N           front-door port (default 0 = ephemeral)\n"
       "  --shards N         shard processes to fork (default 2)\n"
       "  --vnodes N         virtual nodes per shard on the ring (default 64)\n"
-      "  --shard-pool K     verify workers per shard (default 1)\n"
-      "  --batch-width N    members per CMAC batch drain per shard\n"
       "  --timeout-ms N     idle session cut-off inside shards\n"
       "  --model-cache DIR  shared golden-model .sgm cache directory\n"
       "  --no-model-map     heap-load cached models instead of mmap\n"
@@ -72,11 +70,6 @@ int main(int argc, char** argv) {
       options.shards = std::strtoull(next("--shards"), nullptr, 10);
     } else if (arg == "--vnodes") {
       options.vnodes = std::strtoull(next("--vnodes"), nullptr, 10);
-    } else if (arg == "--shard-pool") {
-      options.shard_pool = std::strtoull(next("--shard-pool"), nullptr, 10);
-    } else if (arg == "--batch-width") {
-      options.verify_batch_width =
-          std::strtoull(next("--batch-width"), nullptr, 10);
     } else if (arg == "--timeout-ms") {
       options.session_timeout_ms =
           std::strtoull(next("--timeout-ms"), nullptr, 10);

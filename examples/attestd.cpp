@@ -1,8 +1,9 @@
 // attestd — the standalone attestation service.
 //
 // Binds a real TCP port, multiplexes every prover connection on one epoll
-// loop, and verifies sessions on a fleet-engine-style worker pool. Serves
-// Prometheus metrics on the same port ("GET /metrics").
+// loop, and runs each session to completion on that loop's thread. Serves
+// Prometheus metrics on the same port ("GET /metrics"). For more cores,
+// run several with --reuseport on one port, or use attest_coord.
 //
 // Shutdown is graceful: the first SIGINT / SIGTERM (or stdin EOF) begins a
 // drain — new HELLOs are refused with a typed ERROR, /healthz reports
@@ -45,8 +46,6 @@ void print_help() {
       "usage: attestd [options]\n"
       "  --host ADDR        bind address (default 127.0.0.1)\n"
       "  --port N           listen port (default 0 = ephemeral; printed)\n"
-      "  --pool K           verify workers (default 0 = auto)\n"
-      "  --batch-width N    members per CMAC batch drain, 1-8 (default 4)\n"
       "  --window N         pipelined commands per session (default 32)\n"
       "  --timeout-ms N     idle session cut-off (default 30000, 0 = never)\n"
       "  --reuseport        bind with SO_REUSEPORT (several attestd\n"
@@ -94,11 +93,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--port") {
       options.port =
           static_cast<std::uint16_t>(std::strtoul(next("--port"), nullptr, 10));
-    } else if (arg == "--pool") {
-      options.pool_size = std::strtoull(next("--pool"), nullptr, 10);
-    } else if (arg == "--batch-width") {
-      options.verify_batch_width =
-          std::strtoull(next("--batch-width"), nullptr, 10);
     } else if (arg == "--window") {
       options.command_window = std::strtoull(next("--window"), nullptr, 10);
     } else if (arg == "--timeout-ms") {
@@ -200,8 +194,7 @@ int main(int argc, char** argv) {
   std::printf(
       "attestd: %llu accepted, %llu completed (%llu attested, %llu failed), "
       "%llu quarantined, %llu http, peak %llu connections, "
-      "%llu batches (%llu steals), %llu offers (%llu accepted), "
-      "%llu drain refusals\n",
+      "%llu offers (%llu accepted), %llu drain refusals\n",
       static_cast<unsigned long long>(stats.accepted),
       static_cast<unsigned long long>(stats.sessions_completed),
       static_cast<unsigned long long>(stats.sessions_attested),
@@ -209,8 +202,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.quarantined),
       static_cast<unsigned long long>(stats.http_requests),
       static_cast<unsigned long long>(stats.peak_connections),
-      static_cast<unsigned long long>(stats.verify_batches),
-      static_cast<unsigned long long>(stats.verify_steals),
       static_cast<unsigned long long>(stats.updates_offered),
       static_cast<unsigned long long>(stats.updates_accepted),
       static_cast<unsigned long long>(stats.drain_refusals));

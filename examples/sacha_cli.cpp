@@ -48,7 +48,6 @@ struct CliOptions {
   std::uint64_t fleet = 0;        // members in a fleet run (0 = one session)
   std::string schedule = "mux";   // serial | parallel | mux
   std::uint64_t pool = 0;         // mux worker-pool size (0 = auto)
-  std::uint64_t verify_batch = 4; // attestd members per verify batch
   std::uint64_t seed = 1;
   std::string listen_spec;   // serve attestations on HOST:PORT
   std::string connect_spec;  // attest against a remote attestd
@@ -91,11 +90,8 @@ void print_help() {
       "  --fleet N                         attest a fleet of N devices\n"
       "  --schedule serial|parallel|mux    fleet schedule (default mux)\n"
       "  --pool K                          mux worker-pool size (0 = auto)\n"
-      "  --verify-batch N                  members interleaved per verify\n"
-      "                                    batch, 1-8 (default 4; --listen)\n"
       "  --listen HOST:PORT                run as an attestation service\n"
-      "                                    (real sockets; --pool and\n"
-      "                                    --verify-batch shape the workers)\n"
+      "                                    (real sockets, one loop thread)\n"
       "  --connect HOST:PORT               attest this device (or --fleet N\n"
       "                                    members) against a remote attestd;\n"
       "                                    --loss drops responses, --latency-us\n"
@@ -200,10 +196,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       const char* v = next("--pool");
       if (!v) return false;
       options.pool = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--verify-batch") {
-      const char* v = next("--verify-batch");
-      if (!v) return false;
-      options.verify_batch = std::strtoull(v, nullptr, 10);
     } else if (arg == "--listen") {
       const char* v = next("--listen");
       if (!v) return false;
@@ -305,9 +297,6 @@ int run_listen_mode(const CliOptions& options) {
   net::AttestServerOptions server_options;
   server_options.host = hostport.value().host;
   server_options.port = hostport.value().port;
-  server_options.pool_size = static_cast<std::size_t>(options.pool);
-  server_options.verify_batch_width =
-      static_cast<std::size_t>(options.verify_batch);
   server_options.trace_sample = options.trace_sample;
   net::AttestServer server(server_options);
   Status started = server.start();

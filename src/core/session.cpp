@@ -68,8 +68,8 @@ void apply_register_churn(SachaProver& prover, std::uint64_t session_seed,
 namespace {
 /// Lane-key salt for verifier-side span records: both halves of a
 /// cross-process timeline key their Chrome lane off the trace id (not the
-/// OS thread — verify strands hop threads), the verifier half offset so
-/// prover and verifier render as two adjacent lanes per session.
+/// OS thread — one loop thread carries many sessions), the verifier half
+/// offset so prover and verifier render as two adjacent lanes per session.
 constexpr std::uint64_t kVerifierLaneSalt = 0x5643;  // "VC"
 }  // namespace
 

@@ -147,11 +147,8 @@ void apply_register_churn(SachaProver& prover, std::uint64_t session_seed,
 /// wins over the crypto verdict); and the sacha.session.{started,attested,
 /// failed,failure.*} counters. Commands go out in schedule order, possibly
 /// pipelined (a window of them in flight); responses absorb in strict
-/// index order.
-///
-/// Issuing (next_command, next_command_wire) and absorbing (on_response)
-/// touch disjoint state, so one thread may issue while another absorbs, as
-/// attestd's loop and verify lanes do; finish() needs both quiesced.
+/// index order. One thread drives a session: attestd's loop shares its
+/// thread among many sessions, as the client loop does.
 class VerifierSession {
  public:
   struct Report {
@@ -221,13 +218,6 @@ class VerifierSession {
   Report finish();
 
   const SachaVerifier& verifier() const { return verifier_; }
-
-  /// Routes streaming CMAC folds into a verify-lane batch (see
-  /// SachaVerifier::set_absorb_sink for the ordering contract: flush
-  /// before finish(), detach when the batch closes).
-  void set_absorb_sink(crypto::CmacBatch* sink) {
-    verifier_.set_absorb_sink(sink);
-  }
 
  private:
   SachaVerifier& verifier_;

@@ -276,7 +276,7 @@ Command SachaVerifier::command(std::size_t index) const {
 }
 
 void SachaVerifier::absorb_in_order(std::size_t step,
-                                    std::vector<std::uint32_t>&& words) {
+                                    std::span<const std::uint32_t> words) {
   // Counters only on this path: it runs once per readback round (28k+ per
   // Virtex-6 session), so the per-event telemetry cost must stay at a
   // relaxed add behind the enable branch. Span-level timing lives one layer
@@ -292,7 +292,6 @@ void SachaVerifier::absorb_in_order(std::size_t step,
   words_absorbed.add(words.size());
   const std::uint32_t wpf = model_->words_per_frame();
   const std::uint32_t nonce_frame = model_->nonce_frame();
-  const std::span<const std::uint32_t> wspan(words);
   for (std::uint32_t f = 0; f < count; ++f) {
     const std::uint32_t frame_index = first + f;
     // The compare stops at the first mismatch in step order, matching the
@@ -300,7 +299,7 @@ void SachaVerifier::absorb_in_order(std::size_t step,
     // step — it is defined over the whole transcript).
     if (mismatch_frame_.has_value()) break;
     const std::span<const std::uint32_t> frame_words =
-        wspan.subspan(static_cast<std::size_t>(f) * wpf, wpf);
+        words.subspan(static_cast<std::size_t>(f) * wpf, wpf);
     bool match;
     if (frame_index == nonce_frame) {
       // Same masked compare as the model rows, with the session overlay as
@@ -321,14 +320,8 @@ void SachaVerifier::absorb_in_order(std::size_t step,
     }
     covered_[frame_index] = 1;
   }
-  // MAC fold last (it is independent of the compare — disjoint state): with
-  // a sink attached the words queue for an interleaved multi-stream absorb,
-  // otherwise they fold immediately.
-  if (absorb_sink_ != nullptr) {
-    absorb_sink_->add(stream_cmac_, std::move(words));
-  } else {
-    stream_cmac_.update(wspan);
-  }
+  // MAC fold last (it is independent of the compare — disjoint state).
+  stream_cmac_.update(words);
 }
 
 void SachaVerifier::absorb_response(std::size_t step,
@@ -340,16 +333,14 @@ void SachaVerifier::absorb_response(std::size_t step,
     pending_.emplace(step, std::move(words));
     return;
   }
-  absorb_in_order(step, std::move(words));
+  absorb_in_order(step, words);
   ++next_stream_step_;
   while (!pending_.empty() && pending_.begin()->first == next_stream_step_) {
     auto node = pending_.extract(pending_.begin());
-    absorb_in_order(next_stream_step_, std::move(node.mapped()));
+    absorb_in_order(next_stream_step_, node.mapped());
     ++next_stream_step_;
   }
-  // With a sink attached the fold is still queued, so the finalize waits
-  // for the flush and happens lazily in expected_mac().
-  if (next_stream_step_ == steps_.size() && absorb_sink_ == nullptr) {
+  if (next_stream_step_ == steps_.size()) {
     streamed_mac_ = stream_cmac_.finalize();
   }
 }
@@ -419,15 +410,7 @@ bool SachaVerifier::verify_mac(ByteSpan data, const crypto::Mac& mac) const {
 }
 
 std::optional<crypto::Mac> SachaVerifier::expected_mac() const {
-  if (options_.mode == VerifyMode::kStreaming) {
-    // Sink path: every step has been absorbed but the folds were queued on
-    // the batch; once the engine has flushed it the stream can close here.
-    if (!streamed_mac_.has_value() && !steps_.empty() &&
-        next_stream_step_ == steps_.size()) {
-      streamed_mac_ = stream_cmac_.finalize();
-    }
-    return streamed_mac_;
-  }
+  if (options_.mode == VerifyMode::kStreaming) return streamed_mac_;
   for (const auto& step_words : received_) {
     if (!step_words.has_value()) return std::nullopt;
   }

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,13 +127,6 @@ class SachaVerifier {
   /// commands) of command `index` back to the verifier. Takes the response
   /// by value: frame payloads are moved, never copied, into whatever
   /// buffering the mode requires (none in streaming mode).
-  ///
-  /// command() and on_response() touch disjoint state: command(i) reads
-  /// the schedule frozen at begin() and the shared read-only GoldenModel,
-  /// on_response writes the absorb state. So one thread may issue commands
-  /// while another absorbs responses of the same session, provided each
-  /// side is serialised; finish() needs both quiesced. attestd's event
-  /// loop and verify lanes rely on this.
   Status on_response(std::size_t index, std::optional<Response> response);
 
   struct Verdict {
@@ -209,16 +203,6 @@ class SachaVerifier {
   /// gap). The fleet benches report this per member.
   std::size_t retained_readback_bytes() const;
 
-  /// Batched-verify hook: while a sink is attached, streaming-mode absorbs
-  /// queue their CMAC word-fold on the sink (masked compare and coverage
-  /// still run inline) so attestd's verify lanes can interleave several
-  /// members' folds through one multi-stream absorb; the final MAC is
-  /// then computed lazily at the first expected_mac()/finish() after the
-  /// queued folds land. The caller owns ordering: flush the sink before
-  /// finish() and before detaching. nullptr restores immediate folding;
-  /// retained mode ignores the sink entirely.
-  void set_absorb_sink(crypto::CmacBatch* sink) { absorb_sink_ = sink; }
-
  private:
   std::size_t config_command_count() const;
   Command make_config_command(std::size_t slot) const;
@@ -235,7 +219,7 @@ class SachaVerifier {
   /// arrivals are buffered (moved, not copied) until their turn so the MAC
   /// sees readback order.
   void absorb_response(std::size_t step, std::vector<std::uint32_t>&& words);
-  void absorb_in_order(std::size_t step, std::vector<std::uint32_t>&& words);
+  void absorb_in_order(std::size_t step, std::span<const std::uint32_t> words);
 
   fabric::Floorplan plan_;
   bitstream::BitGen bitgen_;
@@ -268,11 +252,8 @@ class SachaVerifier {
   std::uint32_t words_per_frame_ = 0;
 
   // -- Streaming state (kStreaming) ----------------------------------------
-  // Both mutable for the sink path's lazy finalize: expected_mac() is const
-  // but must be able to close the stream after the sink has flushed.
-  mutable crypto::Cmac stream_cmac_;
-  mutable std::optional<crypto::Mac> streamed_mac_;  // set once all absorbed
-  crypto::CmacBatch* absorb_sink_ = nullptr;
+  crypto::Cmac stream_cmac_;
+  std::optional<crypto::Mac> streamed_mac_;  // set once all absorbed
   std::size_t next_stream_step_ = 0;
   /// Out-of-order arrivals parked (moved) until the in-order absorb reaches
   /// them. Empty for the session driver, which delivers in step order.

@@ -5,10 +5,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -16,10 +16,8 @@
 
 #include "common/log.hpp"
 #include "core/audit.hpp"
-#include "core/fleet_engine.hpp"
 #include "core/session.hpp"
 #include "crypto/aes.hpp"
-#include "crypto/cmac.hpp"
 #include "net/http.hpp"
 #include "net/tcp.hpp"
 #include "obs/export.hpp"
@@ -54,34 +52,11 @@ Result<std::optional<core::Response>> parse_response_payload(ByteSpan payload) {
   return Out(std::optional<core::Response>(std::move(decoded).take()));
 }
 
-/// Records one drained CmacBatch into the verify-lane occupancy metrics
-/// (sacha.engine.batch_absorbs / batch_streams / batch_occupancy). No-op
-/// for a batch that absorbed nothing.
-void note_batch_occupancy(const crypto::CmacBatch& batch) {
-  if (batch.absorb_calls() == 0) return;
-  auto& registry = obs::MetricsRegistry::global();
-  static constexpr std::uint64_t kOccupancyBounds[] = {1, 2, 3, 4, 5, 6, 7, 8};
-  static obs::Counter& absorbs =
-      registry.counter("sacha.engine.batch_absorbs");
-  static obs::Counter& streams =
-      registry.counter("sacha.engine.batch_streams");
-  static obs::Histogram& occupancy =
-      registry.histogram("sacha.engine.batch_occupancy", kOccupancyBounds);
-  absorbs.add(batch.absorb_calls());
-  streams.add(batch.absorbed_streams());
-  // Average streams in flight per absorb call of this drain — under-filled
-  // batches show up as mass in the low buckets.
-  occupancy.observe((batch.absorbed_streams() + batch.absorb_calls() / 2) /
-                    batch.absorb_calls());
-}
-
 }  // namespace
 
 struct AttestServer::Impl {
-  /// One prover connection (or one HTTP scrape). Shared between the loop
-  /// thread (socket I/O, command issuance — the drive strand) and at most
-  /// one verify worker at a time (response absorption — the verify
-  /// strand); `mu` guards the fields both touch.
+  /// One prover connection (or one HTTP scrape). Only the loop thread
+  /// touches it.
   struct Conn {
     std::uint64_t id = 0;
     TcpChannel channel;
@@ -89,28 +64,20 @@ struct AttestServer::Impl {
     HelloMsg hello;
     std::optional<core::SachaVerifier> verifier;
     std::optional<core::VerifierSession> session;
-    std::size_t lane = 0;
     Clock::time_point last_activity = Clock::now();
     Clock::time_point session_start = Clock::now();
     /// RESPONSE frames seen by the loop; bounds the pipelined window
     /// (issued <= responses_seen + command_window).
     std::size_t responses_seen = 0;
     /// Counted in sessions_active: HELLO accepted, verdict not yet sent.
-    /// Loop-thread-only.
     bool session_open = false;
     std::string http_request;  // bytes accumulated in HTTP mode
     bool http_answered = false;  // response queued: read no further
-
-    std::mutex mu;
-    std::deque<std::optional<core::Response>> inbox;
-    bool queued = false;         // sitting in a lane's ready queue
-    bool verify_active = false;  // a worker is draining this conn
     bool finished = false;       // report produced (or quarantined)
     bool want_close = false;     // close once the outgoing buffer drains
     /// UPDATE_OFFER followed the REPORT; the connection stays open for
     /// exactly one UPDATE_STATUS answer (or the idle timeout).
     bool offer_pending = false;
-    std::vector<Frame> outbox;   // worker-produced frames, loop-sent
   };
 
   explicit Impl(const AttestServerOptions& opts)
@@ -152,7 +119,7 @@ struct AttestServer::Impl {
 
   /// /tracez ring: the most recent sampled cross-process timelines
   /// (verifier-side spans; the prover half lives in the client process).
-  /// finish_session runs on verify workers, so this one takes a mutex.
+  /// Loop-thread-only, like recent_quarantines.
   struct TracezEntry {
     std::string device;
     obs::TraceId trace{};
@@ -160,27 +127,23 @@ struct AttestServer::Impl {
     bool attested = false;
     std::vector<obs::SpanRecord> spans;
   };
-  std::mutex tracez_mu;
   std::deque<TracezEntry> tracez;
+  /// One reference per distinct golden model provisioned (one per device
+  /// type), held until stop(). GoldenModel interns weakly, so without it a
+  /// HELLO would find its model interned only while another session of its
+  /// type is in flight, and a cold rebuild stalls every session on the
+  /// loop. Loop-thread-only.
+  std::set<std::shared_ptr<const bitstream::GoldenModel>> provisioned_models;
+  /// Wakes the loop for stop() and begin_drain().
   int wake_rd = -1;
   int wake_wr = -1;
   std::thread loop_thread;
-  std::vector<std::thread> workers;
   std::atomic<bool> stopping{false};
   /// Graceful-shutdown state: once draining, new HELLOs are refused and
   /// in-flight sessions run out; past the deadline (ms since start_time,
   /// 0 = none) stragglers are closed and quarantined.
   std::atomic<bool> draining{false};
   std::atomic<std::uint64_t> drain_deadline_ms{0};
-
-  // Verify-lane scheduler: per-worker home lanes plus stealing.
-  std::mutex sched_mu;
-  std::condition_variable sched_cv;
-  std::vector<std::deque<std::shared_ptr<Conn>>> lanes;
-
-  // Conns whose outbox a worker filled; serviced by the loop on wake.
-  std::mutex wake_mu;
-  std::vector<std::shared_ptr<Conn>> wake_list;
 
   // Loop-thread-only connection table.
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
@@ -193,8 +156,6 @@ struct AttestServer::Impl {
   std::atomic<std::uint64_t> quarantined{0};
   std::atomic<std::uint64_t> http_requests{0};
   std::atomic<std::uint64_t> peak{0};
-  std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> active{0};  // conns.size(), readable off-loop
   std::atomic<std::uint64_t> sessions_active{0};
   std::atomic<std::uint64_t> updates_offered{0};
@@ -208,8 +169,9 @@ struct AttestServer::Impl {
   std::atomic<std::uint64_t> models_mapped{0};
   std::atomic<std::uint64_t> models_built{0};
 
-  /// Hash-chained record of every finished session. finish_session runs on
-  /// verify workers, so appends and head reads take the mutex.
+  /// Hash-chained record of every finished session. The loop appends;
+  /// stats(), audit_head() and audit_verify() read from other threads, so
+  /// both take the mutex.
   std::mutex audit_mu;
   core::AuditLog audit;
 
@@ -247,12 +209,9 @@ struct AttestServer::Impl {
           }
         }
       }
-      service_wake_list();
       scan_timeouts();
       scan_drain();
     }
-    // Shutdown: close everything so workers' shared_ptrs are the only
-    // remaining owners.
     for (auto& [fd, conn] : conns) {
       loop.remove(fd);
       conn->channel.close();
@@ -272,7 +231,6 @@ struct AttestServer::Impl {
       auto conn = std::make_shared<Conn>();
       conn->id = next_conn_id++;
       conn->channel = TcpChannel(*std::move(accepted_sock).take());
-      conn->lane = static_cast<std::size_t>(conn->id % lanes.size());
       const int fd = conn->channel.fd();
       conns.emplace(fd, conn);
       (void)loop.add(fd, /*want_read=*/true, /*want_write=*/false);
@@ -295,41 +253,6 @@ struct AttestServer::Impl {
     }
   }
 
-  void service_wake_list() {
-    std::vector<std::shared_ptr<Conn>> ready;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu);
-      ready.swap(wake_list);
-    }
-    for (const auto& conn : ready) {
-      if (!conn->channel.open()) continue;
-      std::vector<Frame> frames;
-      bool close_after = false;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        frames.swap(conn->outbox);
-        close_after = conn->want_close;
-      }
-      bool dead = false;
-      for (const Frame& frame : frames) {
-        if (!conn->channel.send_frame(frame).ok()) {
-          dead = true;
-          break;
-        }
-      }
-      end_session_slot(*conn);  // the verdict went out (or never will)
-      if (dead) {
-        close_conn(conn, /*mid_session=*/false);
-        continue;
-      }
-      if (close_after && !conn->channel.want_write()) {
-        close_conn(conn, /*mid_session=*/false);
-      } else {
-        update_interest(conn);
-      }
-    }
-  }
-
   void update_interest(const std::shared_ptr<Conn>& conn) {
     if (!conn->channel.open()) return;
     (void)loop.modify(conn->channel.fd(), !conn->http_answered,
@@ -342,12 +265,7 @@ struct AttestServer::Impl {
       close_conn(conn, mid_session(conn));
       return;
     }
-    bool close_after;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      close_after = conn->want_close;
-    }
-    if (close_after && !conn->channel.want_write()) {
+    if (conn->want_close && !conn->channel.want_write()) {
       close_conn(conn, /*mid_session=*/false);
       return;
     }
@@ -361,7 +279,6 @@ struct AttestServer::Impl {
   }
 
   bool mid_session(const std::shared_ptr<Conn>& conn) {
-    std::lock_guard<std::mutex> lock(conn->mu);
     return conn->session.has_value() && !conn->finished;
   }
 
@@ -412,11 +329,7 @@ struct AttestServer::Impl {
         ByteSpan(reinterpret_cast<const std::uint8_t*>(response.data()),
                  response.size()));
     conn->http_answered = true;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->want_close = true;
-      conn->finished = true;
-    }
+    conn->want_close = true;
     if (!conn->channel.want_write()) {
       close_conn(conn, /*mid_session=*/false);
     } else {
@@ -426,12 +339,11 @@ struct AttestServer::Impl {
 
   // ---- operability endpoints (all built on the loop thread) ----------------
 
-  /// /healthz: loop liveness, sessions in flight (HELLO accepted, verdict
-  /// not yet sent — never the probe's own connection) and per-lane verify
-  /// queue depths. Serving it at all proves the loop is turning (serve_http
-  /// runs on the loop thread); the tick-age field is for sidecar probes
-  /// that read the body and alert on staleness rather than on connect
-  /// failures.
+  /// /healthz: loop liveness and sessions in flight (HELLO accepted,
+  /// verdict not yet sent — never the probe's own connection). Serving it
+  /// at all proves the loop is turning (serve_http runs on the loop
+  /// thread); the tick-age field is for sidecar probes that read the body
+  /// and alert on staleness rather than on connect failures.
   std::string healthz_json(std::string& status) {
     const std::uint64_t now_ms = ms_since(start_time);
     const std::uint64_t tick = last_tick_ms.load(std::memory_order_relaxed);
@@ -446,33 +358,23 @@ struct AttestServer::Impl {
                                      : "\"ok\"");
     std::ostringstream out;
     out << "{\"status\":" << state << ",\"loop_tick_age_ms\":" << age_ms
-        << ",\"uptime_ms\":" << now_ms
         << ",\"active_sessions\":"
         << sessions_active.load(std::memory_order_relaxed)
-        << ",\"lane_depths\":[";
-    {
-      std::lock_guard<std::mutex> lock(sched_mu);
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        if (l != 0) out << ',';
-        out << lanes[l].size();
-      }
-    }
-    out << "]}\n";
+        << ",\"uptime_ms\":" << now_ms << "}\n";
     return out.str();
   }
 
   /// /statusz: uptime + build info, session counters, SLO state, session
   /// latency quantiles, the live connection table, and recent quarantines.
   /// Runs on the loop thread, so `conns` and `recent_quarantines` are read
-  /// lock-free; the per-conn fields shown are loop-owned (issued comes from
-  /// the drive strand, never the verify strand's absorb state).
+  /// lock-free.
   std::string statusz_json() {
     std::ostringstream out;
     out << "{\"uptime_ms\":" << ms_since(start_time)
         << ",\"build\":{\"aes_tier\":\""
         << crypto::to_string(crypto::Aes128::resolve(crypto::AesImpl::kAuto))
         << "\",\"wire_version\":" << static_cast<unsigned>(kWireVersion)
-        << ",\"pool\":" << lanes.size() << "}"
+        << "}"
         << ",\"sessions\":{\"accepted\":"
         << accepted.load(std::memory_order_relaxed)
         << ",\"completed\":" << completed.load(std::memory_order_relaxed)
@@ -554,7 +456,6 @@ struct AttestServer::Impl {
   std::string tracez_json() {
     std::ostringstream out;
     out << "{\"capacity\":" << opts.tracez_capacity << ",\"timelines\":[";
-    std::lock_guard<std::mutex> lock(tracez_mu);
     bool first_entry = true;
     for (const auto& entry : tracez) {
       if (!first_entry) out << ',';
@@ -661,6 +562,7 @@ struct AttestServer::Impl {
       conn->verifier.emplace(verifier_for(conn->hello));
       models_built.fetch_add(1, std::memory_order_relaxed);
     }
+    provisioned_models.insert(conn->verifier->golden_model());
     conn->session.emplace(*conn->verifier);
     if (const auto& rejected = conn->verifier->schedule_error()) {
       // The schedule cannot cross the wire: refuse it before any command,
@@ -702,24 +604,12 @@ struct AttestServer::Impl {
       return false;
     }
     ++conn->responses_seen;
-    issue_commands(conn);  // slide the window before handing off to verify
-    bool enqueue = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->inbox.push_back(std::move(response).take());
-      if (!conn->queued && !conn->verify_active) {
-        conn->queued = true;
-        enqueue = true;
-      }
-    }
-    if (enqueue) {
-      {
-        std::lock_guard<std::mutex> lock(sched_mu);
-        lanes[conn->lane].push_back(conn);
-      }
-      sched_cv.notify_one();
-    }
-    update_interest(conn);
+    // Slide the window first, so the prover works on the next commands
+    // while this response is absorbed.
+    issue_commands(conn);
+    if (!conn->channel.open()) return false;
+    conn->session->on_response(std::move(response).take());
+    if (conn->session->done() && !conn->finished) return finish_session(conn);
     return true;
   }
 
@@ -760,9 +650,7 @@ struct AttestServer::Impl {
     return false;
   }
 
-  /// Drive strand: keeps up to command_window commands in flight. Only the
-  /// loop thread calls this (next_command_wire reads the frozen schedule —
-  /// disjoint from the verify strand's absorb state).
+  /// Keeps up to command_window commands in flight.
   void issue_commands(const std::shared_ptr<Conn>& conn) {
     while (conn->session->issued() <
            conn->responses_seen + opts.command_window) {
@@ -824,16 +712,8 @@ struct AttestServer::Impl {
     conns.erase(fd);
     conn->channel.close();
     end_session_slot(*conn);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->want_close = true;
-      if (quarantine && !conn->finished) {
-        conn->finished = true;  // a quarantined session is never finished
-      } else {
-        quarantine = false;
-      }
-    }
-    if (quarantine) {
+    if (quarantine && !conn->finished) {
+      conn->finished = true;  // a quarantined session is never finished
       quarantined.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& quarantine_ctr =
           obs::MetricsRegistry::global().counter("sacha.attestd.quarantined");
@@ -858,126 +738,12 @@ struct AttestServer::Impl {
     connections_gauge().set(static_cast<std::int64_t>(conns.size()));
   }
 
-  // ---- verify workers ------------------------------------------------------
-
-  void worker_main(std::size_t worker_index) {
-    const std::size_t width =
-        std::clamp<std::size_t>(opts.verify_batch_width, 1, 8);
-    std::vector<std::shared_ptr<Conn>> picks;
-    for (;;) {
-      picks.clear();
-      {
-        std::unique_lock<std::mutex> lock(sched_mu);
-        sched_cv.wait(lock, [&] {
-          if (stopping.load(std::memory_order_relaxed)) return true;
-          for (const auto& lane : lanes) {
-            if (!lane.empty()) return true;
-          }
-          return false;
-        });
-        if (stopping.load(std::memory_order_relaxed)) return;
-        // Home lane first, then steal from the longest backlog.
-        auto& home = lanes[worker_index % lanes.size()];
-        while (!home.empty() && picks.size() < width) {
-          picks.push_back(std::move(home.front()));
-          home.pop_front();
-        }
-        while (picks.size() < width) {
-          std::size_t best = lanes.size();
-          std::size_t best_depth = 0;
-          for (std::size_t l = 0; l < lanes.size(); ++l) {
-            if (lanes[l].size() > best_depth) {
-              best = l;
-              best_depth = lanes[l].size();
-            }
-          }
-          if (best == lanes.size()) break;
-          picks.push_back(std::move(lanes[best].front()));
-          lanes[best].pop_front();
-          steals.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (picks.empty()) continue;
-      drain_batch(picks, width);
-    }
-  }
-
-  void drain_batch(const std::vector<std::shared_ptr<Conn>>& picks,
-                   std::size_t width) {
-    crypto::CmacBatch batch(width);
-    struct Work {
-      std::shared_ptr<Conn> conn;
-      std::deque<std::optional<core::Response>> rounds;
-    };
-    std::vector<Work> work;
-    work.reserve(picks.size());
-    for (const auto& conn : picks) {
-      Work w{conn, {}};
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->queued = false;
-        conn->verify_active = true;
-        w.rounds.swap(conn->inbox);
-      }
-      work.push_back(std::move(w));
-    }
-    for (Work& w : work) {
-      if (!w.conn->session.has_value()) continue;
-      w.conn->session->set_absorb_sink(&batch);
-      for (auto& response : w.rounds) {
-        w.conn->session->on_response(std::move(response));
-      }
-    }
-    // One interleaved flush across every drained member's stream; sinks
-    // detach before any finish() closes a MAC.
-    batch.flush();
-    for (Work& w : work) {
-      if (w.conn->session.has_value()) {
-        w.conn->session->set_absorb_sink(nullptr);
-      }
-    }
-    note_batch_occupancy(batch);
-    batches.fetch_add(work.size(), std::memory_order_relaxed);
-
-    bool woke = false;
-    for (Work& w : work) {
-      const auto& conn = w.conn;
-      bool run_finish = false;
-      bool requeue = false;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->verify_active = false;
-        if (conn->session.has_value() && conn->session->done() &&
-            !conn->finished) {
-          conn->finished = true;
-          run_finish = true;
-        } else if (!conn->inbox.empty() && !conn->queued) {
-          conn->queued = true;
-          requeue = true;
-        }
-      }
-      if (run_finish) {
-        finish_session(conn);
-        {
-          std::lock_guard<std::mutex> lock(wake_mu);
-          wake_list.push_back(conn);
-        }
-        woke = true;
-      }
-      if (requeue) {
-        {
-          std::lock_guard<std::mutex> lock(sched_mu);
-          lanes[conn->lane].push_back(conn);
-        }
-        sched_cv.notify_one();
-      }
-    }
-    if (woke) wake();
-  }
-
-  /// Verify strand epilogue: both strands are quiesced (all responses
-  /// absorbed ⇒ nothing left to issue), so finish() is safe here.
-  void finish_session(const std::shared_ptr<Conn>& conn) {
+  /// Every response is absorbed: seals the verdict, records it, and writes
+  /// the REPORT (and any UPDATE_OFFER). The verdict is recorded before the
+  /// write, so a prover that closes without reading the REPORT still gets
+  /// its audit entry. Returns false when the connection was torn down.
+  bool finish_session(const std::shared_ptr<Conn>& conn) {
+    conn->finished = true;
     core::VerifierSession::Report report = conn->session->finish();
     ReportMsg msg;
     msg.protocol_ok = report.verdict.protocol_ok;
@@ -1002,28 +768,6 @@ struct AttestServer::Impl {
     // proved its configuration gets the offer (an unattested device first
     // needs escalation, not new firmware).
     const bool offer = !opts.update_offer.empty() && msg.attested();
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->outbox.push_back(Frame{FrameKind::kReport, msg.encode()});
-      if (offer) {
-        UpdateOfferMsg offer_msg;
-        offer_msg.version = opts.update_version;
-        offer_msg.manifest = opts.update_offer;
-        conn->outbox.push_back(
-            Frame{FrameKind::kUpdateOffer, offer_msg.encode()});
-        conn->offer_pending = true;
-        conn->want_close = false;
-      } else {
-        conn->want_close = true;
-      }
-    }
-    if (offer) {
-      updates_offered.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& offered_ctr =
-          obs::MetricsRegistry::global().counter(
-              "sacha.attestd.updates_offered");
-      offered_ctr.add(1);
-    }
     completed.fetch_add(1, std::memory_order_relaxed);
     (msg.attested() ? attested : failed).fetch_add(1,
                                                    std::memory_order_relaxed);
@@ -1061,12 +805,35 @@ struct AttestServer::Impl {
       entry.wall_ns = msg.wall_ns;
       entry.attested = msg.attested();
       entry.spans = conn->session->timeline();
-      std::lock_guard<std::mutex> lock(tracez_mu);
       tracez.push_back(std::move(entry));
       while (tracez.size() > std::max<std::size_t>(opts.tracez_capacity, 1)) {
         tracez.pop_front();
       }
     }
+    end_session_slot(*conn);
+    Status sent = conn->channel.send(FrameKind::kReport, msg.encode());
+    if (offer) {
+      UpdateOfferMsg offer_msg;
+      offer_msg.version = opts.update_version;
+      offer_msg.manifest = opts.update_offer;
+      if (sent.ok()) {
+        sent = conn->channel.send(FrameKind::kUpdateOffer, offer_msg.encode());
+      }
+      conn->offer_pending = true;
+      updates_offered.fetch_add(1, std::memory_order_relaxed);
+      static obs::Counter& offered_ctr =
+          obs::MetricsRegistry::global().counter(
+              "sacha.attestd.updates_offered");
+      offered_ctr.add(1);
+    } else {
+      conn->want_close = true;
+    }
+    if (!sent.ok() || (conn->want_close && !conn->channel.want_write())) {
+      close_conn(conn, /*quarantine=*/false);
+      return false;
+    }
+    update_interest(conn);
+    return true;
   }
 };
 
@@ -1092,9 +859,6 @@ Status AttestServer::start() {
   }
   impl->wake_rd = pipe_fds[0];
   impl->wake_wr = pipe_fds[1];
-  const std::size_t pool = options_.pool_size == 0 ? core::default_fleet_pool()
-                                                   : options_.pool_size;
-  impl->lanes.resize(pool);
   Status st = impl->loop.add(impl->listener.fd(), true, false);
   if (!st.ok()) return st;
   st = impl->loop.add(impl->wake_rd, true, false);
@@ -1103,14 +867,9 @@ Status AttestServer::start() {
   port_ = impl->listener.bound_port();
   impl_ = impl.release();
   impl_->loop_thread = std::thread([this] { impl_->loop_main(); });
-  impl_->workers.reserve(pool);
-  for (std::size_t w = 0; w < pool; ++w) {
-    impl_->workers.emplace_back([this, w] { impl_->worker_main(w); });
-  }
   (log_info() << "attestd listening")
       .kv("host", options_.host)
-      .kv("port", port_)
-      .kv("pool", pool);
+      .kv("port", port_);
   return Status();
 }
 
@@ -1118,11 +877,7 @@ void AttestServer::stop() {
   if (impl_ == nullptr) return;
   impl_->stopping.store(true, std::memory_order_relaxed);
   impl_->wake();
-  impl_->sched_cv.notify_all();
   if (impl_->loop_thread.joinable()) impl_->loop_thread.join();
-  for (std::thread& worker : impl_->workers) {
-    if (worker.joinable()) worker.join();
-  }
   impl_->listener.close();
   if (impl_->wake_rd >= 0) ::close(impl_->wake_rd);
   if (impl_->wake_wr >= 0) ::close(impl_->wake_wr);
@@ -1143,8 +898,6 @@ AttestServerStats AttestServer::stats() const {
   out.sessions_active =
       impl_->sessions_active.load(std::memory_order_relaxed);
   out.peak_connections = impl_->peak.load(std::memory_order_relaxed);
-  out.verify_steals = impl_->steals.load(std::memory_order_relaxed);
-  out.verify_batches = impl_->batches.load(std::memory_order_relaxed);
   out.updates_offered = impl_->updates_offered.load(std::memory_order_relaxed);
   out.updates_accepted =
       impl_->updates_accepted.load(std::memory_order_relaxed);

@@ -1,33 +1,28 @@
 // attestd: the attestation service core.
 //
-// One event-loop thread owns every socket: it accepts provers off the
-// listener (epoll), assembles wire frames from nonblocking
-// reads, issues each session's pipelined command window, and writes
-// whatever the verify workers produced. A fixed pool of verify lanes
-// absorbs the responses: each connection homes on `conn_id % lanes`,
-// workers drain their own lane first and steal from the longest backlog
-// otherwise, and every drain interleaves up to verify_batch_width
-// members' streaming CMAC folds through one crypto::CmacBatch (the
-// multi-stream absorb), recording its occupancy in the
-// sacha.engine.batch_* metrics.
-//
-// The split follows SachaVerifier's command/on_response contract: the
-// loop thread is every session's drive strand (command(i) reads the
-// frozen schedule), the worker draining its lane is the verify strand
-// (on_response writes the absorb state); finish() runs on the worker only
-// after the last response was absorbed, when the loop has nothing left to
-// issue.
+// One event-loop thread owns every socket and runs every session to
+// completion: it accepts provers off the listener (epoll), assembles wire
+// frames from nonblocking reads, issues each session's pipelined command
+// window, absorbs each RESPONSE into the session's VerifierSession as it
+// arrives (streaming CMAC fold + masked compare), and, once the last one
+// is in, finishes the session, appends the audit entry and writes the
+// REPORT. A session's verify is serial (the MAC folds frames in the
+// verifier's order), so a second thread would only add hand-offs; the loop
+// shares its one thread among many sessions, as the client loop does.
+// Hosts that need more cores run several attestd processes on one port
+// (`reuseport`) or behind the shard coordinator.
 //
 // A connection whose first byte opens an HTTP request line (net/http.hpp)
 // is served on the loop thread and closed: /metrics (Prometheus text),
-// /healthz (event-loop liveness, sessions in flight, lane queue depths),
-// /statusz (per-connection state table, recent quarantines, uptime and
-// tier info as JSON), /tracez (ring of the most recent sampled
-// cross-process timelines). A prover that vanishes mid-session is
-// quarantined — counted, logged, its slot reclaimed — never a crash or a
-// leaked session. Every finished session writes one structured access-log
-// line and feeds the SLO tracker (latency objective + error-budget
-// gauges).
+// /healthz (event-loop liveness, sessions in flight), /statusz
+// (per-connection state table, recent quarantines, uptime and tier info
+// as JSON), /tracez (ring of the most recent sampled cross-process
+// timelines). A prover that vanishes mid-session is quarantined — counted,
+// logged, its slot reclaimed — never a crash or a leaked session; one whose
+// evidence is complete always gets its verdict, even if it closes without
+// reading the REPORT. Every finished session writes one structured
+// access-log line and feeds the SLO tracker (latency objective +
+// error-budget gauges).
 #pragma once
 
 #include <atomic>
@@ -44,9 +39,10 @@ struct AttestServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = kernel-assigned ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  /// Verify workers (= lanes). 0 = core::default_fleet_pool().
+  /// Ignored: every session runs on the loop thread. pool_size and
+  /// verify_batch_width are kept only because the benchmark's workloads
+  /// assign them; they go with the next benchmark revision.
   std::size_t pool_size = 0;
-  /// Members interleaved per CmacBatch drain (clamped to [1, 8]).
   std::size_t verify_batch_width = 4;
   /// Commands in flight per session before waiting for responses. The
   /// schedule is frozen at HELLO, so pipelining is free; the window bounds
@@ -109,6 +105,9 @@ struct AttestServerStats {
   std::uint64_t sessions_active = 0;
   /// Largest concurrent-connection count observed.
   std::uint64_t peak_connections = 0;
+  /// Always 0: there are no verify lanes. Kept only because the
+  /// benchmark's workloads read them; they go with the next benchmark
+  /// revision.
   std::uint64_t verify_steals = 0;
   std::uint64_t verify_batches = 0;
   /// OTA offer accounting (update_offer staged in the options).
@@ -135,9 +134,10 @@ class AttestServer {
   AttestServer(const AttestServer&) = delete;
   AttestServer& operator=(const AttestServer&) = delete;
 
-  /// Binds, listens, and starts the loop + worker threads.
+  /// Binds, listens, and starts the loop thread.
   Status start();
-  /// Stops the threads and closes every connection. Idempotent.
+  /// Stops the loop thread, closes every connection and releases the
+  /// golden models the server provisioned. Idempotent.
   void stop();
 
   /// Graceful shutdown, phase one: refuse new HELLOs (typed ERROR,

@@ -110,9 +110,9 @@ class Tracer {
 
   /// Appends a manually assembled span. The RAII Span is thread-affine
   /// (its depth counter is thread-local), which does not fit executors
-  /// that migrate one session across worker threads — the attestd verify
-  /// lanes and the multiplexed client loop both do. Those call sites
-  /// stamp start/duration/depth/thread_id themselves and hand the record
+  /// that interleave many sessions on one thread — attestd's loop and the
+  /// multiplexed client loop both do. Those call sites stamp
+  /// start/duration/depth/thread_id themselves and hand the record
   /// straight in. Callers are expected to have checked should_trace().
   void record(SpanRecord&& r) { append(std::move(r)); }
 
@@ -162,10 +162,10 @@ class Span {
 /// One side's half of a cross-process session timeline, recorded by hand:
 /// a top-level "session" span and the Table-4 phase spans under it, all in
 /// one lane keyed off the trace id and tagged `side`. The RAII Span is
-/// thread-affine, which does not fit a session whose work hops threads
-/// (attestd's verify lanes) or shares one thread with hundreds of others
-/// (the multiplexed client loop); both sides of a socket session record
-/// through this instead. Phase durations also feed observe_phase_duration.
+/// thread-affine, which does not fit a session that shares one thread with
+/// hundreds of others (attestd's loop and the multiplexed client loop);
+/// both sides of a socket session record through this instead. Phase
+/// durations also feed observe_phase_duration.
 class SessionTimeline {
  public:
   /// `lane_salt` is XORed into the trace id's low word to pick the lane,

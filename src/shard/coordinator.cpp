@@ -112,8 +112,6 @@ bool parse_digest_hex(const std::string& hex, crypto::Sha256Digest* out) {
   net::AttestServerOptions shard_opts;
   shard_opts.host = opts.host;
   shard_opts.port = 0;
-  shard_opts.pool_size = opts.shard_pool;
-  shard_opts.verify_batch_width = opts.verify_batch_width;
   shard_opts.session_timeout_ms = opts.session_timeout_ms;
   shard_opts.model_cache_dir = opts.model_cache_dir;
   shard_opts.model_map = opts.model_map;

@@ -53,11 +53,6 @@ struct CoordinatorOptions {
   std::size_t shards = 2;
   /// Virtual nodes per shard on the hash ring.
   std::size_t vnodes = 64;
-  /// Verify workers per shard (0 = auto). On a small host pin this to 1:
-  /// the shards are the parallelism.
-  std::size_t shard_pool = 1;
-  /// Members per CMAC batch drain inside each shard.
-  std::size_t verify_batch_width = 4;
   /// Idle session cut-off inside each shard (ms, 0 = never).
   std::uint64_t session_timeout_ms = 30000;
   /// Golden-model `.sgm` cache directory shared by every shard; with

@@ -1,9 +1,10 @@
 // Attestation-service tests: loopback smoke, verdict + MAC bit-identity
-// against the in-process SwarmSchedule::kMultiplexed oracle, the
-// quarantine path for abrupt disconnects, the Prometheus and operability
-// endpoints (with the HTTP hygiene table shared with the shard
-// coordinator), the OTA offer handshake (signed manifests offered after
-// passing sessions only), and graceful drain.
+// against the in-process SwarmSchedule::kMultiplexed oracle (small,
+// softcore and Virtex-6 fleets), the quarantine path for abrupt
+// disconnects, a verdict for every session whose evidence is complete,
+// the Prometheus and operability endpoints (with the HTTP hygiene table
+// shared with the shard coordinator), the OTA offer handshake (signed
+// manifests offered after passing sessions only), and graceful drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -265,26 +266,25 @@ TEST(NetService, LoopbackSmoke) {
   server.stop();
 }
 
-TEST(NetService, MixedFleetBitIdenticalToMultiplexedOracle) {
-  net::FleetSpec spec;
-  spec.mixed = true;
-  const std::set<std::size_t> tampered = {1, 3};
-  constexpr std::size_t kMembers = 16;
-
-  const core::SwarmReport oracle = oracle_run(spec, kMembers, tampered);
-  ASSERT_EQ(oracle.members.size(), kMembers);
-  EXPECT_EQ(oracle.attested, kMembers - tampered.size());
+/// Attests the fleet through a fresh attestd and expects every member's
+/// verdict flags, FailureKind and MAC to equal the in-process oracle's.
+void expect_service_matches_oracle(const net::FleetSpec& spec,
+                                   std::size_t members,
+                                   const std::set<std::size_t>& tampered) {
+  const core::SwarmReport oracle = oracle_run(spec, members, tampered);
+  ASSERT_EQ(oracle.members.size(), members);
+  EXPECT_EQ(oracle.attested, members - tampered.size());
 
   net::AttestServer server;
   ASSERT_TRUE(server.start().ok());
-  net::LoadOptions load = loopback_load(server, spec, kMembers);
+  net::LoadOptions load = loopback_load(server, spec, members);
   load.tampered = tampered;
   const net::LoadResult result = net::run_load(load);
   server.stop();
 
   ASSERT_TRUE(result.all_completed());
   EXPECT_EQ(result.attested, oracle.attested);
-  for (std::size_t i = 0; i < kMembers; ++i) {
+  for (std::size_t i = 0; i < members; ++i) {
     const core::SwarmMemberResult& want = oracle.members[i];
     const net::MemberOutcome& got = result.members[i];
     SCOPED_TRACE("member " + std::to_string(i));
@@ -302,6 +302,74 @@ TEST(NetService, MixedFleetBitIdenticalToMultiplexedOracle) {
       EXPECT_EQ(got.report.mac, *want.mac);
     }
   }
+}
+
+TEST(NetService, MixedFleetBitIdenticalToMultiplexedOracle) {
+  {
+    SCOPED_TRACE("mixed small/softcore fleet");
+    net::FleetSpec spec;
+    spec.mixed = true;
+    expect_service_matches_oracle(spec, 16, {1, 3});
+  }
+  {
+    // The paper's device: each session reads back the whole 9.2 MB
+    // XC6VLX240T configuration through the service.
+    SCOPED_TRACE("Virtex-6 fleet");
+    net::FleetSpec spec;
+    spec.scale = net::DeviceScale::kVirtex6;
+    expect_service_matches_oracle(spec, 2, {1});
+  }
+}
+
+TEST(NetService, CompleteEvidenceAlwaysGetsAVerdict) {
+  // Each prover sends its last RESPONSE and closes at once, without reading
+  // the REPORT. Its evidence is complete, so the server must reach the
+  // verdict and audit it rather than quarantine the session at EOF.
+  net::AttestServer server;
+  ASSERT_TRUE(server.start().ok());
+  net::FleetSpec spec;
+  constexpr std::size_t kSessions = 30;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    SCOPED_TRACE("session " + std::to_string(i));
+    const net::HelloMsg hello = net::member_hello(spec, i);
+    net::ProverAgent agent(hello);
+    auto connected = net::TcpChannel::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(connected.ok()) << connected.message();
+    net::TcpChannel channel = std::move(connected).take();
+    ASSERT_TRUE(
+        channel.send_frame_blocking({net::FrameKind::kHello, hello.encode()},
+                                    5000)
+            .ok());
+    auto ack_frame = channel.recv_frame_blocking(5000);
+    ASSERT_TRUE(ack_frame.ok()) << ack_frame.message();
+    ASSERT_EQ(ack_frame.value().kind, net::FrameKind::kHelloAck);
+    auto ack = net::HelloAckMsg::decode(ack_frame.value().payload);
+    ASSERT_TRUE(ack.ok()) << ack.message();
+    for (std::uint32_t c = 0; c < ack.value().command_count; ++c) {
+      auto command = channel.recv_frame_blocking(5000);
+      ASSERT_TRUE(command.ok()) << command.message();
+      ASSERT_EQ(command.value().kind, net::FrameKind::kCommand);
+      ASSERT_TRUE(channel
+                      .send_frame_blocking(
+                          {net::FrameKind::kResponse,
+                           agent.handle_command(command.value().payload)},
+                          5000)
+                      .ok());
+    }
+    channel.close();
+  }
+  net::AttestServerStats stats = server.stats();
+  for (int spin = 0;
+       spin < 500 && (stats.sessions_completed + stats.quarantined < kSessions ||
+                      stats.active_connections > 0);
+       ++spin) {
+    ::usleep(10000);
+    stats = server.stats();
+  }
+  server.stop();
+  EXPECT_EQ(stats.sessions_completed, kSessions);
+  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(stats.audit_entries, kSessions);
 }
 
 TEST(NetService, AbruptDisconnectQuarantinesNotCrashes) {
@@ -416,7 +484,6 @@ TEST(NetService, OperabilityEndpointsServeJson) {
   EXPECT_NE(health.find("Content-Type: application/json"), std::string::npos);
   EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(health.find("\"loop_tick_age_ms\":"), std::string::npos);
-  EXPECT_NE(health.find("\"lane_depths\":["), std::string::npos);
 
   const std::string status = http_get(server.port(), "/statusz");
   EXPECT_NE(status.find("200 OK"), std::string::npos);
