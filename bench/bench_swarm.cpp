@@ -1,9 +1,9 @@
 // E13 (extension) — swarm attestation scaling.
 //
-// Fleet-size sweep under serial and parallel scheduling at lab-network
-// latency, plus isolation of a compromised minority. Shows the §4.2
-// motivation quantitatively: per-device SACHa composes linearly in total
-// work, and parallel scheduling keeps the makespan flat.
+// Fleet-size sweep under the three schedules' makespan models at
+// lab-network latency, plus isolation of a compromised minority. Shows the
+// §4.2 motivation quantitatively: per-device SACHa composes linearly in
+// total work, and parallel scheduling keeps the makespan flat.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -11,6 +11,7 @@
 #include <deque>
 #include <thread>
 
+#include "../tests/swarm_oracle.hpp"
 #include "bench_util.hpp"
 #include "core/swarm.hpp"
 
@@ -92,43 +93,38 @@ void print_sweep() {
               "masks it.\n");
 }
 
-/// CI gate: at N=64 / pool=4 under lab latency the multiplexed engine must
-/// (a) produce member reports bit-identical to thread-per-member kParallel
-/// and (b) model a makespan at least 2x shorter than the thread-per-member
-/// baseline packed onto the same 4 lanes. A breach fails the bench binary
-/// (non-zero exit), which fails CI.
+/// CI gate: at N=64 / pool=4 under lab latency every schedule must
+/// (a) produce member reports bit-identical to a plain run_attestation
+/// loop (tests/swarm_oracle.hpp), and the multiplexed engine must (b) model
+/// a makespan at least 2x shorter than the thread-per-member baseline
+/// packed onto the same 4 lanes. A breach fails the bench binary (non-zero
+/// exit), which fails CI.
 bool multiplexed_gate(std::vector<benchutil::BenchRecord>& records) {
   constexpr std::size_t kFleet = 64;
   constexpr std::size_t kPool = 4;
-  core::SessionOptions session;
-  session.channel = net::ChannelParams::lab();
+  core::SwarmOptions options;
+  options.session.channel = net::ChannelParams::lab();
+  options.engine.pool_size = kPool;
+  options.retry_budget = 0;
 
-  Fleet parallel_fleet(kFleet);
-  const auto parallel = core::attest_swarm(
-      parallel_fleet.members, core::SwarmSchedule::kParallel, session);
-
-  core::SwarmOptions mux_options;
-  mux_options.session = session;
-  mux_options.schedule = core::SwarmSchedule::kMultiplexed;
-  mux_options.engine.pool_size = kPool;
-  mux_options.retry_budget = 0;
-  Fleet mux_fleet(kFleet);
-  const auto mux = core::attest_swarm(mux_fleet.members, mux_options);
-
-  bool identical = parallel.members.size() == mux.members.size();
-  for (std::size_t i = 0; identical && i < parallel.members.size(); ++i) {
-    const auto& a = parallel.members[i];
-    const auto& b = mux.members[i];
-    identical = a.id == b.id && a.verdict.ok() == b.verdict.ok() &&
-                a.verdict.kind == b.verdict.kind && a.failure == b.failure &&
-                a.attempts == b.attempts && a.duration == b.duration &&
-                a.mac == b.mac && a.messages_lost == b.messages_lost &&
-                a.retransmissions == b.retransmissions &&
-                a.backoff_wait == b.backoff_wait;
-    if (!identical) {
-      std::printf("[gate] member %zu (%s) diverges between kParallel and "
-                  "kMultiplexed\n", i, a.id.c_str());
+  Fleet oracle_fleet(kFleet);
+  const auto expected =
+      oracle::run_attestation_loop(oracle_fleet.members, options);
+  bool identical = true;
+  core::SwarmReport mux;
+  for (const auto schedule :
+       {core::SwarmSchedule::kSerial, core::SwarmSchedule::kParallel,
+        core::SwarmSchedule::kMultiplexed}) {
+    options.schedule = schedule;
+    Fleet fleet(kFleet);
+    const auto report = core::attest_swarm(fleet.members, options);
+    for (const std::string& diff :
+         oracle::report_differences(report, expected)) {
+      std::printf("[gate] schedule %d diverges from the run_attestation "
+                  "loop: %s\n", static_cast<int>(schedule), diff.c_str());
+      identical = false;
     }
+    if (schedule == core::SwarmSchedule::kMultiplexed) mux = report;
   }
   const double speedup =
       mux.engine.makespan > 0
@@ -161,8 +157,8 @@ bool multiplexed_gate(std::vector<benchutil::BenchRecord>& records) {
   return identical && fast_enough;
 }
 
-/// Host wall-clock of a 16-member fleet under both schedules — the number
-/// the attest_swarm worker pool moves. Emits BENCH_swarm.json, with the
+/// Host wall-clock of a 16-member fleet inline (kSerial) and on the
+/// engine's worker pool (kParallel). Emits BENCH_swarm.json, with the
 /// gate's records appended.
 void wallclock_sweep_and_emit(std::vector<benchutil::BenchRecord> records) {
   using clock = std::chrono::steady_clock;

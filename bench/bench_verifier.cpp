@@ -11,15 +11,12 @@
 // sharing ratio (one model per device type, not per member).
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <chrono>
 #include <deque>
-#include <span>
 
 #include "bench_util.hpp"
 #include "bitstream/golden_model.hpp"
 #include "core/swarm.hpp"
-#include "crypto/cmac.hpp"
 
 using namespace sacha;
 
@@ -112,23 +109,11 @@ ReplayResult replay(const attacks::AttackEnv& base_env, core::VerifyMode mode,
 
 std::vector<benchutil::BenchRecord> g_records;
 
-/// Shared XC6VLX240T capture: the headline replay and the multi-stream MAC
-/// sweep both replay the same honest transcript.
-const attacks::AttackEnv& virtex6_env() {
-  static const attacks::AttackEnv env = attacks::AttackEnv::virtex6(2026);
-  return env;
-}
-
-const Transcript& virtex6_transcript() {
-  static const Transcript t = capture_transcript(virtex6_env());
-  return t;
-}
-
 void virtex6_replay_headline() {
   benchutil::print_title(
       "Verifier fast path: streaming vs retained (XC6VLX240T, 28,488 frames)");
-  const attacks::AttackEnv& env = virtex6_env();
-  const Transcript& t = virtex6_transcript();
+  const attacks::AttackEnv env = attacks::AttackEnv::virtex6(2026);
+  const Transcript t = capture_transcript(env);
   const double mb = static_cast<double>(t.readback_bytes) / (1024.0 * 1024.0);
 
   const ReplayResult streaming =
@@ -185,134 +170,6 @@ void virtex6_replay_headline() {
                        static_cast<double>(retained.retained_bytes), "B"});
   g_records.push_back({"bench_verifier", "golden_model_footprint",
                        static_cast<double>(model->footprint_bytes()), "B"});
-}
-
-/// Multi-stream CBC-MAC batch-width sweep — the tentpole's kernel-level
-/// gate. 8 independent sessions' CMAC streams (distinct keys) each absorb
-/// the full XC6VLX240T readback word stream; the single-stream baseline
-/// folds them one after another (the AESENC dependency chain runs at
-/// latency), the batched runs interleave them through CmacBatch at widths
-/// 1/2/4/8 (the chain runs at throughput). Gate: every width's 8 tags are
-/// bit-identical to the baseline's, and on the AES-NI tier the best width
-/// is >= 1.5x the single-stream baseline. Returns false when the gate
-/// fails (bench exit code — CI runs this binary directly).
-bool multi_stream_mac_sweep() {
-  benchutil::print_title(
-      "Multi-stream CBC-MAC: interleaved batch widths vs single-stream "
-      "(8 sessions x XC6VLX240T readback)");
-  constexpr std::size_t kStreams = 8;
-
-  // Concatenated readback words of the honest transcript — the exact data
-  // the streaming verifier MACs, minus the protocol byte fraction.
-  std::vector<std::uint32_t> words;
-  for (const auto& response : virtex6_transcript().responses) {
-    if (response.has_value() &&
-        response->type == core::ResponseType::kFrameData) {
-      words.insert(words.end(), response->frame_words.begin(),
-                   response->frame_words.end());
-    }
-  }
-  const double stream_mb =
-      static_cast<double>(words.size()) * 4.0 / (1024.0 * 1024.0);
-
-  std::array<crypto::AesKey, kStreams> keys{};
-  for (std::size_t s = 0; s < kStreams; ++s) {
-    for (std::size_t b = 0; b < keys[s].size(); ++b) {
-      keys[s][b] = static_cast<std::uint8_t>(0xA5 ^ (s * 17 + b * 31));
-    }
-  }
-  const crypto::AesImpl tier = crypto::Cmac(keys[0]).impl();
-  std::printf("AES tier: %s, %.1f MiB per stream, %zu streams\n",
-              crypto::to_string(tier), stream_mb, kStreams);
-
-  constexpr int kReps = 3;
-  const auto finalize_all = [&](std::array<crypto::Cmac, kStreams>* streams) {
-    std::array<crypto::Mac, kStreams> tags{};
-    for (std::size_t s = 0; s < kStreams; ++s) {
-      tags[s] = (*streams)[s].finalize();
-    }
-    return tags;
-  };
-  const auto make_streams = [&] {
-    return std::array<crypto::Cmac, kStreams>{
-        crypto::Cmac(keys[0]), crypto::Cmac(keys[1]), crypto::Cmac(keys[2]),
-        crypto::Cmac(keys[3]), crypto::Cmac(keys[4]), crypto::Cmac(keys[5]),
-        crypto::Cmac(keys[6]), crypto::Cmac(keys[7])};
-  };
-
-  // Single-stream baseline: one dependent AESENC chain at a time.
-  double serial_seconds = 1e100;
-  std::array<crypto::Mac, kStreams> serial_tags{};
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto streams = make_streams();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t s = 0; s < kStreams; ++s) {
-      streams[s].update(std::span<const std::uint32_t>(words));
-    }
-    serial_tags = finalize_all(&streams);
-    const auto t1 = std::chrono::steady_clock::now();
-    serial_seconds = std::min(serial_seconds,
-                              std::chrono::duration<double>(t1 - t0).count());
-  }
-  const double total_mb = stream_mb * kStreams;
-  std::printf("%10s %12s %14s %22s %8s\n", "width", "time", "throughput",
-              "sessions/s/core", "tags");
-  std::printf("%10s %10.4f s %10.1f MiB/s %18.2f /s %8s\n", "serial",
-              serial_seconds, total_mb / serial_seconds,
-              kStreams / serial_seconds, "--");
-  g_records.push_back({"bench_verifier", "mac8_serial_throughput",
-                       total_mb / serial_seconds, "MiB/s"});
-  g_records.push_back({"bench_verifier", "mac8_serial_sessions_per_core",
-                       kStreams / serial_seconds, "/s"});
-
-  bool bit_identical = true;
-  double best_seconds = 1e100;
-  for (const std::size_t width : {1u, 2u, 4u, 8u}) {
-    double batch_seconds = 1e100;
-    std::array<crypto::Mac, kStreams> tags{};
-    for (int rep = 0; rep < kReps; ++rep) {
-      auto streams = make_streams();
-      // Clones built outside the timed region: add() takes ownership, and
-      // the wire hands the verifier owned payloads for free in production.
-      std::vector<std::vector<std::uint32_t>> clones(kStreams, words);
-      const auto t0 = std::chrono::steady_clock::now();
-      crypto::CmacBatch batch(width);
-      for (std::size_t s = 0; s < kStreams; ++s) {
-        batch.add(streams[s], std::move(clones[s]));
-      }
-      batch.flush();
-      tags = finalize_all(&streams);
-      const auto t1 = std::chrono::steady_clock::now();
-      batch_seconds = std::min(
-          batch_seconds, std::chrono::duration<double>(t1 - t0).count());
-    }
-    const bool match = tags == serial_tags;
-    bit_identical = bit_identical && match;
-    if (width > 1) best_seconds = std::min(best_seconds, batch_seconds);
-    std::printf("%10zu %10.4f s %10.1f MiB/s %18.2f /s %8s\n", width,
-                batch_seconds, total_mb / batch_seconds,
-                kStreams / batch_seconds, match ? "match" : "MISMATCH");
-    const std::string prefix = "mac8_width" + std::to_string(width);
-    g_records.push_back({"bench_verifier", prefix + "_throughput",
-                         total_mb / batch_seconds, "MiB/s"});
-    g_records.push_back({"bench_verifier", prefix + "_sessions_per_core",
-                         kStreams / batch_seconds, "/s"});
-  }
-
-  const double speedup = serial_seconds / best_seconds;
-  const bool gated_tier = tier == crypto::AesImpl::kAesni;
-  const bool fast_enough = !gated_tier || speedup >= 1.5;
-  std::printf("=> best interleaved width is %.2fx single-stream "
-              "(gate: >= 1.5x on AES-NI%s), tags %s.\n",
-              speedup, gated_tier ? "" : " — tier not gated here",
-              bit_identical ? "bit-identical at every width" : "DIVERGED");
-  g_records.push_back(
-      {"bench_verifier", "mac8_batch_speedup", speedup, "x"});
-  g_records.push_back({"bench_verifier", "mac8_bit_identical",
-                       bit_identical ? 1.0 : 0.0, "bool"});
-  g_records.push_back({"bench_verifier", "mac8_gate_tier_aesni",
-                       gated_tier ? 1.0 : 0.0, "bool"});
-  return bit_identical && fast_enough;
 }
 
 /// Fleet-size sweep: per-member retained readback bytes and golden-model
@@ -453,17 +310,10 @@ int main(int argc, char** argv) {
   g_records.push_back({"bench_verifier", "telemetry_enabled",
                        obs::enabled() ? 1.0 : 0.0, "bool"});
   virtex6_replay_headline();
-  const bool mac_gate_ok = multi_stream_mac_sweep();
   fleet_memory_sweep();
   hetero_fleet_sweep();
   benchutil::write_bench_json("BENCH_verifier.json", g_records);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  if (!mac_gate_ok) {
-    std::fprintf(stderr,
-                 "FAIL: multi-stream CBC-MAC gate (>= 1.5x on AES-NI and "
-                 "bit-identical tags) not met\n");
-    return 1;
-  }
   return 0;
 }

@@ -47,7 +47,7 @@ struct CliOptions {
   std::string model_cache;        // GoldenModel on-disk cache directory
   std::uint64_t fleet = 0;        // members in a fleet run (0 = one session)
   std::string schedule = "mux";   // serial | parallel | mux
-  std::uint64_t pool = 0;         // mux worker-pool size (0 = auto)
+  std::uint64_t pool = 0;         // parallel/mux worker-pool size (0 = auto)
   std::uint64_t seed = 1;
   std::string listen_spec;   // serve attestations on HOST:PORT
   std::string connect_spec;  // attest against a remote attestd
@@ -89,7 +89,7 @@ void print_help() {
       "                                    DIR (built + persisted on miss)\n"
       "  --fleet N                         attest a fleet of N devices\n"
       "  --schedule serial|parallel|mux    fleet schedule (default mux)\n"
-      "  --pool K                          mux worker-pool size (0 = auto)\n"
+      "  --pool K                          parallel/mux worker-pool size (0 = auto)\n"
       "  --listen HOST:PORT                run as an attestation service\n"
       "                                    (real sockets, one loop thread)\n"
       "  --connect HOST:PORT               attest this device (or --fleet N\n"
@@ -192,6 +192,12 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       const char* v = next("--schedule");
       if (!v) return false;
       options.schedule = v;
+      if (options.schedule != "serial" && options.schedule != "parallel" &&
+          options.schedule != "mux") {
+        std::fprintf(stderr,
+                     "--schedule must be serial, parallel or mux (try --help)\n");
+        return false;
+      }
     } else if (arg == "--pool") {
       const char* v = next("--pool");
       if (!v) return false;

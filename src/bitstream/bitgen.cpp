@@ -94,7 +94,6 @@ ConfigImage BitGen::generate(const fabric::FrameRange& range,
   const std::uint32_t words = device_.geometry().words_per_frame();
   ConfigImage image;
   image.frames.reserve(range.count);
-  image.masks.reserve(range.count);
   const std::uint64_t design_hash =
       fnv1a(spec.name) ^ (spec.seed * 0x9e3779b97f4a7c15ULL);
   for (std::uint32_t i = 0; i < range.count; ++i) {
@@ -105,9 +104,6 @@ ConfigImage BitGen::generate(const fabric::FrameRange& range,
       frame.set_word(w, static_cast<std::uint32_t>(rng.next_u64()));
     }
     image.frames.push_back(std::move(frame));
-    // The mask is architectural: flip-flop positions do not move with the
-    // design, so the verifier's Msk and the device's readback merge agree.
-    image.masks.push_back(architectural_mask(device_, frame_index));
   }
   return image;
 }
@@ -120,7 +116,6 @@ ConfigImage BitGen::nonce_frame(std::uint64_t nonce) const {
   frame.set_word(1, static_cast<std::uint32_t>(nonce));
   ConfigImage image;
   image.frames.push_back(std::move(frame));
-  image.masks.emplace_back(words, 0xffffffff);
   return image;
 }
 

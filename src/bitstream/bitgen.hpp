@@ -1,5 +1,5 @@
 // Synthetic "bitgen": turns a design specification into configuration
-// frames, their register-state mask, and encoded bitstreams.
+// frames and encoded bitstreams, next to the device's register-state mask.
 //
 // We obviously cannot run Xilinx ISE here; what attestation needs from the
 // toolchain is (a) deterministic frame content for a named design, so the
@@ -90,14 +90,15 @@ class BitGen {
 
   const fabric::DeviceModel& device() const { return device_; }
 
-  /// Golden content + mask for every frame of `range`, deterministic in the
-  /// spec. Frames are indexed relative to the range (frames[0] is the frame
-  /// at linear index range.first).
+  /// Golden content of every frame of `range`, deterministic in the spec.
+  /// Frames are indexed relative to the range (frames[0] is the frame at
+  /// linear index range.first). The mask is not design-specific: see
+  /// `architectural_mask`.
   ConfigImage generate(const fabric::FrameRange& range,
                        const DesignSpec& spec) const;
 
   /// One frame embedding a 64-bit nonce in its first two words (§5.2.2's
-  /// separate nonce-register partition). All bits are configuration bits.
+  /// separate nonce-register partition).
   ConfigImage nonce_frame(std::uint64_t nonce) const;
 
   /// Encodes `image` as a single-burst partial bitstream starting at linear

@@ -59,10 +59,11 @@ Frame apply_mask(const Frame& frame, const FrameMask& mask);
 /// True iff a and b agree on all configuration (mask=1) bits.
 bool masked_equal(const Frame& a, const Frame& b, const FrameMask& mask);
 
-/// A frame range's worth of golden configuration plus its mask.
+/// A frame range's worth of golden configuration. Masks are not part of an
+/// image: they are architectural (`architectural_mask`), and the verifier
+/// reads them from its GoldenModel's flat table.
 struct ConfigImage {
   std::vector<Frame> frames;
-  std::vector<FrameMask> masks;
 
   std::size_t size() const { return frames.size(); }
   bool operator==(const ConfigImage&) const = default;

@@ -125,7 +125,6 @@ std::size_t GoldenModel::footprint_bytes() const {
   const auto image_bytes = [](const ConfigImage& image) {
     std::size_t b = 0;
     for (const Frame& f : image.frames) b += f.words().size() * 4;
-    for (const FrameMask& m : image.masks) b += m.words().size() * 4;
     return b;
   };
   for (const auto& [range, image] : static_images_) bytes += image_bytes(image);
@@ -197,11 +196,12 @@ namespace {
 
 // Versioned binary layout (host-endian; a local warm-start cache, not an
 // interchange format): magic, version, identity digest, geometry, specs,
-// region structure, region images, flat tables. Format v2 64-byte-aligns
-// both flat-table payloads (zero pad after the length word) so load_mapped()
-// can hand the mapped bytes straight to the uint32 SIMD compare.
+// region structure, region images (frames only: masks live in the mask
+// table), flat tables. Both flat-table payloads
+// are 64-byte-aligned (zero pad after the length word) so load_mapped() can
+// hand the mapped bytes straight to the uint32 SIMD compare.
 constexpr char kMagic[8] = {'S', 'A', 'C', 'H', 'A', 'G', 'M', '1'};
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::size_t kTableAlign = 64;
 
 struct Writer {
@@ -232,8 +232,6 @@ struct Writer {
   void image(const ConfigImage& img) {
     u32(static_cast<std::uint32_t>(img.frames.size()));
     for (const Frame& f : img.frames) frame(f);
-    u32(static_cast<std::uint32_t>(img.masks.size()));
-    for (const FrameMask& m : img.masks) frame(m);
   }
   void align() {
     static constexpr char zeros[kTableAlign] = {};
@@ -325,14 +323,6 @@ struct ModelParser {
     }
     for (std::uint32_t i = 0; ok && i < frames; ++i) {
       img.frames.push_back(frame());
-    }
-    const std::uint32_t masks = u32();
-    if (masks > kMaxWords) {
-      ok = false;
-      return img;
-    }
-    for (std::uint32_t i = 0; ok && i < masks; ++i) {
-      img.masks.push_back(frame());
     }
     return img;
   }

@@ -28,11 +28,17 @@ struct VerifyRec {
 /// each round's ready time is the session's simulated clock after it.
 using Timeline = std::vector<VerifyRec>;
 
-/// Drives `job`'s session to its verdict on the calling thread, recording
-/// the verify job of every round that carried frame data.
+/// Drives `job`'s session to its verdict on the calling thread, inside
+/// its member span, recording the verify job of every round that carried
+/// frame data.
 AttestationReport run_member(FleetSessionJob& job,
                              std::uint64_t verify_ns_per_word,
+                             const obs::TraceId& fleet_trace,
                              Timeline& timeline) {
+  obs::Span member_span(job.attempt == 0 ? "swarm.member" : "swarm.reattest",
+                        fleet_trace, "swarm");
+  member_span.arg("member", job.member);
+  if (job.attempt > 0) member_span.arg("attempt", std::to_string(job.attempt));
   SessionMachine machine(*job.verifier, *job.prover, job.options, job.hooks);
   timeline.reserve(job.verifier->readback_steps().size());
   sim::SimTime vnow = 0;
@@ -154,8 +160,8 @@ FleetRunResult run_fleet(std::vector<FleetSessionJob>& jobs,
   const auto worker = [&] {
     for (std::size_t m = next.fetch_add(1, std::memory_order_relaxed);
          m < jobs.size(); m = next.fetch_add(1, std::memory_order_relaxed)) {
-      out.reports[m] =
-          run_member(jobs[m], options.verify_ns_per_word, timelines[m]);
+      out.reports[m] = run_member(jobs[m], options.verify_ns_per_word,
+                                  fleet_trace, timelines[m]);
     }
   };
   const std::size_t workers = std::min(pool, jobs.size());

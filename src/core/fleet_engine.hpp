@@ -1,11 +1,9 @@
-// Run-to-completion fleet attestation engine.
+// Run-to-completion fleet attestation engine: the one host path of
+// attest_swarm, whatever its schedule.
 //
-// attest_swarm(kParallel) burns one OS thread per member (up to the host's
-// cores) and lets each thread idle through its member's simulated channel
-// latency — fine for a lab fleet, but it reports a makespan only as "the
-// slowest member". This engine runs N member sessions on a fixed pool of
-// min(pool_size, N) workers and models what a K-lane verifier would make
-// of the fleet:
+// N member sessions run on a fixed pool of min(pool_size, N) workers (a
+// pool of one runs them inline on the caller, in job order), and the engine
+// models what a K-lane verifier would make of the fleet:
 //
 //  - Host clock: each worker claims the next member from an atomic counter
 //    and drives that member's SessionMachine to its verdict on its own
@@ -18,23 +16,25 @@
 //    K-lane schedule (verify cost modelled per absorbed word; sessions park
 //    through their channel latency, so drives overlap freely) to report
 //    the fleet makespan next to the thread-per-member baseline (whole
-//    sessions packed FIFO onto K ports) that kParallel models.
+//    sessions packed FIFO onto K ports).
 //
 // Trade-offs of running each session on one worker: a fleet smaller than
 // the pool no longer splits one session's drive and verify over two cores,
 // and a fleet whose size is not a multiple of the pool finishes its last
 // members on fewer workers.
 //
-// Reports are bit-identical to kSerial/kParallel: per-member results
-// derive only from the member's own seed-keyed state, never from
-// scheduling (host_ns excluded, as ever). Each member's session, phase and
-// readback-round spans are emitted on its worker exactly as
-// run_attestation emits them, and count toward the Tracer's record bound
-// the same way.
+// Each job's report is bit-identical to run_attestation on that job alone
+// (host_ns excluded): per-member results derive only from the member's own
+// seed-keyed state, never from scheduling. Each session runs inside its
+// "swarm.member" (or "swarm.reattest") span under the fleet trace, and its
+// session, phase and readback-round spans are emitted on its worker
+// exactly as run_attestation emits them, counting toward the Tracer's
+// record bound the same way.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/session.hpp"
@@ -64,6 +64,10 @@ struct FleetSessionJob {
   SachaProver* prover = nullptr;
   SessionOptions options{};
   SessionHooks hooks{};
+  /// The swarm member this session attests and its supervisor attempt,
+  /// which name the session's member span.
+  std::string member;
+  std::uint32_t attempt = 0;
 };
 
 struct FleetEngineStats {
@@ -111,8 +115,9 @@ std::size_t default_fleet_pool();
 
 /// Runs all jobs on a pool of at most options.pool_size workers and
 /// returns their reports in job order. With telemetry enabled, the run
-/// opens a "fleet.engine" span under `fleet_trace`, and each session emits
-/// its own timeline under its trace id.
+/// opens a "fleet.engine" span under `fleet_trace`, each job a member span
+/// under it on its worker, and each session its own timeline under its
+/// trace id.
 FleetRunResult run_fleet(std::vector<FleetSessionJob>& jobs,
                          const FleetEngineOptions& options = {},
                          const obs::TraceId& fleet_trace = {});

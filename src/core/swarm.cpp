@@ -1,10 +1,8 @@
 #include "core/swarm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <set>
-#include <thread>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -25,30 +23,6 @@ const char* schedule_name(SwarmSchedule schedule) {
   return "unknown";
 }
 
-/// Runs member `i`'s session (attempt `attempt`). Seeds derive from the
-/// fleet seed, the member id and the attempt via splitmix64 — never from
-/// the member index or scheduling — so serial and parallel runs are
-/// bit-identical, adjacent fleet seeds do not collide across members, and
-/// every retry sees fresh channel randomness (the host_ns wall-clock is
-/// the one scheduling-dependent field).
-AttestationReport run_attempt(SwarmMember& member,
-                              const SessionOptions& options,
-                              std::uint32_t attempt,
-                              const obs::TraceId& fleet_trace) {
-  SessionOptions attempt_options = options;
-  attempt_options.seed = derive_seed(options.seed, member.id, attempt);
-  SessionHooks attempt_hooks = member.hooks;
-  if (member.configure) {
-    member.configure(attempt_options, attempt_hooks, attempt);
-  }
-  obs::Span member_span(attempt == 0 ? "swarm.member" : "swarm.reattest",
-                        fleet_trace, "swarm");
-  member_span.arg("member", member.id);
-  if (attempt > 0) member_span.arg("attempt", std::to_string(attempt));
-  return run_attestation(*member.verifier, *member.prover, attempt_options,
-                         attempt_hooks);
-}
-
 /// Folds one attempt's report into the member's running result. The final
 /// attempt's verdict/MAC/duration win; transport totals accumulate.
 void merge_attempt(SwarmMemberResult& result, const SwarmMember& member,
@@ -67,101 +41,74 @@ void merge_attempt(SwarmMemberResult& result, const SwarmMember& member,
   result.healed = attempt > 0 && session.verdict.ok();
 }
 
-/// Runs `indices` of the fleet under the chosen schedule, one attempt
-/// each, merging into `report.members`. Returns the round's simulated
-/// makespan contribution (max under parallel, sum under serial).
+/// Runs `indices` of the fleet, one attempt each, through the fleet engine
+/// and merges into `report.members`. Every schedule takes this path:
+/// kSerial on a pool of one (inline on the caller, in member order), the
+/// others on `options.engine.pool_size` workers. Seeds derive from the
+/// fleet seed, the member id and the attempt via splitmix64 — never from
+/// the member index or scheduling — so reports are bit-identical across
+/// schedules and pools (host_ns aside), adjacent fleet seeds do not collide
+/// across members, and every retry sees fresh channel randomness. Returns
+/// the round's simulated makespan under the schedule's model: the sum of
+/// member durations (kSerial), the slowest member (kParallel), or the
+/// engine's K-lane figure (kMultiplexed).
 sim::SimDuration run_round(std::vector<SwarmMember>& fleet,
                            const std::vector<std::size_t>& indices,
                            SwarmReport& report, const SwarmOptions& options,
                            std::uint32_t attempt,
-                           const obs::TraceId& fleet_trace,
-                           sim::SimDuration& total_work) {
-  std::vector<sim::SimDuration> durations(indices.size(), 0);
-  const auto run_one = [&](std::size_t k) {
+                           const obs::TraceId& fleet_trace) {
+  std::vector<FleetSessionJob> jobs(indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    SwarmMember& member = fleet[indices[k]];
+    FleetSessionJob& job = jobs[k];
+    job.verifier = member.verifier;
+    job.prover = member.prover;
+    job.options = options.session;
+    job.options.seed = derive_seed(options.session.seed, member.id, attempt);
+    job.hooks = member.hooks;
+    if (member.configure) member.configure(job.options, job.hooks, attempt);
+    job.member = member.id;
+    job.attempt = attempt;
+  }
+  FleetEngineOptions engine = options.engine;
+  if (options.schedule == SwarmSchedule::kSerial) engine.pool_size = 1;
+  const FleetRunResult run = run_fleet(jobs, engine, fleet_trace);
+
+  sim::SimDuration sum = 0;
+  sim::SimDuration slowest = 0;
+  for (std::size_t k = 0; k < indices.size(); ++k) {
     const std::size_t i = indices[k];
-    const AttestationReport session =
-        run_attempt(fleet[i], options.session, attempt, fleet_trace);
+    const AttestationReport& session = run.reports[k];
     merge_attempt(report.members[i], fleet[i], session, attempt);
-    durations[k] = session.total_time;
-  };
-
-  if (options.schedule == SwarmSchedule::kMultiplexed) {
-    // Engine round: build one job per pending member with the same derived
-    // seed and configure hook as run_attempt would use, then run them on
-    // the engine's worker pool. Reports come back in job order,
-    // bit-identical to run_attestation per member.
-    std::vector<FleetSessionJob> jobs(indices.size());
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::size_t i = indices[k];
-      SwarmMember& member = fleet[i];
-      SessionOptions attempt_options = options.session;
-      attempt_options.seed =
-          derive_seed(options.session.seed, member.id, attempt);
-      SessionHooks attempt_hooks = member.hooks;
-      if (member.configure) {
-        member.configure(attempt_options, attempt_hooks, attempt);
-      }
-      jobs[k] = FleetSessionJob{member.verifier, member.prover,
-                                std::move(attempt_options),
-                                std::move(attempt_hooks)};
-    }
-    FleetRunResult run = run_fleet(jobs, options.engine, fleet_trace);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::size_t i = indices[k];
-      merge_attempt(report.members[i], fleet[i], run.reports[k], attempt);
-      durations[k] = run.reports[k].total_time;
-      total_work += run.reports[k].total_time;
-    }
-    // Accumulate engine accounting across supervisor rounds; the overlap
-    // ratio is recomputed from the accumulated totals.
-    report.engine.pool_size = run.stats.pool_size;
-    report.engine.makespan += run.stats.makespan;
-    report.engine.thread_per_member_makespan +=
-        run.stats.thread_per_member_makespan;
-    report.engine.total_work += run.stats.total_work;
-    report.engine.verify_busy += run.stats.verify_busy;
-    report.engine.channel_busy += run.stats.channel_busy;
-    report.engine.host_ns += run.stats.host_ns;
-    report.engine.overlap_efficiency =
-        report.engine.makespan > 0
-            ? static_cast<double>(report.engine.total_work) /
-                  static_cast<double>(report.engine.makespan)
-            : 0.0;
-    return run.stats.makespan;
+    sum += session.total_time;
+    slowest = std::max(slowest, session.total_time);
   }
+  report.total_work += sum;
 
-  if (options.schedule == SwarmSchedule::kParallel && indices.size() > 1) {
-    // Worker pool: members are independent devices with independent
-    // verifiers, so N sessions genuinely run on N threads. Work is claimed
-    // by index from a shared counter; results land in member order.
-    const std::size_t workers = std::min<std::size_t>(
-        indices.size(), std::max(1u, std::thread::hardware_concurrency()));
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-           k < indices.size();
-           k = next.fetch_add(1, std::memory_order_relaxed)) {
-        run_one(k);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  } else {
-    for (std::size_t k = 0; k < indices.size(); ++k) run_one(k);
-  }
+  // Accumulate engine accounting across supervisor rounds; the overlap
+  // ratio is recomputed from the accumulated totals.
+  FleetEngineStats& acc = report.engine;
+  acc.pool_size = run.stats.pool_size;
+  acc.makespan += run.stats.makespan;
+  acc.thread_per_member_makespan += run.stats.thread_per_member_makespan;
+  acc.total_work += run.stats.total_work;
+  acc.verify_busy += run.stats.verify_busy;
+  acc.channel_busy += run.stats.channel_busy;
+  acc.host_ns += run.stats.host_ns;
+  acc.overlap_efficiency =
+      acc.makespan > 0 ? static_cast<double>(acc.total_work) /
+                             static_cast<double>(acc.makespan)
+                       : 0.0;
 
-  sim::SimDuration round_makespan = 0;
-  for (const sim::SimDuration d : durations) {
-    total_work += d;
-    if (options.schedule == SwarmSchedule::kParallel) {
-      round_makespan = std::max(round_makespan, d);
-    } else {
-      round_makespan += d;
-    }
+  switch (options.schedule) {
+    case SwarmSchedule::kSerial:
+      return sum;
+    case SwarmSchedule::kParallel:
+      return slowest;
+    case SwarmSchedule::kMultiplexed:
+      return run.stats.makespan;
   }
-  return round_makespan;
+  return sum;
 }
 
 }  // namespace
@@ -238,9 +185,8 @@ SwarmReport attest_swarm(std::vector<SwarmMember>& fleet,
           .kv("attempt", attempt)
           .kv("members", pending.size());
     }
-    report.makespan +=
-        run_round(fleet, pending, report, options, attempt,
-                  report.fleet_trace, report.total_work);
+    report.makespan += run_round(fleet, pending, report, options, attempt,
+                                 report.fleet_trace);
     std::vector<std::size_t> still_failed;
     for (const std::size_t i : pending) {
       if (!report.members[i].verdict.ok()) still_failed.push_back(i);
@@ -268,8 +214,8 @@ SwarmReport attest_swarm(std::vector<SwarmMember>& fleet,
     healed.add(report.healed);
   }
 
-  // Merge in member order (identical for both schedules). total_work has
-  // already accumulated every attempt; here only transport totals merge.
+  // Merge in member order. total_work has already accumulated every
+  // attempt; here only transport totals merge.
   for (const SwarmMemberResult& m : report.members) {
     report.messages_lost += m.messages_lost;
     report.retransmissions += m.retransmissions;

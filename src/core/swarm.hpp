@@ -3,21 +3,20 @@
 // The related-work section (§4.2) motivates attesting fleets of devices
 // ("a number of low-end, tiny embedded devices ... employed as a group").
 // SACHa composes naturally: each device runs its own session under its own
-// key; the coordinator schedules them serially (one verifier port) or in
-// parallel (simulated makespan = slowest member) and aggregates verdicts.
-// kParallel really runs the member sessions on a worker pool (one thread
-// per member up to the host's core count): sessions share no state, every
-// member derives its channel randomness from a splitmix64 hash of
-// (fleet seed, member id, attempt) — never from its index or schedule —
-// and the report is merged in member order, so the result is bit-identical
-// to the serial schedule while the host wall-clock divides by the core
-// count. kMultiplexed hands the round to the fleet engine
-// (fleet_engine.hpp): N member sessions run to completion on a fixed
-// worker pool, and a K-lane virtual-time model reports the makespan a
-// verifier that parks sessions through their channel latency would reach
-// — same bit-identical reports, N ≫ cores without N threads.
-// bench_swarm measures how fleet size scales on all schedules and that a
-// single compromised member is isolated, not hidden by the aggregate.
+// key, and the coordinator aggregates verdicts. Every schedule runs the
+// member sessions the same way, through the fleet engine
+// (fleet_engine.hpp): kSerial on a pool of one, inline on the caller in
+// member order; kParallel and kMultiplexed on `engine.pool_size` workers.
+// Sessions share no state, every member derives its channel randomness
+// from a splitmix64 hash of (fleet seed, member id, attempt) — never from
+// its index or schedule — and the report is merged in member order, so
+// the report is bit-identical whatever the schedule or pool. The schedule
+// picks only the makespan model: the sum of member durations (one
+// verifier port), the slowest member (one port per member), or the
+// engine's K-lane virtual-time figure (a verifier that parks sessions
+// through their channel latency). bench_swarm measures how fleet size
+// scales under each model and that a single compromised member is
+// isolated, not hidden by the aggregate.
 //
 // The coordinator is also a self-healing supervisor: members whose session
 // fails are re-attested — a complete fresh session with a fresh nonce and
@@ -49,12 +48,12 @@ struct SwarmMember {
       configure;
 };
 
+/// The makespan model, and whether the host runs the sessions inline.
 enum class SwarmSchedule : std::uint8_t {
-  kSerial,       // one session at a time (single verifier port)
-  kParallel,     // all sessions concurrently; makespan = slowest member
-  kMultiplexed,  // fleet engine: N sessions on a fixed worker pool (see
-                 // fleet_engine.hpp); makespan from the engine's K-lane
-                 // virtual-time schedule
+  kSerial,       // inline, in member order; makespan = sum (one port)
+  kParallel,     // worker pool; makespan = slowest member
+  kMultiplexed,  // worker pool; makespan from the engine's K-lane
+                 // virtual-time schedule (fleet_engine.hpp)
 };
 
 /// Supervisor policy for attest_swarm. Defaults preserve the pre-supervisor
@@ -72,7 +71,8 @@ struct SwarmOptions {
   /// unbounded). Once exceeded, no further retries are scheduled and the
   /// still-failing members are quarantined with their typed cause.
   std::uint64_t fleet_deadline_ns = 0;
-  /// Engine tuning for SwarmSchedule::kMultiplexed (ignored otherwise).
+  /// Engine tuning. kParallel and kMultiplexed run on engine.pool_size
+  /// workers (kSerial on one); every schedule reports the engine's model.
   FleetEngineOptions engine{};
 };
 
@@ -91,16 +91,16 @@ struct SwarmMemberResult {
   bool healed = false;
   sim::SimDuration duration = 0;
   /// H_Prv of the member's session (the device's attestation evidence),
-  /// recorded so fleet runs can be compared MAC-for-MAC across schedules.
+  /// recorded so fleet runs can be compared MAC-for-MAC.
   std::optional<crypto::Mac> mac;
   /// Transport health across all attempts (lossy-sweep auditing).
   std::uint64_t messages_lost = 0;
   std::uint64_t retransmissions = 0;
   sim::SimDuration backoff_wait = 0;
   /// Host wall-clock of this member's session (steady clock, not simulated
-  /// time) — what the new fleet timeline reports, recorded here so the
+  /// time) — what the fleet timeline reports, recorded here so the
   /// timeline and the report agree. Scheduling-dependent, so excluded from
-  /// the serial/parallel bit-identity guarantee.
+  /// the bit-identity guarantee.
   std::uint64_t host_ns = 0;
   /// Timeline key of the member's session; with telemetry enabled the
   /// session's spans in obs::Tracer carry this id.
@@ -143,9 +143,9 @@ struct SwarmReport {
   std::uint64_t retransmissions = 0;
   sim::SimDuration backoff_wait = 0;
 
-  /// Engine accounting under SwarmSchedule::kMultiplexed (zeroed
-  /// otherwise): makespan model, thread-per-member baseline, overlap
-  /// efficiency. Accumulated across supervisor rounds.
+  /// Engine accounting, whatever the schedule: K-lane makespan model,
+  /// thread-per-member baseline, overlap efficiency. Accumulated across
+  /// supervisor rounds.
   FleetEngineStats engine{};
 
   /// Host wall-clock of the whole attest_swarm call.

@@ -9,9 +9,9 @@ namespace sacha::crypto {
 namespace {
 
 /// Optional runtime tier override: SACHA_AES_TIER=reference|ttable|aesni
-/// re-routes kAuto resolution. CI uses it to exercise the scalar fallback
-/// paths of the batch absorber on AES-NI hosts without a rebuild; explicit
-/// per-engine tier requests still win over the environment.
+/// re-routes kAuto resolution. CI uses it to exercise the scalar CBC-MAC
+/// tiers on AES-NI hosts without a rebuild; explicit per-engine tier
+/// requests still win over the environment.
 AesImpl env_tier() {
   static const AesImpl tier = [] {
     const char* v = std::getenv("SACHA_AES_TIER");
@@ -346,30 +346,6 @@ void Aes128::cbc_mac_absorb_words(AesBlock& state, const std::uint32_t* words,
       }
       return;
   }
-}
-
-void Aes128::cbc_mac_absorb_words_multi(std::span<CbcMacStream> streams) {
-  // Split by tier: AES-NI lanes interleave in hardware, while reference and
-  // T-table lanes take their own scalar loop one stream at a time — those
-  // tiers are compute-bound in scalar code, so there is no latency shadow
-  // to mine and the plain loop is the correct (bit-identical) fallback.
-  std::array<detail::AesniMacStream, 8> ni;
-  std::size_t nni = 0;
-  for (const CbcMacStream& s : streams) {
-    if (s.nblocks == 0) continue;
-    assert(s.aes != nullptr && s.state != nullptr && s.words != nullptr);
-    if (s.aes->impl() == AesImpl::kAesni) {
-      ni[nni++] = {s.aes->round_keys_.data(), s.state->data(), s.words,
-                   s.nblocks};
-      if (nni == ni.size()) {
-        detail::aesni_cbc_mac_words_multi(ni.data(), nni);
-        nni = 0;
-      }
-    } else {
-      s.aes->cbc_mac_absorb_words(*s.state, s.words, s.nblocks);
-    }
-  }
-  if (nni > 0) detail::aesni_cbc_mac_words_multi(ni.data(), nni);
 }
 
 AesKey to_aes_key(ByteSpan raw) {

@@ -14,12 +14,12 @@
 //     support at runtime.
 // kAuto resolves to the fastest tier the host supports. All tiers are
 // bit-identical; crypto_test cross-checks them on FIPS-197 vectors plus
-// 10k random blocks.
+// 10k random blocks, and checks both CBC-MAC absorbers (bytes and words,
+// one chain per call) against block-wise encryption on every tier.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "common/bytes.hpp"
 
@@ -40,19 +40,6 @@ enum class AesImpl : std::uint8_t {
 };
 
 const char* to_string(AesImpl impl);
-
-class Aes128;
-
-/// One lane of a multi-stream CBC-MAC absorb: an independent chain (its own
-/// engine, hence its own key and tier) plus the next run of whole blocks to
-/// fold into it. `words` holds `4 * nblocks` entries in the same big-endian
-/// word layout Aes128::cbc_mac_absorb_words consumes.
-struct CbcMacStream {
-  const Aes128* aes = nullptr;
-  AesBlock* state = nullptr;
-  const std::uint32_t* words = nullptr;
-  std::size_t nblocks = 0;
-};
 
 /// AES-128 with a fixed expanded key.
 class Aes128 {
@@ -80,17 +67,6 @@ class Aes128 {
   /// materializes a byte stream at all.
   void cbc_mac_absorb_words(AesBlock& state, const std::uint32_t* words,
                             std::size_t nblocks) const;
-
-  /// Absorbs several independent CBC-MAC chains at once. Equivalent to
-  /// calling s.aes->cbc_mac_absorb_words(*s.state, s.words, s.nblocks) on
-  /// each stream in turn, but on the AES-NI tier up to eight chains are
-  /// interleaved through the round instructions, so each stream's AESENC
-  /// issues in the latency shadow of the other streams' and the serial
-  /// dependency chain of a single CMAC stops being the throughput ceiling.
-  /// Streams may mix keys, lengths, and tiers: non-AES-NI lanes fall back
-  /// to their own tier's scalar loop, and ragged lengths are handled by
-  /// re-packing lanes as streams run dry.
-  static void cbc_mac_absorb_words_multi(std::span<CbcMacStream> streams);
 
   /// The tier actually executing (kAuto is resolved at construction).
   AesImpl impl() const { return impl_; }
@@ -125,24 +101,6 @@ void aesni_cbc_mac(const std::uint8_t* round_keys, std::uint8_t* state,
 void aesni_cbc_mac_words(const std::uint8_t* round_keys, std::uint8_t* state,
                          const std::uint32_t* words, std::size_t nblocks);
 
-/// One AES-NI lane of the interleaved multi-stream absorber. `round_keys`
-/// is the FIPS-order expanded key; `words`/`nblocks` advance as the kernel
-/// consumes blocks.
-struct AesniMacStream {
-  const std::uint8_t* round_keys = nullptr;
-  std::uint8_t* state = nullptr;
-  const std::uint32_t* words = nullptr;
-  std::size_t nblocks = 0;
-};
-
-/// Interleaves up to eight lanes through the AES round instructions;
-/// larger counts are processed in independent groups of eight. Lanes may
-/// have ragged `nblocks`.
-void aesni_cbc_mac_words_multi(AesniMacStream* streams, std::size_t n);
-
-/// True when the optional VAES wide tier is compiled in (SACHA_HAVE_VAES)
-/// and the CPU reports VAES+AVX2.
-bool vaes_available();
 }  // namespace detail
 
 }  // namespace sacha::crypto

@@ -12,11 +12,7 @@
 #include <tmmintrin.h>  // PSHUFB (SSSE3) for the word-stream byte swap
 #include <wmmintrin.h>
 #endif
-#if defined(SACHA_HAVE_VAES)
-#include <immintrin.h>  // VAESENC on 256-bit registers (VAES + AVX2)
-#endif
 
-#include <algorithm>
 #include <cassert>
 
 namespace sacha::crypto::detail {
@@ -80,189 +76,6 @@ void aesni_cbc_mac_words(const std::uint8_t* round_keys, std::uint8_t* state,
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state), s);
 }
 
-namespace {
-
-inline __m128i load128(const void* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-
-// W independent CBC chains advance one block per iteration. Each chain is a
-// serial AESENC dependency (~4-cycle latency), but the W chains are
-// mutually independent, so the CPU issues their rounds back to back and the
-// batch runs at AESENC *throughput* instead of latency. Round-key loads and
-// PSHUFB swaps sit off every critical path. Consumes exactly `nblocks`
-// blocks from every lane and advances the descriptors.
-template <int W>
-void absorb_interleaved(AesniMacStream* const* s, std::size_t nblocks) {
-  const __m128i bswap =
-      _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
-  __m128i st[W];
-  const std::uint8_t* rk[W];
-  const std::uint32_t* w[W];
-  for (int i = 0; i < W; ++i) {
-    st[i] = load128(s[i]->state);
-    rk[i] = s[i]->round_keys;
-    w[i] = s[i]->words;
-  }
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    for (int i = 0; i < W; ++i) {
-      __m128i m = _mm_shuffle_epi8(load128(w[i]), bswap);
-      w[i] += 4;
-      st[i] = _mm_xor_si128(_mm_xor_si128(st[i], m), load128(rk[i]));
-    }
-    for (int r = 1; r <= 9; ++r) {
-      for (int i = 0; i < W; ++i) {
-        st[i] = _mm_aesenc_si128(st[i], load128(rk[i] + 16 * r));
-      }
-    }
-    for (int i = 0; i < W; ++i) {
-      st[i] = _mm_aesenclast_si128(st[i], load128(rk[i] + 160));
-    }
-  }
-  for (int i = 0; i < W; ++i) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(s[i]->state), st[i]);
-    s[i]->words = w[i];
-    s[i]->nblocks -= nblocks;
-  }
-}
-
-#if defined(SACHA_HAVE_VAES)
-
-// VAES wide lane: two chains ride in one 256-bit register, so a single
-// VAESENC performs both streams' rounds and the instruction count of the
-// interleave halves. P is the number of lane *pairs*.
-template <int P>
-void absorb_interleaved_vaes(AesniMacStream* const* s, std::size_t nblocks) {
-  const __m256i bswap = _mm256_broadcastsi128_si256(
-      _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3));
-  __m256i st[P];
-  const std::uint8_t* rk_lo[P];
-  const std::uint8_t* rk_hi[P];
-  const std::uint32_t* w_lo[P];
-  const std::uint32_t* w_hi[P];
-  for (int p = 0; p < P; ++p) {
-    st[p] = _mm256_set_m128i(load128(s[2 * p + 1]->state),
-                             load128(s[2 * p]->state));
-    rk_lo[p] = s[2 * p]->round_keys;
-    rk_hi[p] = s[2 * p + 1]->round_keys;
-    w_lo[p] = s[2 * p]->words;
-    w_hi[p] = s[2 * p + 1]->words;
-  }
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    for (int p = 0; p < P; ++p) {
-      const __m256i m = _mm256_shuffle_epi8(
-          _mm256_set_m128i(load128(w_hi[p]), load128(w_lo[p])), bswap);
-      w_lo[p] += 4;
-      w_hi[p] += 4;
-      const __m256i k0 =
-          _mm256_set_m128i(load128(rk_hi[p]), load128(rk_lo[p]));
-      st[p] = _mm256_xor_si256(_mm256_xor_si256(st[p], m), k0);
-    }
-    for (int r = 1; r <= 9; ++r) {
-      for (int p = 0; p < P; ++p) {
-        const __m256i k = _mm256_set_m128i(load128(rk_hi[p] + 16 * r),
-                                           load128(rk_lo[p] + 16 * r));
-        st[p] = _mm256_aesenc_epi128(st[p], k);
-      }
-    }
-    for (int p = 0; p < P; ++p) {
-      const __m256i k =
-          _mm256_set_m128i(load128(rk_hi[p] + 160), load128(rk_lo[p] + 160));
-      st[p] = _mm256_aesenclast_epi128(st[p], k);
-    }
-  }
-  for (int p = 0; p < P; ++p) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(s[2 * p]->state),
-                     _mm256_castsi256_si128(st[p]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(s[2 * p + 1]->state),
-                     _mm256_extracti128_si256(st[p], 1));
-    s[2 * p]->words = w_lo[p];
-    s[2 * p + 1]->words = w_hi[p];
-    s[2 * p]->nblocks -= nblocks;
-    s[2 * p + 1]->nblocks -= nblocks;
-  }
-}
-
-// Runs floor(n/2) pairs through the VAES kernel and a leftover odd lane
-// through the scalar interleave. Caller guarantees every lane has at least
-// `nblocks` blocks remaining.
-void absorb_chunk_vaes(AesniMacStream* const* act, std::size_t n,
-                       std::size_t nblocks) {
-  const std::size_t pairs = n / 2;
-  switch (pairs) {
-    case 1: absorb_interleaved_vaes<1>(act, nblocks); break;
-    case 2: absorb_interleaved_vaes<2>(act, nblocks); break;
-    case 3: absorb_interleaved_vaes<3>(act, nblocks); break;
-    case 4: absorb_interleaved_vaes<4>(act, nblocks); break;
-    default: assert(false); break;
-  }
-  if (n % 2 != 0) absorb_interleaved<1>(act + 2 * pairs, nblocks);
-}
-
-#endif  // SACHA_HAVE_VAES
-
-void absorb_chunk(AesniMacStream* const* act, std::size_t n,
-                  std::size_t nblocks) {
-#if defined(SACHA_HAVE_VAES)
-  if (n >= 2 && vaes_available()) {
-    absorb_chunk_vaes(act, n, nblocks);
-    return;
-  }
-#endif
-  switch (n) {
-    case 1: absorb_interleaved<1>(act, nblocks); break;
-    case 2: absorb_interleaved<2>(act, nblocks); break;
-    case 3: absorb_interleaved<3>(act, nblocks); break;
-    case 4: absorb_interleaved<4>(act, nblocks); break;
-    case 5: absorb_interleaved<5>(act, nblocks); break;
-    case 6: absorb_interleaved<6>(act, nblocks); break;
-    case 7: absorb_interleaved<7>(act, nblocks); break;
-    case 8: absorb_interleaved<8>(act, nblocks); break;
-    default: assert(false); break;
-  }
-}
-
-}  // namespace
-
-void aesni_cbc_mac_words_multi(AesniMacStream* streams, std::size_t n) {
-  if (n > 8) {
-    // Independent groups of eight; cross-group interleave would exceed the
-    // register budget without adding throughput.
-    for (std::size_t i = 0; i < n; i += 8) {
-      aesni_cbc_mac_words_multi(streams + i, std::min<std::size_t>(8, n - i));
-    }
-    return;
-  }
-  AesniMacStream* act[8];
-  std::size_t nact = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (streams[i].nblocks > 0) act[nact++] = &streams[i];
-  }
-  // Ragged lengths: run the widest interleave the remaining lanes allow for
-  // as many blocks as every lane still has, drop exhausted lanes, repeat.
-  while (nact > 0) {
-    std::size_t chunk = act[0]->nblocks;
-    for (std::size_t i = 1; i < nact; ++i) {
-      chunk = std::min(chunk, act[i]->nblocks);
-    }
-    absorb_chunk(act, nact, chunk);
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < nact; ++i) {
-      if (act[i]->nblocks > 0) act[live++] = act[i];
-    }
-    nact = live;
-  }
-}
-
-bool vaes_available() {
-#if defined(SACHA_HAVE_VAES)
-  return __builtin_cpu_supports("vaes") != 0 &&
-         __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
 #else  // !SACHA_HAVE_AESNI
 
 // Link-time stubs for builds without the tier; the dispatcher never routes
@@ -280,12 +93,6 @@ void aesni_cbc_mac_words(const std::uint8_t*, std::uint8_t*,
                          const std::uint32_t*, std::size_t) {
   assert(false && "AES-NI tier not compiled in");
 }
-
-void aesni_cbc_mac_words_multi(AesniMacStream*, std::size_t) {
-  assert(false && "AES-NI tier not compiled in");
-}
-
-bool vaes_available() { return false; }
 
 #endif
 

@@ -132,78 +132,6 @@ void Cmac::stage_word(std::uint32_t w) {
   buffered_ += 4;
 }
 
-CbcMacStream Cmac::split_update(std::span<const std::uint32_t> words) {
-  assert(!finalized_);
-  CbcMacStream bulk{&aes_, &state_, nullptr, 0};
-  if (words.empty()) return bulk;
-  if (buffered_ % 4 != 0) {
-    // Mixed byte/word input left the buffer off a word boundary — rare and
-    // never on the readback hot path; absorb scalar and return an empty
-    // lane rather than teach the kernel about byte offsets.
-    update(words);
-    return bulk;
-  }
-
-  any_input_ = true;
-  std::size_t pos = 0;
-  if (buffered_ > 0) {
-    while (buffered_ < kAesBlockSize && pos < words.size()) {
-      stage_word(words[pos++]);
-    }
-    if (pos == words.size()) return bulk;  // all staged
-    // The drain block precedes the bulk run in the CBC chain, so it must be
-    // folded here, before the caller absorbs the returned lane.
-    aes_.cbc_mac_absorb(state_, buffer_.data(), 1);
-    buffered_ = 0;
-  }
-
-  const std::size_t remaining_bytes = (words.size() - pos) * 4;
-  if (remaining_bytes > kAesBlockSize) {
-    bulk.words = words.data() + pos;
-    bulk.nblocks = (remaining_bytes - 1) / kAesBlockSize;
-    pos += bulk.nblocks * 4;
-  }
-  // Staging the tail now is safe: it only touches buffer_, while the
-  // deferred bulk absorb only touches state_.
-  while (pos < words.size()) stage_word(words[pos++]);
-  return bulk;
-}
-
-CmacBatch::CmacBatch(std::size_t width)
-    : width_(std::clamp<std::size_t>(width, 1, 8)) {}
-
-void CmacBatch::add(Cmac& stream, std::vector<std::uint32_t>&& words) {
-  if (words.empty()) return;
-  for (Lane& lane : lanes_) {
-    if (lane.stream == &stream) {
-      lane.words.insert(lane.words.end(), words.begin(), words.end());
-      return;
-    }
-  }
-  lanes_.push_back(Lane{&stream, std::move(words)});
-}
-
-void CmacBatch::flush() {
-  std::size_t next = 0;
-  while (next < lanes_.size()) {
-    const std::size_t group = std::min(width_, lanes_.size() - next);
-    std::array<CbcMacStream, 8> bulk;
-    std::size_t nbulk = 0;
-    for (std::size_t i = 0; i < group; ++i) {
-      Lane& lane = lanes_[next + i];
-      const CbcMacStream s = lane.stream->split_update(lane.words);
-      if (s.nblocks > 0) bulk[nbulk++] = s;
-    }
-    if (nbulk > 0) {
-      Aes128::cbc_mac_absorb_words_multi(std::span(bulk.data(), nbulk));
-      ++absorb_calls_;
-      absorbed_streams_ += nbulk;
-    }
-    next += group;
-  }
-  lanes_.clear();
-}
-
 Mac Cmac::finalize() {
   assert(!finalized_);
   finalized_ = true;

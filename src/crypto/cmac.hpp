@@ -7,11 +7,14 @@
 // Table 3. update() runs whole 16-byte blocks straight from the input span
 // through Aes128::cbc_mac_absorb — only a trailing partial (or the final
 // full) block is staged in the internal buffer, so the frame stream is
-// MACed at the selected AES tier's full throughput.
+// MACed at the selected AES tier's full throughput. One Cmac is one chain:
+// the prover and the verifier each fold a session's stream on the thread
+// that drives the session, so nothing here batches streams across
+// sessions.
 #pragma once
 
-#include <optional>
-#include <vector>
+#include <cstdint>
+#include <span>
 
 #include "crypto/aes.hpp"
 
@@ -48,18 +51,8 @@ class Cmac {
   AesImpl impl() const { return aes_.impl(); }
 
  private:
-  friend class CmacBatch;
-
   /// Serialises one word big-endian into the staging buffer.
   void stage_word(std::uint32_t w);
-
-  /// Batch-absorb split of update(words): performs the staging-buffer work
-  /// immediately (drain plus tail staging, both cheap and per-stream) and
-  /// returns the bulk whole-block run as a CbcMacStream lane for the caller
-  /// to absorb through Aes128::cbc_mac_absorb_words_multi. The stream is
-  /// bit-identical to having called update(words) once the returned lane
-  /// has been absorbed; a lane with nblocks == 0 needs no further work.
-  CbcMacStream split_update(std::span<const std::uint32_t> words);
 
   Aes128 aes_;
   AesBlock subkey1_{};
@@ -69,51 +62,6 @@ class Cmac {
   std::size_t buffered_ = 0;
   bool any_input_ = false;
   bool finalized_ = false;
-};
-
-/// Interleaved absorber for several independent CMAC streams (one per
-/// attestation session in the fleet engine's verify lanes). add() queues
-/// word chunks against their stream; flush() folds everything queued,
-/// routing the bulk whole-block runs of up to `width` distinct streams at a
-/// time through Aes128::cbc_mac_absorb_words_multi so AES-NI lanes hide
-/// each other's round latency. After flush() every touched stream's state
-/// is bit-identical to having called stream.update(chunk) for each chunk in
-/// add() order — batch width, flush timing, and tier mix never change a
-/// MAC. A stream must not be finalized while it has queued words.
-class CmacBatch {
- public:
-  /// `width` is the maximum number of streams interleaved per absorb call,
-  /// clamped to [1, 8] (the kernel's lane budget).
-  explicit CmacBatch(std::size_t width = 4);
-
-  /// Queues `words` to fold into `stream` at the next flush(). The vector's
-  /// storage moves into the batch, so the producer can hand off a response
-  /// payload without keeping it alive until the flush.
-  void add(Cmac& stream, std::vector<std::uint32_t>&& words);
-
-  /// Absorbs every queued chunk and empties the batch. Fewer pending
-  /// streams than `width` interleave at whatever occupancy is available.
-  void flush();
-
-  std::size_t width() const { return width_; }
-  /// Streams with queued words right now.
-  std::size_t pending_streams() const { return lanes_.size(); }
-
-  /// Occupancy accounting since construction: interleaved absorb calls and
-  /// the total lanes they carried (streams ÷ calls = average occupancy).
-  std::uint64_t absorb_calls() const { return absorb_calls_; }
-  std::uint64_t absorbed_streams() const { return absorbed_streams_; }
-
- private:
-  struct Lane {
-    Cmac* stream = nullptr;
-    std::vector<std::uint32_t> words;
-  };
-
-  std::size_t width_;
-  std::vector<Lane> lanes_;
-  std::uint64_t absorb_calls_ = 0;
-  std::uint64_t absorbed_streams_ = 0;
 };
 
 }  // namespace sacha::crypto

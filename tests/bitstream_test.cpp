@@ -3,8 +3,11 @@
 // malformed streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bitstream/bitgen.hpp"
 #include "bitstream/frame.hpp"
+#include "bitstream/golden_model.hpp"
 #include "bitstream/packet.hpp"
 #include "common/rng.hpp"
 #include "fabric/device.hpp"
@@ -13,6 +16,22 @@ namespace sacha::bitstream {
 namespace {
 
 fabric::DeviceModel test_device() { return fabric::DeviceModel::small_test_device(); }
+
+/// The test device split into a static and a dynamic partition, the shape
+/// a GoldenModel needs.
+fabric::Floorplan test_floorplan() {
+  fabric::Floorplan plan(test_device());
+  plan.add_partition({"StatPart",
+                      fabric::PartitionKind::kStatic,
+                      fabric::FrameRange{0, 4},
+                      {.clb = 20, .bram18 = 2, .iob = 4, .dcm = 1, .icap = 1}});
+  plan.add_partition({"DynPart",
+                      fabric::PartitionKind::kDynamic,
+                      fabric::FrameRange{4, 12},
+                      {.clb = 80, .bram18 = 6, .iob = 12, .dcm = 1, .icap = 0}});
+  EXPECT_TRUE(plan.validate().ok());
+  return plan;
+}
 
 Frame random_frame(Rng& rng, std::uint32_t words) {
   Frame f(words);
@@ -209,13 +228,15 @@ TEST(BitGen, DifferentSeedsDiffer) {
 }
 
 TEST(BitGen, MaskIsArchitecturalNotDesignSpecific) {
-  const BitGen gen(test_device());
-  const fabric::FrameRange range{0, 16};
-  const auto a = gen.generate(range, {"app-v1", 7});
-  const auto b = gen.generate(range, {"app-v2", 99});
-  EXPECT_EQ(a.masks, b.masks);
-  for (std::uint32_t i = 0; i < range.count; ++i) {
-    EXPECT_EQ(a.masks[i], architectural_mask(test_device(), range.first + i));
+  // Two models of different application designs compare every frame under
+  // the same mask: the architectural one, which no design moves.
+  const fabric::Floorplan plan = test_floorplan();
+  const GoldenModel a(plan, {"static", 1}, {"app-v1", 7});
+  const GoldenModel b(plan, {"static", 1}, {"app-v2", 99});
+  for (std::uint32_t f = 0; f < test_device().total_frames(); ++f) {
+    const FrameMask expected = architectural_mask(test_device(), f);
+    EXPECT_TRUE(std::ranges::equal(a.mask_words(f), expected.words())) << f;
+    EXPECT_TRUE(std::ranges::equal(b.mask_words(f), expected.words())) << f;
   }
 }
 
@@ -235,9 +256,12 @@ TEST(BitGen, NonceFrameEmbedsNonce) {
   ASSERT_EQ(image.size(), 1u);
   EXPECT_EQ(image.frames[0].word(0), 0x01234567u);
   EXPECT_EQ(image.frames[0].word(1), 0x89abcdefu);
-  // Nonce bits are configuration bits: the mask keeps them all.
-  EXPECT_EQ(image.masks[0], FrameMask(test_device().geometry().words_per_frame(),
-                                      0xffffffff));
+  // The verifier compares the nonce frame under the frame's architectural
+  // mask, like every other frame.
+  const GoldenModel model(test_floorplan(), {"static", 1}, {"app", 1});
+  EXPECT_TRUE(std::ranges::equal(
+      model.mask_words(model.nonce_frame()),
+      architectural_mask(test_device(), model.nonce_frame()).words()));
 }
 
 TEST(BitGen, AssembleParsesBack) {
@@ -296,8 +320,10 @@ TEST_P(BitGenRangeSweep, ImageShapeMatchesRange) {
   const fabric::FrameRange range{0, GetParam()};
   const ConfigImage image = gen.generate(range, {"shape", 3});
   EXPECT_EQ(image.frames.size(), GetParam());
-  EXPECT_EQ(image.masks.size(), GetParam());
   for (const Frame& f : image.frames) EXPECT_EQ(f.size(), 8u);
+  for (std::uint32_t i = 0; i < range.count; ++i) {
+    EXPECT_EQ(architectural_mask(test_device(), range.first + i).size(), 8u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BitGenRangeSweep,

@@ -72,6 +72,12 @@ std::vector<AesImpl> fast_tiers() {
   return tiers;
 }
 
+std::vector<AesImpl> all_tiers() {
+  std::vector<AesImpl> tiers = fast_tiers();
+  tiers.insert(tiers.begin(), AesImpl::kReference);
+  return tiers;
+}
+
 TEST(Aes128Tiers, AutoResolvesToARunnableTier) {
   const AesImpl resolved = Aes128::resolve(AesImpl::kAuto);
   EXPECT_NE(resolved, AesImpl::kAuto);
@@ -142,18 +148,40 @@ TEST(Aes128Tiers, MatchReferenceOn10kRandomBlocks) {
 }
 
 TEST(Aes128Tiers, CbcMacAbsorbMatchesBlockwiseEncrypt) {
+  // Both absorbers — bytes and big-endian words — against the CBC-MAC
+  // definition (state = E_K(state ^ B_i), one reference-tier encrypt per
+  // block), on every tier, from a random chaining state, for every block
+  // count 0..17 (empty runs, single blocks, and runs longer than any
+  // unrolled loop).
   Rng rng(777);
   const AesKey key = to_aes_key(rng.bytes(kAesKeySize));
   const Aes128 reference(key, AesImpl::kReference);
-  for (AesImpl impl : fast_tiers()) {
+  for (AesImpl impl : all_tiers()) {
     const Aes128 aes(key, impl);
-    for (std::size_t nblocks : {1u, 2u, 5u, 32u}) {
-      const Bytes msg = rng.bytes(nblocks * kAesBlockSize);
-      AesBlock expected{};
-      reference.cbc_mac_absorb(expected, msg.data(), nblocks);
-      AesBlock got{};
-      aes.cbc_mac_absorb(got, msg.data(), nblocks);
-      EXPECT_EQ(got, expected) << to_string(impl) << " nblocks=" << nblocks;
+    for (std::size_t nblocks = 0; nblocks <= 17; ++nblocks) {
+      std::vector<std::uint32_t> words(4 * nblocks);
+      for (std::uint32_t& w : words) w = static_cast<std::uint32_t>(rng.next_u64());
+      Bytes msg;
+      for (const std::uint32_t w : words) put_u32be(msg, w);
+      AesBlock start{};
+      const Bytes start_bytes = rng.bytes(kAesBlockSize);
+      std::copy(start_bytes.begin(), start_bytes.end(), start.begin());
+
+      AesBlock expected = start;
+      for (std::size_t b = 0; b < nblocks; ++b) {
+        for (std::size_t i = 0; i < kAesBlockSize; ++i) {
+          expected[i] ^= msg[b * kAesBlockSize + i];
+        }
+        reference.encrypt_block(expected);
+      }
+      AesBlock from_bytes = start;
+      aes.cbc_mac_absorb(from_bytes, msg.data(), nblocks);
+      EXPECT_EQ(from_bytes, expected)
+          << "bytes " << to_string(impl) << " nblocks=" << nblocks;
+      AesBlock from_words = start;
+      aes.cbc_mac_absorb_words(from_words, words.data(), nblocks);
+      EXPECT_EQ(from_words, expected)
+          << "words " << to_string(impl) << " nblocks=" << nblocks;
     }
   }
 }
@@ -351,173 +379,6 @@ TEST(Cmac, MixedByteAndWordUpdates) {
     EXPECT_EQ(mixed.finalize(), Cmac::compute(key, full))
         << "prefix=" << prefix_len;
   }
-}
-
-// ------------------------------------------- Multi-stream CBC-MAC absorber
-
-std::vector<AesImpl> all_tiers() {
-  std::vector<AesImpl> tiers = {AesImpl::kReference, AesImpl::kTtable};
-  if (Aes128::aesni_supported()) tiers.push_back(AesImpl::kAesni);
-  return tiers;
-}
-
-TEST(MultiStreamCbcMac, MatchesSingleStreamAcrossTiersAndRaggedLengths) {
-  // The hard invariant of the batched verify lane: interleaving never
-  // changes a chaining value. Mixed tiers in one batch, ragged lengths
-  // (including empty lanes), random keys and starting states.
-  Rng rng(2026);
-  const auto tiers = all_tiers();
-  for (int trial = 0; trial < 40; ++trial) {
-    const auto nstreams = static_cast<std::size_t>(1 + rng.below(10));
-    std::vector<Aes128> engines;
-    engines.reserve(nstreams);
-    std::vector<AesBlock> serial_states(nstreams);
-    std::vector<AesBlock> multi_states(nstreams);
-    std::vector<std::vector<std::uint32_t>> words(nstreams);
-    for (std::size_t i = 0; i < nstreams; ++i) {
-      engines.emplace_back(to_aes_key(rng.bytes(kAesKeySize)),
-                           tiers[rng.below(tiers.size())]);
-      words[i].resize(4 * static_cast<std::size_t>(rng.below(18)));
-      for (auto& w : words[i]) w = static_cast<std::uint32_t>(rng.next_u64());
-      const Bytes start = rng.bytes(kAesBlockSize);
-      std::copy(start.begin(), start.end(), serial_states[i].begin());
-      multi_states[i] = serial_states[i];
-    }
-    std::vector<CbcMacStream> lanes;
-    for (std::size_t i = 0; i < nstreams; ++i) {
-      engines[i].cbc_mac_absorb_words(serial_states[i], words[i].data(),
-                                      words[i].size() / 4);
-      lanes.push_back(
-          {&engines[i], &multi_states[i], words[i].data(), words[i].size() / 4});
-    }
-    Aes128::cbc_mac_absorb_words_multi(lanes);
-    for (std::size_t i = 0; i < nstreams; ++i) {
-      EXPECT_EQ(mac_hex(multi_states[i]), mac_hex(serial_states[i]))
-          << "trial=" << trial << " stream=" << i
-          << " tier=" << to_string(engines[i].impl())
-          << " nblocks=" << words[i].size() / 4;
-    }
-  }
-}
-
-TEST(CmacBatch, MatchesSequentialUpdatesAcrossWidthsAndTiers) {
-  // Streams receive ragged chunk sequences (partial blocks everywhere, some
-  // streams finish early, some get nothing); adds interleave round-robin
-  // and the batch flushes at every width in {1,2,4,8}. Every tag must equal
-  // the plain sequential Cmac::update oracle.
-  Rng rng(2027);
-  const auto tiers = all_tiers();
-  for (const std::size_t width : {1u, 2u, 4u, 8u}) {
-    const std::size_t nstreams = 7;
-    std::vector<Cmac> streams;
-    std::vector<Cmac> oracles;
-    streams.reserve(nstreams);
-    oracles.reserve(nstreams);
-    std::vector<std::vector<std::vector<std::uint32_t>>> chunks(nstreams);
-    for (std::size_t i = 0; i < nstreams; ++i) {
-      const AesKey key = to_aes_key(rng.bytes(kAesKeySize));
-      const AesImpl impl = tiers[rng.below(tiers.size())];
-      streams.emplace_back(key, impl);
-      oracles.emplace_back(key, impl);
-      const auto nchunks = static_cast<std::size_t>(rng.below(5));
-      chunks[i].resize(nchunks);
-      for (auto& c : chunks[i]) {
-        c.resize(static_cast<std::size_t>(rng.below(40)));
-        for (auto& w : c) w = static_cast<std::uint32_t>(rng.next_u64());
-      }
-    }
-    CmacBatch batch(width);
-    EXPECT_EQ(batch.width(), std::min<std::size_t>(width, 8));
-    for (std::size_t c = 0;; ++c) {
-      bool any = false;
-      for (std::size_t i = 0; i < nstreams; ++i) {
-        if (c >= chunks[i].size()) continue;
-        any = true;
-        oracles[i].update(std::span<const std::uint32_t>(chunks[i][c]));
-        batch.add(streams[i], std::vector<std::uint32_t>(chunks[i][c]));
-      }
-      if (!any) break;
-    }
-    batch.flush();
-    EXPECT_EQ(batch.pending_streams(), 0u);
-    for (std::size_t i = 0; i < nstreams; ++i) {
-      EXPECT_EQ(mac_hex(streams[i].finalize()), mac_hex(oracles[i].finalize()))
-          << "width=" << width << " stream=" << i
-          << " tier=" << to_string(streams[i].impl());
-    }
-  }
-}
-
-TEST(CmacBatch, FlushTimingNeverChangesTags) {
-  // Flushing after every add, once at the end, or at arbitrary points must
-  // all produce the sequential tags — the engine flushes whenever a verify
-  // batch closes, which is schedule-dependent.
-  Rng rng(2028);
-  const AesKey k1 = to_aes_key(rng.bytes(kAesKeySize));
-  const AesKey k2 = to_aes_key(rng.bytes(kAesKeySize));
-  std::vector<std::vector<std::uint32_t>> chunks(6);
-  for (auto& c : chunks) {
-    c.resize(static_cast<std::size_t>(1 + rng.below(25)));
-    for (auto& w : c) w = static_cast<std::uint32_t>(rng.next_u64());
-  }
-  const auto tag_pair = [&](int flush_every) {
-    Cmac a(k1), b(k2);
-    CmacBatch batch(4);
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      batch.add(a, std::vector<std::uint32_t>(chunks[c]));
-      if (c % 2 == 0) batch.add(b, std::vector<std::uint32_t>(chunks[c]));
-      if (flush_every > 0 && (c + 1) % static_cast<std::size_t>(flush_every) == 0) {
-        batch.flush();
-      }
-    }
-    batch.flush();
-    return std::pair(mac_hex(a.finalize()), mac_hex(b.finalize()));
-  };
-  const auto expected = tag_pair(1);
-  EXPECT_EQ(tag_pair(2), expected);
-  EXPECT_EQ(tag_pair(3), expected);
-  EXPECT_EQ(tag_pair(0), expected);  // single flush at the end
-}
-
-TEST(CmacBatch, ByteOffsetStagingFallsBackScalar) {
-  // A byte-path prefix can leave the staging buffer off a word boundary;
-  // batched word adds must still match the sequential mixed-update result.
-  Rng rng(2029);
-  const AesKey key = to_aes_key(hex(kRfc4493Key));
-  for (std::size_t prefix_len : {1u, 3u, 7u, 15u, 17u}) {
-    const Bytes prefix = rng.bytes(prefix_len);
-    std::vector<std::uint32_t> words(33);
-    for (auto& w : words) w = static_cast<std::uint32_t>(rng.next_u64());
-    Cmac batched(key), oracle(key);
-    batched.update(prefix);
-    oracle.update(prefix);
-    oracle.update(std::span<const std::uint32_t>(words));
-    CmacBatch batch(4);
-    batch.add(batched, std::vector<std::uint32_t>(words));
-    batch.flush();
-    EXPECT_EQ(mac_hex(batched.finalize()), mac_hex(oracle.finalize()))
-        << "prefix=" << prefix_len;
-  }
-}
-
-TEST(CmacBatch, OccupancyAccountingCountsLanes) {
-  Rng rng(2030);
-  const std::size_t nstreams = 7;
-  std::vector<Cmac> streams;
-  streams.reserve(nstreams);
-  CmacBatch batch(4);
-  for (std::size_t i = 0; i < nstreams; ++i) {
-    streams.emplace_back(to_aes_key(rng.bytes(kAesKeySize)));
-    std::vector<std::uint32_t> words(24);
-    for (auto& w : words) w = static_cast<std::uint32_t>(rng.next_u64());
-    batch.add(streams[i], std::move(words));
-  }
-  EXPECT_EQ(batch.pending_streams(), nstreams);
-  batch.flush();
-  // 7 streams at width 4 → one full group and one of three lanes.
-  EXPECT_EQ(batch.absorb_calls(), 2u);
-  EXPECT_EQ(batch.absorbed_streams(), nstreams);
-  for (auto& s : streams) s.finalize();
 }
 
 // ---------------------------------------------------------------- SHA-256

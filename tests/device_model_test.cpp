@@ -86,7 +86,7 @@ TEST_P(DeviceModelDiff, RandomOperationsMatchTheReferenceModel) {
   ReferenceConfigMemory ref(device);
   std::vector<bs::Frame> boot;
   for (std::uint32_t i = 0; i < frames / 4; ++i) boot.push_back(random_frame(pick, words));
-  prover.boot(bs::ConfigImage{.frames = boot, .masks = {}});
+  prover.boot(bs::ConfigImage{.frames = boot});
   ref.reboot(boot);
   config::ConfigMemory& memory = prover.memory();
   expect_same(memory, ref, "boot");

@@ -1,11 +1,13 @@
-// Tests for the run-to-completion fleet engine: bit-identity of multiplexed
-// reports against the serial and thread-per-member schedules (the engine's
-// core invariant), across fleet sizes, pool sizes and a lossy fault plan;
-// one worker per session; plus the virtual-time makespan model and
-// supervisor interplay.
+// Tests for the run-to-completion fleet engine, which runs every swarm
+// schedule: bit-identity of every schedule's reports against the
+// run_attestation loop oracle (swarm_oracle.hpp) across fleet sizes, pool
+// sizes, a lossy fault plan, deadlines and the supervisor; the serial
+// schedule's inline member order; one worker per session; plus the
+// virtual-time makespan model.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "obs/trace.hpp"
+#include "swarm_oracle.hpp"
 
 namespace sacha::core {
 namespace {
@@ -46,47 +49,34 @@ struct Fleet {
     }
   }
 
+  /// Arms every member with its own injector for `plan`, seeded
+  /// `base_seed + i`; the injector's streams advance per session, keyed
+  /// only by the member.
+  void arm(const fault::FaultPlan& plan, std::uint64_t base_seed) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      injectors.emplace_back(plan, base_seed + i);
+      fault::FaultInjector& injector = injectors.back();
+      members[i].configure = [&injector](SessionOptions& options,
+                                         SessionHooks& hooks, std::uint32_t) {
+        injector.arm(options, hooks);
+      };
+    }
+  }
+
   std::deque<attacks::AttackEnv> envs;
   std::deque<SachaVerifier> verifiers;
   std::deque<SachaProver> provers;
+  std::deque<fault::FaultInjector> injectors;
   std::vector<SwarmMember> members;
 };
 
-/// Every scheduling-independent field of every member result must match:
-/// verdicts, typed failures, MACs, durations, transport totals, trace ids.
-/// (host_ns is the one scheduling-dependent field, as documented.)
+/// Every scheduling-independent field must match: verdicts, typed
+/// failures, MACs, durations, transport totals, trace ids (host_ns is the
+/// one scheduling-dependent field, as documented).
 void expect_bit_identical(const SwarmReport& actual,
                           const SwarmReport& expected) {
-  ASSERT_EQ(actual.members.size(), expected.members.size());
-  EXPECT_EQ(actual.attested, expected.attested);
-  EXPECT_EQ(actual.quarantined, expected.quarantined);
-  EXPECT_EQ(actual.healed, expected.healed);
-  EXPECT_EQ(actual.reattempts, expected.reattempts);
-  EXPECT_EQ(actual.total_work, expected.total_work);
-  EXPECT_EQ(actual.messages_lost, expected.messages_lost);
-  EXPECT_EQ(actual.retransmissions, expected.retransmissions);
-  EXPECT_EQ(actual.backoff_wait, expected.backoff_wait);
-  EXPECT_EQ(actual.failed_ids(), expected.failed_ids());
-  EXPECT_EQ(actual.quarantined_ids(), expected.quarantined_ids());
-  for (std::size_t i = 0; i < expected.members.size(); ++i) {
-    const SwarmMemberResult& a = actual.members[i];
-    const SwarmMemberResult& e = expected.members[i];
-    EXPECT_EQ(a.id, e.id) << i;
-    EXPECT_EQ(a.verdict.ok(), e.verdict.ok()) << i;
-    EXPECT_EQ(a.verdict.kind, e.verdict.kind) << i;
-    EXPECT_EQ(a.failure, e.failure) << i;
-    EXPECT_EQ(a.attempts, e.attempts) << i;
-    EXPECT_EQ(a.quarantined, e.quarantined) << i;
-    EXPECT_EQ(a.healed, e.healed) << i;
-    EXPECT_EQ(a.duration, e.duration) << i;
-    EXPECT_EQ(a.messages_lost, e.messages_lost) << i;
-    EXPECT_EQ(a.retransmissions, e.retransmissions) << i;
-    EXPECT_EQ(a.backoff_wait, e.backoff_wait) << i;
-    EXPECT_EQ(a.trace_id, e.trace_id) << i;
-    ASSERT_EQ(a.mac.has_value(), e.mac.has_value()) << i;
-    if (e.mac.has_value()) {
-      EXPECT_EQ(*a.mac, *e.mac) << i;
-    }
+  for (const std::string& diff : oracle::report_differences(actual, expected)) {
+    ADD_FAILURE() << "differs: " << diff;
   }
 }
 
@@ -99,118 +89,175 @@ SwarmReport run_schedule(Fleet& fleet, SwarmSchedule schedule,
   return attest_swarm(fleet.members, options);
 }
 
+constexpr SwarmSchedule kSchedules[] = {
+    SwarmSchedule::kSerial, SwarmSchedule::kParallel,
+    SwarmSchedule::kMultiplexed};
+
+/// Names a schedule in failure traces.
+std::string schedule_name(SwarmSchedule schedule) {
+  return "schedule " + std::to_string(static_cast<int>(schedule));
+}
+
+/// Runs a fresh `n`-member fleet (prepared by `prepare`) through the
+/// run_attestation loop, then a fresh one under each schedule with
+/// `options`, and holds every schedule to the loop field for field.
+/// Returns the loop's report.
+SwarmReport expect_schedules_match_oracle(
+    std::size_t n, SwarmOptions options,
+    const std::function<void(Fleet&)>& prepare = {}) {
+  Fleet oracle_fleet(n);
+  if (prepare) prepare(oracle_fleet);
+  const SwarmReport expected =
+      oracle::run_attestation_loop(oracle_fleet.members, options);
+  for (const SwarmSchedule schedule : kSchedules) {
+    Fleet fleet(n);
+    if (prepare) prepare(fleet);
+    options.schedule = schedule;
+    SCOPED_TRACE(schedule_name(schedule));
+    expect_bit_identical(attest_swarm(fleet.members, options), expected);
+  }
+  return expected;
+}
+
 TEST(FleetEngine, MultiplexedMatchesSerialAndParallelAcrossSizes) {
+  // Every schedule equals the run_attestation loop, so all three equal
+  // each other; tampered members put failing verdicts in the comparison.
+  SwarmOptions options;
+  options.retry_budget = 0;
   for (const std::size_t n : {1u, 3u, 16u, 64u}) {
-    Fleet serial_fleet(n);
-    Fleet parallel_fleet(n);
-    Fleet mux_fleet(n);
-    if (n >= 4) {
-      for (Fleet* f : {&serial_fleet, &parallel_fleet, &mux_fleet}) {
-        f->tamper({1, 3});
-      }
-    }
-    const SwarmReport serial =
-        run_schedule(serial_fleet, SwarmSchedule::kSerial);
-    const SwarmReport parallel =
-        run_schedule(parallel_fleet, SwarmSchedule::kParallel);
-    const SwarmReport mux =
-        run_schedule(mux_fleet, SwarmSchedule::kMultiplexed);
     SCOPED_TRACE("fleet size " + std::to_string(n));
-    expect_bit_identical(parallel, serial);
-    expect_bit_identical(mux, serial);
+    expect_schedules_match_oracle(n, options, [n](Fleet& f) {
+      if (n >= 4) f.tamper({1, 3});
+    });
   }
 }
 
 TEST(FleetEngine, PoolSizeDoesNotChangeReports) {
   constexpr std::size_t kFleetSize = 16;
-  Fleet baseline_fleet(kFleetSize);
-  baseline_fleet.tamper({2, 9});
-  const SwarmReport baseline =
-      run_schedule(baseline_fleet, SwarmSchedule::kSerial);
+  SwarmOptions options;
+  options.retry_budget = 0;
+  Fleet oracle_fleet(kFleetSize);
+  oracle_fleet.tamper({2, 9});
+  const SwarmReport expected =
+      oracle::run_attestation_loop(oracle_fleet.members, options);
   const std::size_t cores =
       std::max(1u, std::thread::hardware_concurrency());
   for (const std::size_t pool : {std::size_t{1}, std::size_t{2}, cores}) {
-    Fleet fleet(kFleetSize);
-    fleet.tamper({2, 9});
-    const SwarmReport mux =
-        run_schedule(fleet, SwarmSchedule::kMultiplexed, pool);
-    SCOPED_TRACE("pool " + std::to_string(pool));
-    expect_bit_identical(mux, baseline);
-    EXPECT_EQ(mux.engine.pool_size, pool);
+    for (const SwarmSchedule schedule :
+         {SwarmSchedule::kParallel, SwarmSchedule::kMultiplexed}) {
+      Fleet fleet(kFleetSize);
+      fleet.tamper({2, 9});
+      options.schedule = schedule;
+      options.engine.pool_size = pool;
+      const SwarmReport report = attest_swarm(fleet.members, options);
+      SCOPED_TRACE(schedule_name(schedule) + " pool " + std::to_string(pool));
+      expect_bit_identical(report, expected);
+      EXPECT_EQ(report.engine.pool_size, pool);
+    }
   }
 }
 
 TEST(FleetEngine, LossyFaultPlanStaysBitIdenticalAcrossSchedules) {
-  // An 8-member fleet under correlated burst loss + reliable transport +
-  // supervisor retries: the engine must reproduce the exact retransmission,
-  // backoff and healing trajectory of the serial schedule. Each fleet gets
-  // its own injector set with the same seeds (injector RNG state advances
-  // per session, keyed only by the member's own stream).
-  constexpr std::size_t kFleetSize = 8;
+  // An 8-member fleet under burst loss + reliable transport + supervisor
+  // retries: every schedule must reproduce the loop's exact
+  // retransmission, backoff and healing trajectory. Each fleet gets its
+  // own injector set with the same seeds.
   const auto plan = fault::FaultPlan::parse("burst=0.05:0.5:1");
   ASSERT_TRUE(plan.ok());
-
-  const auto run = [&](SwarmSchedule schedule) {
-    Fleet fleet(kFleetSize);
-    std::deque<fault::FaultInjector> injectors;
-    for (std::size_t i = 0; i < fleet.members.size(); ++i) {
-      injectors.emplace_back(plan.value(), 800 + i);
-      fault::FaultInjector& injector = injectors.back();
-      fleet.members[i].configure = [&injector](SessionOptions& options,
-                                               SessionHooks& hooks,
-                                               std::uint32_t) {
-        injector.arm(options, hooks);
-      };
-    }
-    SwarmOptions options;
-    options.schedule = schedule;
-    options.session.reliable = true;
-    options.session.max_retries = 8;
-    options.retry_budget = 2;
-    return attest_swarm(fleet.members, options);
-  };
-
-  const SwarmReport serial = run(SwarmSchedule::kSerial);
-  const SwarmReport parallel = run(SwarmSchedule::kParallel);
-  const SwarmReport mux = run(SwarmSchedule::kMultiplexed);
-  EXPECT_GT(serial.messages_lost, 0u);
-  EXPECT_GT(serial.retransmissions, 0u);
-  expect_bit_identical(parallel, serial);
-  expect_bit_identical(mux, serial);
+  SwarmOptions options;
+  options.session.reliable = true;
+  options.session.max_retries = 8;
+  options.retry_budget = 2;
+  const SwarmReport expected = expect_schedules_match_oracle(
+      8, options, [&plan](Fleet& f) { f.arm(plan.value(), 800); });
+  EXPECT_GT(expected.messages_lost, 0u);
+  EXPECT_GT(expected.retransmissions, 0u);
 }
 
 TEST(FleetEngine, SupervisorQuarantinesPersistentTamperUnderEngine) {
-  Fleet serial_fleet(5);
-  Fleet mux_fleet(5);
-  for (Fleet* f : {&serial_fleet, &mux_fleet}) f->tamper({2});
   SwarmOptions options;
   options.retry_budget = 3;
-  options.schedule = SwarmSchedule::kSerial;
-  const SwarmReport serial = attest_swarm(serial_fleet.members, options);
-  options.schedule = SwarmSchedule::kMultiplexed;
-  const SwarmReport mux = attest_swarm(mux_fleet.members, options);
-  expect_bit_identical(mux, serial);
-  EXPECT_TRUE(mux.converged());
-  EXPECT_EQ(mux.quarantined, 1u);
-  EXPECT_EQ(mux.members[2].attempts, 4u);  // budget fully spent
+  const SwarmReport expected = expect_schedules_match_oracle(
+      5, options, [](Fleet& f) { f.tamper({2}); });
+  EXPECT_TRUE(expected.converged());
+  EXPECT_EQ(expected.quarantined, 1u);
+  EXPECT_EQ(expected.members[2].attempts, 4u);  // budget fully spent
 }
 
 TEST(FleetEngine, SessionDeadlineAbortsIdenticallyUnderEngine) {
-  Fleet serial_fleet(3);
-  Fleet mux_fleet(3);
   SwarmOptions options;
   options.retry_budget = 0;
   options.session.channel = net::ChannelParams::lab();
   options.session.deadline = 2 * sim::kMillisecond;
-  options.schedule = SwarmSchedule::kSerial;
-  const SwarmReport serial = attest_swarm(serial_fleet.members, options);
-  options.schedule = SwarmSchedule::kMultiplexed;
-  const SwarmReport mux = attest_swarm(mux_fleet.members, options);
-  EXPECT_EQ(serial.attested, 0u);
-  for (const SwarmMemberResult& m : mux.members) {
+  const SwarmReport expected = expect_schedules_match_oracle(3, options);
+  EXPECT_EQ(expected.attested, 0u);
+  for (const SwarmMemberResult& m : expected.members) {
     EXPECT_EQ(m.failure, FailureKind::kDeadlineExceeded);
   }
-  expect_bit_identical(mux, serial);
+}
+
+TEST(FleetEngine, SerialRunsEveryMemberInlineInMemberOrder) {
+  // kSerial is the engine on a pool of one: every member's configure, and
+  // then every member's session, runs on the calling thread in member
+  // order, whatever engine.pool_size says. bench_faults' shared-uplink
+  // cells rely on that order.
+  constexpr std::size_t kFleetSize = 6;
+  Fleet fleet(kFleetSize);
+  std::vector<std::size_t> configured;
+  std::vector<std::size_t> sessions;
+  std::set<std::thread::id> threads;
+  for (std::size_t i = 0; i < kFleetSize; ++i) {
+    fleet.members[i].configure = [&configured, &threads, i](
+                                     SessionOptions&, SessionHooks&,
+                                     std::uint32_t) {
+      configured.push_back(i);
+      threads.insert(std::this_thread::get_id());
+    };
+    fleet.members[i].hooks.after_config = [&sessions, &threads,
+                                           i](SachaProver&) {
+      sessions.push_back(i);
+      threads.insert(std::this_thread::get_id());
+    };
+  }
+  SwarmOptions options;
+  options.schedule = SwarmSchedule::kSerial;
+  options.engine.pool_size = 4;
+  const SwarmReport report = attest_swarm(fleet.members, options);
+  ASSERT_TRUE(report.all_attested());
+  const std::vector<std::size_t> in_order = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(configured, in_order);
+  EXPECT_EQ(sessions, in_order);
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(report.engine.pool_size, 1u);
+}
+
+TEST(FleetEngine, SerialSharedUplinkRunsReplayAfterReset) {
+  // Every member draws its loss from ONE shared uplink chain, so a report
+  // depends on the order sessions draw from it. Two kSerial runs from a
+  // fresh chain must agree field for field, and equal the loop, which
+  // draws in member order too.
+  const auto plan = fault::FaultPlan::parse("uplink=7:0.05:0.5:1");
+  ASSERT_TRUE(plan.ok());
+  SwarmOptions options;
+  options.schedule = SwarmSchedule::kSerial;
+  options.session.reliable = true;
+  options.session.max_retries = 8;
+  options.retry_budget = 2;
+  const auto run = [&](bool through_loop) {
+    fault::reset_uplink_bursts();
+    Fleet fleet(8);
+    fleet.arm(plan.value(), 4200);
+    return through_loop
+               ? oracle::run_attestation_loop(fleet.members, options)
+               : attest_swarm(fleet.members, options);
+  };
+  const SwarmReport first = run(false);
+  const SwarmReport second = run(false);
+  const SwarmReport loop = run(true);
+  fault::reset_uplink_bursts();
+  EXPECT_GT(first.messages_lost, 0u);
+  expect_bit_identical(second, first);
+  expect_bit_identical(first, loop);
 }
 
 TEST(FleetEngine, MakespanModelOverlapsLatencyAcrossMembers) {
@@ -250,42 +297,39 @@ TEST(FleetEngine, LossyTamperedFleetsBitIdenticalAcrossPools) {
   // Which worker runs a session, and how many sessions run at once, never
   // changes a report bit. Swept across fleet sizes × pool sizes under a
   // lossy plan + reliable transport + a supervisor retry, with tampered
-  // members, against the kParallel oracle.
+  // members, against the run_attestation loop.
   const auto plan = fault::FaultPlan::parse("burst=0.05:0.5:1");
   ASSERT_TRUE(plan.ok());
-  const auto run = [&](std::size_t n, SwarmSchedule schedule,
-                       std::size_t pool) {
-    Fleet fleet(n);
-    if (n >= 4) fleet.tamper({1, 3});
-    std::deque<fault::FaultInjector> injectors;
-    for (std::size_t i = 0; i < fleet.members.size(); ++i) {
-      injectors.emplace_back(plan.value(), 800 + i);
-      fault::FaultInjector& injector = injectors.back();
-      fleet.members[i].configure = [&injector](SessionOptions& options,
-                                               SessionHooks& hooks,
-                                               std::uint32_t) {
-        injector.arm(options, hooks);
-      };
-    }
-    SwarmOptions options;
-    options.schedule = schedule;
-    options.session.reliable = true;
-    options.session.max_retries = 8;
-    options.retry_budget = 1;
-    options.engine.pool_size = pool;
-    return attest_swarm(fleet.members, options);
+  SwarmOptions options;
+  options.session.reliable = true;
+  options.session.max_retries = 8;
+  options.retry_budget = 1;
+  const auto prepare = [&plan](Fleet& fleet) {
+    if (fleet.members.size() >= 4) fleet.tamper({1, 3});
+    fleet.arm(plan.value(), 800);
   };
 
   const std::size_t cores =
       std::max(1u, std::thread::hardware_concurrency());
   for (const std::size_t n : {1u, 3u, 16u, 64u}) {
-    const SwarmReport parallel = run(n, SwarmSchedule::kParallel, 0);
-    for (const std::size_t pool : {std::size_t{1}, std::size_t{2}, cores}) {
-      SCOPED_TRACE("fleet " + std::to_string(n) + " pool " +
-                   std::to_string(pool));
-      const SwarmReport mux = run(n, SwarmSchedule::kMultiplexed, pool);
-      expect_bit_identical(mux, parallel);
-      EXPECT_EQ(mux.engine.pool_size, pool);
+    Fleet oracle_fleet(n);
+    prepare(oracle_fleet);
+    const SwarmReport expected =
+        oracle::run_attestation_loop(oracle_fleet.members, options);
+    for (const SwarmSchedule schedule : kSchedules) {
+      for (const std::size_t pool : {std::size_t{1}, std::size_t{2}, cores}) {
+        if (schedule == SwarmSchedule::kSerial && pool > 1) break;
+        SCOPED_TRACE("fleet " + std::to_string(n) + " " +
+                     schedule_name(schedule) + " pool " +
+                     std::to_string(pool));
+        Fleet fleet(n);
+        prepare(fleet);
+        options.schedule = schedule;
+        options.engine.pool_size = pool;
+        const SwarmReport report = attest_swarm(fleet.members, options);
+        expect_bit_identical(report, expected);
+        EXPECT_EQ(report.engine.pool_size, pool);
+      }
     }
   }
 }

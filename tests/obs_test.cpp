@@ -209,7 +209,9 @@ TEST_F(ObsTest, SessionTimelinePhasesAndCoverage) {
   EXPECT_GT(snap.counter_value("sacha.net.messages"), 0u);
 }
 
-TEST_F(ObsTest, ParallelSwarmTimelineMergesAllMembers) {
+/// One fleet run's trace: one swarm.member span per member under the fleet
+/// trace, and each member's session timeline under its own id.
+void expect_merged_fleet_timeline(core::SwarmSchedule schedule) {
   constexpr std::size_t kMembers = 8;
   // Coverage is a wall-clock property: on an oversubscribed host the OS can
   // preempt a worker between two back-to-back phase spans and the gap reads
@@ -232,8 +234,7 @@ TEST_F(ObsTest, ParallelSwarmTimelineMergesAllMembers) {
       members.push_back(core::SwarmMember{"node-" + std::to_string(i),
                                           &verifiers[i], &provers[i], {}});
     }
-    const core::SwarmReport report =
-        core::attest_swarm(members, core::SwarmSchedule::kParallel);
+    const core::SwarmReport report = core::attest_swarm(members, schedule);
     ASSERT_TRUE(report.all_attested());
     EXPECT_TRUE(report.fleet_trace.valid());
     EXPECT_GT(report.host_ns, 0u);
@@ -276,6 +277,17 @@ TEST_F(ObsTest, ParallelSwarmTimelineMergesAllMembers) {
     }
   }
   EXPECT_GE(min_coverage, 0.95);
+}
+
+TEST_F(ObsTest, ParallelSwarmTimelineMergesAllMembers) {
+  // Every schedule runs its members through the fleet engine, so every
+  // schedule leaves the same trace shape.
+  for (const core::SwarmSchedule schedule :
+       {core::SwarmSchedule::kSerial, core::SwarmSchedule::kParallel,
+        core::SwarmSchedule::kMultiplexed}) {
+    SCOPED_TRACE("schedule " + std::to_string(static_cast<int>(schedule)));
+    expect_merged_fleet_timeline(schedule);
+  }
 }
 
 TEST_F(ObsTest, AuditEntryLinksVerdictToTimeline) {

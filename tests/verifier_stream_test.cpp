@@ -19,6 +19,7 @@
 #include "attacks/library.hpp"
 #include "bitstream/golden_model.hpp"
 #include "core/swarm.hpp"
+#include "crypto/sha256.hpp"
 
 namespace sacha {
 namespace {
@@ -85,6 +86,34 @@ TEST(GoldenModel, MaskedGoldenTableMatchesApplyMask) {
       EXPECT_EQ(table[w], expected.word(w)) << "frame " << f << " word " << w;
     }
   }
+}
+
+/// SHA-256 over a flat table, each word serialised big-endian.
+std::string table_digest(const bs::GoldenModel& model, bool masked_golden) {
+  crypto::Sha256 sha;
+  Bytes row;
+  for (std::uint32_t f = 0; f < model.total_frames(); ++f) {
+    row.clear();
+    for (const std::uint32_t w : masked_golden ? model.masked_golden_words(f)
+                                               : model.mask_words(f)) {
+      put_u32be(row, w);
+    }
+    sha.update(row);
+  }
+  return to_hex(sha.finalize());
+}
+
+TEST(GoldenModel, Virtex6TablesMatchPinnedDigests) {
+  // The full XC6VLX240T model's two flat tables, pinned at the commit
+  // before the per-frame image masks were dropped: the verifier compares
+  // against these tables alone, so no change to how images are generated
+  // or stored may move them.
+  const attacks::AttackEnv env = attacks::AttackEnv::virtex6();
+  const bs::GoldenModel model(env.plan, env.static_spec, env.app_spec);
+  EXPECT_EQ(table_digest(model, /*masked_golden=*/false),
+            "f8ffe15f09077845fccd1e1dcf87fce4fed6f4ede1400db4ed44600d081427ce");
+  EXPECT_EQ(table_digest(model, /*masked_golden=*/true),
+            "2d1aabe4d4cb224d7d15d30118f56d65b2f4d9dd92bba892501106dcd6b0f0e6");
 }
 
 TEST(GoldenModel, RegionStructureMatchesVerifier) {
