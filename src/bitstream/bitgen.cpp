@@ -1,5 +1,6 @@
 #include "bitstream/bitgen.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -63,9 +64,15 @@ RegisterPositions::RegisterPositions(const fabric::DeviceModel& device)
 }
 
 FrameMask RegisterPositions::mask(std::uint32_t frame) const {
-  FrameMask msk(words_per_frame_, 0xffffffff);
-  for (std::uint16_t b : of(frame)) msk.set_bit(b, false);
+  FrameMask msk(words_per_frame_);
+  write_mask(frame, msk.words().data());
   return msk;
+}
+
+void RegisterPositions::write_mask(std::uint32_t frame,
+                                   std::uint32_t* row) const {
+  std::fill(row, row + words_per_frame_, 0xffffffffu);
+  for (std::uint16_t b : of(frame)) row[b / 32] &= ~(1u << (b % 32));
 }
 
 std::shared_ptr<const RegisterPositions> RegisterPositions::shared(
@@ -125,13 +132,13 @@ std::vector<std::uint32_t> BitGen::assemble(const ConfigImage& image,
   return assemble(std::span<const Frame>(image.frames), first_frame, idcode);
 }
 
-std::vector<std::uint32_t> BitGen::assemble(std::span<const Frame> frames,
-                                            std::uint32_t first_frame,
-                                            std::uint32_t idcode) const {
+std::vector<std::uint32_t> BitGen::assemble(
+    std::span<const Frame> frames, std::uint32_t first_frame,
+    std::uint32_t idcode, std::vector<std::uint32_t> storage) const {
   const std::uint32_t payload_words =
       static_cast<std::uint32_t>(frames.size()) *
       device_.geometry().words_per_frame();
-  PacketWriter writer;
+  PacketWriter writer(std::move(storage));
   // sync, noop, idcode (2), wcfg (2), far (2), FDRI header (up to 2), the
   // payload, crc (2), desync (2), noop.
   writer.reserve(16 + payload_words);
@@ -153,9 +160,10 @@ std::vector<std::uint32_t> BitGen::assemble(std::span<const Frame> frames,
 }
 
 std::vector<std::uint32_t> BitGen::assemble_single_frame(
-    const Frame& frame, std::uint32_t frame_index, std::uint32_t idcode) const {
+    const Frame& frame, std::uint32_t frame_index, std::uint32_t idcode,
+    std::vector<std::uint32_t> storage) const {
   assert(frame.size() == device_.geometry().words_per_frame());
-  PacketWriter writer;
+  PacketWriter writer(std::move(storage));
   // sync, idcode (2), wcfg (2), far (2), FDRI header, the frame, desync (2).
   writer.reserve(10 + frame.size());
   writer.sync();

@@ -77,6 +77,8 @@ class RegisterPositions {
   /// Frame `frame`'s architectural mask, rebuilt from its positions (equal
   /// to `architectural_mask(device, frame)`).
   FrameMask mask(std::uint32_t frame) const;
+  /// The same mask written into `row` (one frame's words).
+  void write_mask(std::uint32_t frame, std::uint32_t* row) const;
 
  private:
   std::uint32_t words_per_frame_ = 0;
@@ -107,16 +109,18 @@ class BitGen {
                                       std::uint32_t first_frame,
                                       std::uint32_t idcode) const;
   /// The same burst over consecutive frames held anywhere (a slice of an
-  /// image), built at its exact size.
-  std::vector<std::uint32_t> assemble(std::span<const Frame> frames,
-                                      std::uint32_t first_frame,
-                                      std::uint32_t idcode) const;
+  /// image), built at its exact size in `storage` (see PacketWriter's
+  /// storage constructor).
+  std::vector<std::uint32_t> assemble(
+      std::span<const Frame> frames, std::uint32_t first_frame,
+      std::uint32_t idcode, std::vector<std::uint32_t> storage = {}) const;
 
   /// Encodes one frame write as a standalone command stream (what each
-  /// ICAP_config network packet of the paper's protocol carries).
-  std::vector<std::uint32_t> assemble_single_frame(const Frame& frame,
-                                                   std::uint32_t frame_index,
-                                                   std::uint32_t idcode) const;
+  /// ICAP_config network packet of the paper's protocol carries), in
+  /// `storage`.
+  std::vector<std::uint32_t> assemble_single_frame(
+      const Frame& frame, std::uint32_t frame_index, std::uint32_t idcode,
+      std::vector<std::uint32_t> storage = {}) const;
 
   /// Device IDCODE used in our encodings.
   static constexpr std::uint32_t kIdcodeXc6vlx240t = 0x0424A093;

@@ -69,19 +69,19 @@ GoldenModel::GoldenModel(const fabric::Floorplan& plan, DesignSpec static_spec,
   }
   zero_frame_ = Frame(words_per_frame_);
 
-  // Flat tables: one architectural_mask generation per frame for the life of
-  // the model (the per-session verifier previously regenerated every mask on
-  // every finish()), and golden words pre-masked so the streaming compare is
-  // a single AND+compare pass.
+  // Flat tables: the masks come from the device type's interned register
+  // positions (one architectural_mask derivation per device type, shared
+  // with every ConfigMemory of the type), and golden words are pre-masked so
+  // the streaming compare is a single AND+compare pass.
+  positions_ = RegisterPositions::shared(device);
   const std::size_t table_words =
       static_cast<std::size_t>(total_frames_) * words_per_frame_;
   mask_words_.resize(table_words);
   masked_golden_.assign(table_words, 0);
   for (std::uint32_t f = 0; f < total_frames_; ++f) {
-    const FrameMask mask = architectural_mask(device, f);
     std::uint32_t* mask_row =
         mask_words_.data() + static_cast<std::size_t>(f) * words_per_frame_;
-    std::copy(mask.words().begin(), mask.words().end(), mask_row);
+    positions_->write_mask(f, mask_row);
     if (f == nonce_frame_) continue;  // golden content is per-session
     const Frame& golden = golden_frame(f);
     std::uint32_t* golden_row =

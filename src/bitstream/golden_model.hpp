@@ -180,6 +180,15 @@ class GoldenModel {
     return masked_words_match(received.data(), mask, golden, words_per_frame_);
   }
 
+  /// The device type's interned register-position table the mask table was
+  /// filled from. A built model holds it, so a device provisioned while
+  /// only verifiers of its type are alive reuses it instead of deriving it
+  /// again; loaded and mapped models read their masks from the file and
+  /// hold none (nullptr).
+  const std::shared_ptr<const RegisterPositions>& register_positions() const {
+    return positions_;
+  }
+
   /// Heap footprint of the model (flat tables + region images), for the
   /// fleet memory accounting in bench_swarm / bench_verifier.
   std::size_t footprint_bytes() const;
@@ -208,6 +217,7 @@ class GoldenModel {
   std::uint32_t nonce_frame_ = 0;
   std::uint32_t app_frame_total_ = 0;
 
+  std::shared_ptr<const RegisterPositions> positions_;  // built models only
   std::vector<fabric::FrameRange> app_ranges_;
   std::vector<std::pair<fabric::FrameRange, ConfigImage>> static_images_;
   std::vector<ConfigImage> app_images_;

@@ -83,6 +83,15 @@ using ConfigOp = std::variant<OpSync, OpNoop, OpWriteFar, OpCmd, OpWriteIdcode,
 /// Builds a word stream from operations.
 class PacketWriter {
  public:
+  PacketWriter() = default;
+  /// Writes into `storage`, cleared but keeping its capacity: a caller that
+  /// hands back the stream it took last time builds the next one without
+  /// allocating.
+  explicit PacketWriter(std::vector<std::uint32_t> storage)
+      : words_(std::move(storage)) {
+    words_.clear();
+  }
+
   /// Capacity for `words` words, so a stream of known size is built with
   /// one allocation.
   void reserve(std::size_t words) { words_.reserve(words); }

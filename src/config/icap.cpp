@@ -19,24 +19,32 @@ Icap::Icap(ConfigMemory& memory, std::uint32_t idcode, IcapTiming timing)
 
 Result<std::vector<std::uint32_t>> Icap::execute(
     std::span<const std::uint32_t> words) {
-  using R = Result<std::vector<std::uint32_t>>;
+  std::vector<std::uint32_t> output;
+  const Status status = execute(words, output);
+  if (!status.ok()) {
+    return Result<std::vector<std::uint32_t>>::error(status.message());
+  }
+  return output;
+}
+
+Status Icap::execute(std::span<const std::uint32_t> words,
+                     std::vector<std::uint32_t>& output) {
+  output.clear();
   const Status parsed = bs::parse_packets(words, ops_);
-  if (!parsed.ok()) return R::error("ICAP: " + parsed.message());
+  if (!parsed.ok()) return Status::error("ICAP: " + parsed.message());
 
   ++stats_.command_streams;
   static obs::Counter& streams =
       obs::MetricsRegistry::global().counter("sacha.prover.icap_streams");
   streams.add(1);
-  stats_.cycles +=
-      static_cast<std::uint64_t>(timing_.port_cycles_per_word) * words.size();
 
   const std::uint32_t wpf = memory_->words_per_frame();
   const std::uint32_t total = memory_->total_frames();
-  std::vector<std::uint32_t> output;
   // Reserve the whole readback volume up front: the op list is already
   // parsed, so the output size is known exactly and the frame loop below
   // never reallocates.
   std::size_t read_words = 0;
+  std::size_t noops = 0;
   // Payload after the stream's last CRC check is never checked, so its CRC
   // is not computed (single-frame commands carry no CRC at all).
   std::size_t crc_checks_end = 0;
@@ -45,8 +53,12 @@ Result<std::vector<std::uint32_t>> Icap::execute(
       read_words += rd->word_count;
     } else if (std::holds_alternative<bs::OpCrc>(ops_[k])) {
       crc_checks_end = k;
+    } else if (std::holds_alternative<bs::OpNoop>(ops_[k])) {
+      ++noops;
     }
   }
+  stats_.cycles += static_cast<std::uint64_t>(timing_.port_cycles_per_word) *
+                   (words.size() - noops);
   if (read_words > 0) output.reserve(read_words);
   bs::StreamCrc crc;  // over the payload words since the last CRC check
 
@@ -58,13 +70,14 @@ Result<std::vector<std::uint32_t>> Icap::execute(
     }
     if (const auto* id = std::get_if<bs::OpWriteIdcode>(&op)) {
       if (id->idcode != idcode_) {
-        return R::error("ICAP: IDCODE mismatch (bitstream for another device)");
+        return Status::error(
+            "ICAP: IDCODE mismatch (bitstream for another device)");
       }
       continue;
     }
     if (const auto* far = std::get_if<bs::OpWriteFar>(&op)) {
       if (!memory_->device().geometry().valid(far->address)) {
-        return R::error("ICAP: invalid FAR " + far->address.to_string());
+        return Status::error("ICAP: invalid FAR " + far->address.to_string());
       }
       far_index_ = memory_->device().geometry().linear_index(far->address);
       continue;
@@ -79,14 +92,14 @@ Result<std::vector<std::uint32_t>> Icap::execute(
       continue;
     }
     if (const auto* wr = std::get_if<bs::OpWriteFrames>(&op)) {
-      if (!wcfg_) return R::error("ICAP: FDRI write without WCFG");
+      if (!wcfg_) return Status::error("ICAP: FDRI write without WCFG");
       if (wr->words.size() % wpf != 0) {
-        return R::error("ICAP: FDRI payload not frame aligned (" +
+        return Status::error("ICAP: FDRI payload not frame aligned (" +
                         std::to_string(wr->words.size()) + " words)");
       }
       const auto frames = static_cast<std::uint32_t>(wr->words.size() / wpf);
       if (far_index_ + frames > total) {
-        return R::error("ICAP: write past end of configuration memory");
+        return Status::error("ICAP: write past end of configuration memory");
       }
       for (std::uint32_t f = 0; f < frames; ++f) {
         memory_->write_frame(far_index_ + f,
@@ -104,13 +117,13 @@ Result<std::vector<std::uint32_t>> Icap::execute(
       continue;
     }
     if (const auto* rd = std::get_if<bs::OpReadRequest>(&op)) {
-      if (!rcfg_) return R::error("ICAP: FDRO read without RCFG");
+      if (!rcfg_) return Status::error("ICAP: FDRO read without RCFG");
       if (rd->word_count % wpf != 0) {
-        return R::error("ICAP: FDRO request not frame aligned");
+        return Status::error("ICAP: FDRO request not frame aligned");
       }
       const std::uint32_t frames = rd->word_count / wpf;
       if (far_index_ + frames > total) {
-        return R::error("ICAP: read past end of configuration memory");
+        return Status::error("ICAP: read past end of configuration memory");
       }
       for (std::uint32_t f = 0; f < frames; ++f) {
         memory_->readback_into(far_index_ + f, output);
@@ -130,13 +143,13 @@ Result<std::vector<std::uint32_t>> Icap::execute(
     }
     if (const auto* check = std::get_if<bs::OpCrc>(&op)) {
       if (check->value != crc.value()) {
-        return R::error("ICAP: CRC mismatch");
+        return Status::error("ICAP: CRC mismatch");
       }
       crc.reset();
       continue;
     }
   }
-  return output;
+  return Status();
 }
 
 }  // namespace sacha::config

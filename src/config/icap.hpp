@@ -5,7 +5,9 @@
 // language as the external configuration interface; our model executes a
 // parsed command stream against a ConfigMemory and accounts cycles with a
 // cost model calibrated to Table 3:
-//   - every stream word occupies the port for one cycle,
+//   - every stream word except a NOOP occupies the port for one cycle
+//     (NOOP padding is stripped by the RX FSM in front of the port; the
+//     model parses NOOPs in place and charges them nothing),
 //   - frame-data words cost one extra write-pipeline cycle,
 //   - committing a written frame costs kFrameCommit cycles,
 //   - each readback request pays a pipeline-flush + pad-frame penalty.
@@ -45,9 +47,15 @@ class Icap {
   Icap(ConfigMemory& memory, std::uint32_t idcode, IcapTiming timing = {});
 
   /// Executes one raw command stream (sync ... desync). The whole stream is
-  /// parsed and validated before any op runs. Returns the words produced by
-  /// read requests (empty, and unallocated, for pure configuration
-  /// streams). Partial effects before an error are kept, as in hardware.
+  /// parsed and validated before any op runs. `out` is cleared, then
+  /// receives the words produced by read requests, in its own storage (a
+  /// caller that hands back the same buffer reads back without
+  /// allocating). Partial effects before an error are kept, as in
+  /// hardware.
+  Status execute(std::span<const std::uint32_t> words,
+                 std::vector<std::uint32_t>& out);
+  /// The same, returning the read words in a fresh vector (empty, and
+  /// unallocated, for pure configuration streams).
   Result<std::vector<std::uint32_t>> execute(
       std::span<const std::uint32_t> words);
 

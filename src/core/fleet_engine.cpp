@@ -4,7 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <queue>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -52,45 +52,64 @@ AttestationReport run_member(FleetSessionJob& job,
   return machine.finish();
 }
 
+/// The free times of `lanes` virtual lanes; take() claims the earliest.
+/// Lanes are interchangeable, so replacing the minimum is all a heap would
+/// do here, and a fleet has few lanes: a scan beats the heap's bookkeeping.
+class Lanes {
+ public:
+  explicit Lanes(std::size_t lanes)
+      : free_(std::max<std::size_t>(lanes, 1), 0) {}
+  /// The earliest free time; the lane is busy until set().
+  sim::SimTime take() {
+    taken_ = static_cast<std::size_t>(
+        std::min_element(free_.begin(), free_.end()) - free_.begin());
+    return free_[taken_];
+  }
+  /// Frees the lane take() returned at `end`.
+  void set(sim::SimTime end) { free_[taken_] = end; }
+
+ private:
+  std::vector<sim::SimTime> free_;
+  std::size_t taken_ = 0;
+};
+
 /// Simulated fleet makespan of the multiplexed schedule: every member's
 /// drive occupies only its own virtual timeline (sessions park through
 /// channel latency, so drives overlap freely), while verify jobs contend
 /// for `lanes` virtual verify lanes, FIFO by (ready time, member) and in
 /// order within a member. The members' timelines are already in ready
-/// order, so a heap over their heads merges them into that FIFO.
-/// Deterministic — it replays the recorded rounds, so every pool size
-/// reports the same number.
+/// order, so each pick is the least (ready, member) among the members'
+/// next jobs: a scan of their ready times, whose first minimum is the
+/// lowest such member. Deterministic — it replays the recorded rounds, so
+/// every pool size reports the same number.
 sim::SimDuration multiplexed_makespan(
     const std::vector<Timeline>& timelines,
     const std::vector<AttestationReport>& reports, std::size_t lanes) {
-  using Head = std::pair<sim::SimTime, std::size_t>;  // (ready, member)
-  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads;
-  std::vector<std::size_t> next(timelines.size(), 0);
-  for (std::size_t m = 0; m < timelines.size(); ++m) {
-    if (!timelines[m].empty()) heads.push({timelines[m].front().ready, m});
+  constexpr sim::SimTime kDone = std::numeric_limits<sim::SimTime>::max();
+  const std::size_t members = timelines.size();
+  std::vector<std::size_t> next(members, 0);
+  std::vector<sim::SimTime> head(members, kDone);  // next job's ready time
+  for (std::size_t m = 0; m < members; ++m) {
+    if (!timelines[m].empty()) head[m] = timelines[m].front().ready;
   }
-  std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                      std::greater<sim::SimTime>>
-      lane_free;
-  for (std::size_t k = 0; k < lanes; ++k) lane_free.push(0);
+  Lanes lane_free(lanes);
   // A member's verify jobs run one after another, so its last end is also
   // when its verification finished.
-  std::vector<sim::SimTime> member_end(timelines.size(), 0);
-  while (!heads.empty()) {
-    const std::size_t m = heads.top().second;
-    heads.pop();
+  std::vector<sim::SimTime> member_end(members, 0);
+  for (;;) {
+    const auto first = std::min_element(head.begin(), head.end());
+    if (first == head.end() || *first == kDone) break;
+    const auto m = static_cast<std::size_t>(first - head.begin());
     const VerifyRec& rec = timelines[m][next[m]];
-    if (++next[m] < timelines[m].size()) {
-      heads.push({timelines[m][next[m]].ready, m});
-    }
-    const sim::SimTime lane = lane_free.top();
-    lane_free.pop();
-    const sim::SimTime start = std::max({rec.ready, lane, member_end[m]});
+    head[m] = ++next[m] < timelines[m].size() ? timelines[m][next[m]].ready
+                                              : kDone;
+    const sim::SimTime start =
+        std::max({rec.ready, lane_free.take(), member_end[m]});
     member_end[m] = start + rec.cost;
-    lane_free.push(member_end[m]);
+    lane_free.set(member_end[m]);
   }
   sim::SimDuration makespan = 0;
-  for (std::size_t m = 0; m < timelines.size(); ++m) {
+  for (std::size_t m = 0; m < members; ++m) {
     makespan = std::max({makespan, reports[m].total_time, member_end[m]});
   }
   return makespan;
@@ -110,17 +129,12 @@ sim::SimDuration verify_cost(const Timeline& timeline) {
 sim::SimDuration thread_per_member_makespan(
     const std::vector<Timeline>& timelines,
     const std::vector<AttestationReport>& reports, std::size_t lanes) {
-  std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
-                      std::greater<sim::SimTime>>
-      lane_free;
-  for (std::size_t k = 0; k < lanes; ++k) lane_free.push(0);
+  Lanes lane_free(lanes);
   sim::SimDuration makespan = 0;
   for (std::size_t m = 0; m < timelines.size(); ++m) {
-    const sim::SimTime start = lane_free.top();
-    lane_free.pop();
-    const sim::SimTime end =
-        start + reports[m].total_time + verify_cost(timelines[m]);
-    lane_free.push(end);
+    const sim::SimTime end = lane_free.take() + reports[m].total_time +
+                             verify_cost(timelines[m]);
+    lane_free.set(end);
     makespan = std::max<sim::SimDuration>(makespan, end);
   }
   return makespan;

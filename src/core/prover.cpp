@@ -19,10 +19,7 @@ SachaProver::SachaProver(const fabric::DeviceModel& device,
       icap_(memory_, config::device_idcode(device)),
       command_buffer_(options.command_buffer_bytes),
       mac_(key),
-      icap_clock_(sim::icap_domain()) {
-  // The staging bound caps every program the ICAP runs.
-  program_.reserve(options.command_buffer_bytes / 4);
-}
+      icap_clock_(sim::icap_domain()) {}
 
 SachaProver::SachaProver(SachaProver&& other) noexcept
     : device_id_(std::move(other.device_id_)),
@@ -30,7 +27,6 @@ SachaProver::SachaProver(SachaProver&& other) noexcept
       memory_(std::move(other.memory_)),
       icap_(std::move(other.icap_)),
       command_buffer_(std::move(other.command_buffer_)),
-      program_(std::move(other.program_)),
       mac_(std::move(other.mac_)),
       icap_clock_(std::move(other.icap_clock_)),
       last_mac_(other.last_mac_),
@@ -125,31 +121,56 @@ bool SachaProver::drop_at_fault_gate() {
   return true;
 }
 
-SachaProver::HandleResult SachaProver::handle_packet(ByteSpan packet) {
+SachaProver::HandleResult SachaProver::handle_packet(
+    ByteSpan packet, std::vector<std::uint32_t> frame_buffer) {
   // The gate stays ahead of the decode: a crashed device drops even an
   // undecodable packet.
   if (drop_at_fault_gate()) return HandleResult{.dropped = true};
   auto decoded = Command::decode(packet);
   if (!decoded.ok()) return error_result(ProverStatus::kBadCommand);
-  return stage_and_run(decoded.value());
+  return stage_and_run(decoded.value(), std::move(frame_buffer));
 }
 
-SachaProver::HandleResult SachaProver::handle(const Command& command) {
+SachaProver::HandleResult SachaProver::handle(
+    const Command& command, std::vector<std::uint32_t> frame_buffer) {
   if (drop_at_fault_gate()) return HandleResult{.dropped = true};
-  return stage_and_run(command);
+  return stage_and_run(command, std::move(frame_buffer));
 }
 
-SachaProver::HandleResult SachaProver::stage_and_run(const Command& command) {
+namespace {
+
+/// `words` without its leading and trailing runs of NOOP words: the
+/// padding a decoded packet carries after its program (and any before it).
+std::span<const std::uint32_t> trim_noop_padding(
+    std::span<const std::uint32_t> words) {
+  while (!words.empty() && words.back() == bs::kNoopWord) {
+    words = words.first(words.size() - 1);
+  }
+  while (!words.empty() && words.front() == bs::kNoopWord) {
+    words = words.subspan(1);
+  }
+  return words;
+}
+
+}  // namespace
+
+SachaProver::HandleResult SachaProver::stage_and_run(
+    const Command& command, std::vector<std::uint32_t>&& frame_buffer) {
   // The RX FSM strips NOOP padding and stages the effective command in the
   // BRAM buffer before the ICAP domain picks it up. The buffer is sized for
-  // one frame's program; oversized commands cannot be staged and are
-  // rejected — this is the bounded-memory property at the implementation
-  // level. (`padding` words are NOOPs too, so they never count.)
-  program_.clear();
-  for (std::uint32_t w : command.stream) {
-    if (w != bs::kNoopWord) program_.push_back(w);
-  }
-  if (program_.size() * 4 > command_buffer_.free()) {
+  // one frame's program; a command whose effective (non-NOOP) words do not
+  // fit cannot be staged and is rejected — this is the bounded-memory
+  // property at the implementation level. (`padding` words are NOOPs too,
+  // so they never count.) The model enforces the bound by counting, then
+  // runs the ICAP on the command's own words: the padding runs at either
+  // end are cut off the span, and the NOOPs left inside parse in place and
+  // cost the port nothing, as if stripped.
+  const std::span<const std::uint32_t> program =
+      trim_noop_padding(command.stream);
+  const std::size_t effective =
+      program.size() - static_cast<std::size_t>(std::count(
+                           program.begin(), program.end(), bs::kNoopWord));
+  if (effective * 4 > command_buffer_.free()) {
     return error_result(ProverStatus::kBadCommand);
   }
 
@@ -161,7 +182,7 @@ SachaProver::HandleResult SachaProver::stage_and_run(const Command& command) {
       // so stale state can never leak into the next session's checksum.
       if (mac_.busy()) mac_.abort();
       const std::uint64_t cycles_before = icap_.stats().cycles;
-      auto outcome = icap_.execute(program_);
+      const Status outcome = icap_.execute(program, frame_buffer);
       result.icap_time =
           icap_clock_.cycles_to_time(icap_.stats().cycles - cycles_before);
       if (!outcome.ok()) {
@@ -176,7 +197,7 @@ SachaProver::HandleResult SachaProver::stage_and_run(const Command& command) {
 
     case CommandType::kIcapReadback: {
       const std::uint64_t cycles_before = icap_.stats().cycles;
-      auto outcome = icap_.execute(program_);
+      const Status outcome = icap_.execute(program, frame_buffer);
       result.icap_time =
           icap_clock_.cycles_to_time(icap_.stats().cycles - cycles_before);
       if (!outcome.ok()) {
@@ -184,8 +205,7 @@ SachaProver::HandleResult SachaProver::stage_and_run(const Command& command) {
             Response{.type = ResponseType::kError, .status = ProverStatus::kIcapError};
         return result;
       }
-      std::vector<std::uint32_t> words = std::move(outcome).take();
-      if (words.empty()) {
+      if (frame_buffer.empty()) {
         // A readback command whose program reads nothing is malformed.
         result.response = Response{.type = ResponseType::kError,
                                    .status = ProverStatus::kBadCommand};
@@ -196,10 +216,10 @@ SachaProver::HandleResult SachaProver::stage_and_run(const Command& command) {
       // into the response — no copy between the ICAP output, the AES-CMAC
       // engine and the TX buffer.
       result.mac_update_time =
-          mac_.update(std::span<const std::uint32_t>(words));
+          mac_.update(std::span<const std::uint32_t>(frame_buffer));
       result.response = Response{.type = ResponseType::kFrameData,
                                  .status = ProverStatus::kOk,
-                                 .frame_words = std::move(words)};
+                                 .frame_words = std::move(frame_buffer)};
       return result;
     }
 

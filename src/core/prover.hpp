@@ -4,7 +4,9 @@
 // decoded (RX domain), NOOP padding is stripped, the effective command must
 // fit the bounded BRAM staging buffer, the ICAP executes the embedded
 // program (ICAP domain), readback data flows through the AES-CMAC engine
-// and back out (TX domain). Every handled command reports the simulated
+// and back out (TX domain). The model stages by count: it checks the bound
+// on the effective words and runs the ICAP on the command's own words,
+// with no copy in between. Every handled command reports the simulated
 // device time it consumed, split by component, so the session ledger can
 // reproduce the A2/A4/A5/A6/A7 rows of Table 3.
 //
@@ -93,13 +95,18 @@ class SachaProver {
 
   /// The device's one intake for a decoded command: the fault gate (a
   /// crashed or stalled device drops it), the staging bound on the
-  /// effective (non-NOOP) words, then the ICAP program.
-  HandleResult handle(const Command& command);
+  /// effective (non-NOOP) words, then the ICAP program. A readback reads
+  /// into `frame_buffer`'s storage, which moves on into the response: a
+  /// driver that hands back the previous response's words reads back
+  /// without allocating.
+  HandleResult handle(const Command& command,
+                      std::vector<std::uint32_t> frame_buffer = {});
 
   /// Raw-packet entry point: the fault gate, then decode, then handle()'s
   /// staging bound and program. Undecodable packets produce an error
   /// response.
-  HandleResult handle_packet(ByteSpan packet);
+  HandleResult handle_packet(ByteSpan packet,
+                             std::vector<std::uint32_t> frame_buffer = {});
 
   /// Rekeys the MAC engine (DynPart-PUF key rotation after the verifier
   /// ships a new PUF circuit; §5.2.1 option 2).
@@ -136,7 +143,8 @@ class SachaProver {
   /// stalled device drops it (counters and reboot countdown advance).
   bool drop_at_fault_gate();
   /// handle() after the fault gate.
-  HandleResult stage_and_run(const Command& command);
+  HandleResult stage_and_run(const Command& command,
+                             std::vector<std::uint32_t>&& frame_buffer);
   /// Power-cycle recovery: zero the volatile configuration memory, reload
   /// the BootMem image, reset the MAC engine.
   void reboot();
@@ -146,9 +154,6 @@ class SachaProver {
   config::ConfigMemory memory_;
   config::Icap icap_;
   config::BramBuffer command_buffer_;
-  /// The RX FSM's view of the current command: its effective words, padding
-  /// stripped. Reused across commands.
-  std::vector<std::uint32_t> program_;
   MacEngine mac_;
   sim::ClockDomain icap_clock_;
   std::optional<crypto::Mac> last_mac_;

@@ -1,5 +1,6 @@
 #include "core/session.hpp"
 
+#include <array>
 #include <chrono>
 #include <optional>
 
@@ -13,23 +14,23 @@ namespace {
 /// Seed salt for the phase-boundary register-churn RNG.
 constexpr std::uint64_t kChurnSeedSalt = 0xfeedface12345678ULL;
 
-/// Ledger keys for one command round, by command type.
-struct ActionKeys {
-  const char* send;
-  const char* device;
-  const char* reply;
+/// Ledger rows for one command round, by command type.
+struct RoundActions {
+  Action send;
+  std::optional<Action> device;
+  std::optional<Action> reply;
 };
 
-ActionKeys keys_for(CommandType type) {
+RoundActions actions_for(CommandType type) {
   switch (type) {
     case CommandType::kIcapConfig:
-      return {actions::kA1, actions::kA2, nullptr};
+      return {Action::kA1, Action::kA2, std::nullopt};
     case CommandType::kIcapReadback:
-      return {actions::kA3, actions::kA4, actions::kA8};
+      return {Action::kA3, Action::kA4, Action::kA8};
     case CommandType::kMacChecksum:
-      return {actions::kA9, nullptr, actions::kA10};
+      break;
   }
-  return {nullptr, nullptr, nullptr};
+  return {Action::kA9, std::nullopt, Action::kA10};
 }
 
 /// Backoff wait before retry `attempt` (1-based): exponential in the
@@ -56,6 +57,16 @@ sim::SimDuration backoff_wait(const SessionOptions& options,
 }
 
 }  // namespace
+
+const char* action_key(Action action) {
+  static constexpr std::array<const char*, kActionCount> kKeys = {
+      actions::kA1,         actions::kA2,         actions::kA3,
+      actions::kA4,         actions::kA5,         actions::kA6,
+      actions::kA7,         actions::kA8,         actions::kA9,
+      actions::kA10,        actions::kNetLatency, actions::kRetransmit,
+      actions::kAck};
+  return kKeys[static_cast<std::size_t>(action)];
+}
 
 void apply_register_churn(SachaProver& prover, std::uint64_t session_seed,
                           double flip_probability) {
@@ -103,12 +114,20 @@ Command VerifierSession::next_command() {
   return verifier_.command(issued_++);
 }
 
+void VerifierSession::next_command(Command& out) {
+  verifier_.command_into(issued_++, out);
+}
+
 std::optional<Bytes> VerifierSession::next_command_wire() {
   if (all_issued()) return std::nullopt;
   return next_command().encode();
 }
 
 void VerifierSession::on_response(std::optional<Response> response) {
+  on_response_in_place(response);
+}
+
+void VerifierSession::on_response_in_place(std::optional<Response>& response) {
   if (done()) return;
   // Verifier-side phases are measured between response deliveries.
   if (const char* phase = phase_at(delivered_)) timeline_.phase(phase);
@@ -119,7 +138,7 @@ void VerifierSession::on_response(std::optional<Response> response) {
       note_failure(FailureKind::kDeviceError);
     }
   }
-  (void)verifier_.on_response(delivered_++, std::move(response));
+  (void)verifier_.on_response_in_place(delivered_++, response);
 }
 
 void VerifierSession::on_retries_exhausted() {
@@ -201,6 +220,7 @@ SessionMachine::SessionMachine(SachaVerifier& verifier, SachaProver& prover,
       // Drawn only when a retransmission happens, so fault-free sessions
       // are bit-identical whatever the backoff settings.
       backoff_rng_(options.seed ^ 0x5acab0ff5ac4a11eULL) {
+  rows_.fill(kUnbooked);
   report_.trace_id = obs::make_trace_id(prover.device_id(), verifier.nonce());
 
   // Session timeline: one top-level span, one child span per protocol phase
@@ -226,13 +246,20 @@ std::uint64_t SessionMachine::begin_phase(const char* name) {
   return at;
 }
 
+void SessionMachine::book(Action action, sim::SimDuration duration) {
+  std::size_t& row = rows_[static_cast<std::size_t>(action)];
+  if (row == kUnbooked) row = report_.ledger.row(action_key(action));
+  report_.ledger.add_at(row, duration);
+}
+
 SessionMachine::Round SessionMachine::step() {
   const std::size_t i = verifier_.issued();
   Round out;
   const sim::SimDuration elapsed_before = report_.total_time;
 
   if (const char* phase = verifier_.phase_at(i)) begin_phase(phase);
-  const Command command = verifier_.next_command();
+  verifier_.next_command(command_);
+  const Command& command = command_;
   std::optional<obs::Span> round_span;
   if (obs::enabled() && command.type == CommandType::kIcapReadback) {
     round_span.emplace("readback.round", report_.trace_id, "readback");
@@ -250,11 +277,10 @@ SessionMachine::Round SessionMachine::step() {
   }
   prover_.note_command(command.type);
 
-  const ActionKeys keys = keys_for(command.type);
+  const RoundActions keys = actions_for(command.type);
   std::optional<Response> final_response;
   bool delivered_and_answered = false;
-  std::optional<Response> cached_device_response;  // dedup across retries
-  bool device_handled = false;
+  bool device_handled = false;  // dedup_ holds the device's answer
   const net::WireModel& wire = options_.channel.wire;
 
   const std::uint32_t attempts =
@@ -264,7 +290,7 @@ SessionMachine::Round SessionMachine::step() {
       ++report_.retransmissions;
       const sim::SimDuration wait =
           backoff_wait(options_, attempt, backoff_rng_);
-      report_.ledger.add(actions::kRetransmit, wait);
+      book(Action::kRetransmit, wait);
       report_.total_time += wait;
       report_.backoff_wait += wait;
       if (past_deadline()) {
@@ -291,11 +317,11 @@ SessionMachine::Round SessionMachine::step() {
     // transmits); latency/jitter above the nominal wire time goes to the
     // latency bucket.
     const sim::SimDuration wire_up = wire.frame_time(packet_bytes);
-    report_.ledger.add(keys.send, wire_up);
+    book(keys.send, wire_up);
     report_.bytes_to_prover += wire.frame_bytes(packet_bytes);
     report_.total_time += wire_up;
     if (!uplink.has_value()) continue;  // lost in transit
-    report_.ledger.add(actions::kNetLatency, *uplink - wire_up);
+    book(Action::kNetLatency, *uplink - wire_up);
     report_.total_time += *uplink - wire_up;
 
     // Device side. Retransmitted commands the device already executed are
@@ -303,17 +329,14 @@ SessionMachine::Round SessionMachine::step() {
     // FSM) so a lost *response* cannot double-step the MAC.
     SachaProver::HandleResult result;
     if (device_handled) {
-      // The cache must survive further retries, but the last permitted
-      // attempt can consume it instead of copying the frame payload.
-      if (attempt + 1 == attempts) {
-        result.response = std::move(cached_device_response);
-      } else {
-        result.response = cached_device_response;
-      }
+      if (dedup_has_response_) result.response = dedup_;
     } else {
+      // The prover reads back into the buffer the last response handed
+      // back, so a round's frame data costs no allocation.
       SachaProver& device = prover_.device();
-      result = hooks_.on_command ? device.handle_packet(packet)
-                                 : device.handle(command);
+      result = hooks_.on_command
+                   ? device.handle_packet(packet, std::move(frame_buffer_))
+                   : device.handle(command, std::move(frame_buffer_));
       if (result.dropped) {
         // Crashed or stalled device: the packet never reached the ICAP.
         // No dedup-cache entry — a later retransmission must actually
@@ -322,22 +345,26 @@ SessionMachine::Round SessionMachine::step() {
       }
       device_handled = true;
       // Only a later attempt reads the cache, so the last one (the only
-      // one in unreliable mode) skips the copy.
-      if (attempt + 1 < attempts) cached_device_response = result.response;
-      if (result.icap_time > 0 && keys.device != nullptr) {
-        report_.ledger.add(keys.device, result.icap_time);
+      // one in unreliable mode) skips the copy. The copy lands in dedup_'s
+      // own storage, reused across rounds.
+      if (attempt + 1 < attempts) {
+        dedup_has_response_ = result.response.has_value();
+        if (dedup_has_response_) dedup_ = *result.response;
+      }
+      if (result.icap_time > 0 && keys.device.has_value()) {
+        book(*keys.device, result.icap_time);
         report_.total_time += result.icap_time;
       }
       if (result.mac_init_time > 0) {
-        report_.ledger.add(actions::kA5, result.mac_init_time);
+        book(Action::kA5, result.mac_init_time);
         report_.total_time += result.mac_init_time;
       }
       if (result.mac_update_time > 0) {
-        report_.ledger.add(actions::kA6, result.mac_update_time);
+        book(Action::kA6, result.mac_update_time);
         report_.total_time += result.mac_update_time;
       }
       if (result.mac_finalize_time > 0) {
-        report_.ledger.add(actions::kA7, result.mac_finalize_time);
+        book(Action::kA7, result.mac_finalize_time);
         report_.total_time += result.mac_finalize_time;
       }
     }
@@ -363,15 +390,15 @@ SessionMachine::Round SessionMachine::step() {
     const auto downlink = channel_.transfer(reply_bytes);
     const sim::SimDuration wire_down = wire.frame_time(reply_bytes);
     // Acks and errors go to the acknowledgement row, not a sendback row.
-    const char* reply_key =
-        response->is_sendback() ? keys.reply : actions::kAck;
-    if (reply_key != nullptr) {
-      report_.ledger.add(reply_key, wire_down);
+    const std::optional<Action> reply_key =
+        response->is_sendback() ? keys.reply : Action::kAck;
+    if (reply_key.has_value()) {
+      book(*reply_key, wire_down);
       report_.total_time += wire_down;
       report_.bytes_to_verifier += wire.frame_bytes(reply_bytes);
     }
     if (!downlink.has_value()) continue;  // response lost
-    report_.ledger.add(actions::kNetLatency, *downlink - wire_down);
+    book(Action::kNetLatency, *downlink - wire_down);
     report_.total_time += *downlink - wire_down;
 
     if (!hooks_.on_response) {
@@ -398,7 +425,12 @@ SessionMachine::Round SessionMachine::step() {
     if (final_response.has_value()) {
       out.verify_words = final_response->frame_words.size();
     }
-    verifier_.on_response(std::move(final_response));
+    verifier_.on_response_in_place(final_response);
+    // Whatever frame storage the verifier left in place carries the next
+    // readback.
+    if (final_response.has_value()) {
+      frame_buffer_ = std::move(final_response->frame_words);
+    }
   } else {
     // Retries exhausted: the verifier records the absence.
     static obs::Counter& exhausted = obs::MetricsRegistry::global().counter(

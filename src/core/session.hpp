@@ -17,6 +17,7 @@
 // of the threat model).
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -89,6 +90,19 @@ inline constexpr const char* kNetLatency = "network per-command latency";
 inline constexpr const char* kRetransmit = "retransmission timeouts";
 inline constexpr const char* kAck = "acknowledgements (reliable mode)";
 }  // namespace actions
+
+/// The same rows as an index: what a session books, by action. A driver
+/// books by Action and resolves each one's ledger row once per session;
+/// the names above appear only in the ledger itself.
+enum class Action : std::uint8_t {
+  kA1, kA2, kA3, kA4, kA5, kA6, kA7, kA8, kA9, kA10,
+  kNetLatency, kRetransmit, kAck,
+};
+inline constexpr std::size_t kActionCount =
+    static_cast<std::size_t>(Action::kAck) + 1;
+
+/// The ledger key (actions::k*) of `action`.
+const char* action_key(Action action);
 
 struct AttestationReport {
   SachaVerifier::Verdict verdict;
@@ -197,6 +211,9 @@ class VerifierSession {
   /// The next command of the schedule, as words. Precondition:
   /// !all_issued().
   Command next_command();
+  /// The same, built into `out` in its storage (SachaVerifier::
+  /// command_into), so a driver's command rounds do not allocate.
+  void next_command(Command& out);
   /// The next command's wire encoding; nullopt once the schedule is
   /// exhausted.
   std::optional<Bytes> next_command_wire();
@@ -204,6 +221,10 @@ class VerifierSession {
   /// Absorbs the response to the next undelivered command; nullopt means
   /// the command produced no response (fire-and-forget configuration).
   void on_response(std::optional<Response> response);
+  /// The same for a response the caller keeps: its frame words absorb in
+  /// place and stay in `response` for reuse (SachaVerifier::
+  /// on_response_in_place). An ack is reset to nullopt.
+  void on_response_in_place(std::optional<Response>& response);
   /// Absorbs the next undelivered command as unanswered after the
   /// transport exhausted its retries: notes kTimeoutExhausted and absorbs
   /// a device error in the response's place.
@@ -298,6 +319,9 @@ class SessionMachine {
   /// Ends the running phase span and opens `name` (nullptr: none) at one
   /// clock reading, which it returns.
   std::uint64_t begin_phase(const char* name);
+  /// Books `duration` onto `action`'s ledger row, resolving the row on the
+  /// action's first booking (so rows keep their first-use order).
+  void book(Action action, sim::SimDuration duration);
 
   const SessionOptions options_;
   const SessionHooks hooks_;
@@ -309,6 +333,19 @@ class SessionMachine {
   bool aborted_ = false;  // session deadline tripped; no further rounds
   std::optional<obs::Span> session_span_;
   std::optional<obs::Span> phase_span_;
+  /// Each action's row in report_.ledger, or kUnbooked.
+  static constexpr std::size_t kUnbooked = ~std::size_t{0};
+  std::array<std::size_t, kActionCount> rows_;
+  /// Storage every round reuses: the command the verifier builds, and the
+  /// frame buffer the last response handed back, which the prover reads
+  /// the next frame into.
+  Command command_;
+  std::vector<std::uint32_t> frame_buffer_;
+  /// Reliable mode's dedup cache: a copy of the device's answer to the
+  /// current command, never sharing frame_buffer_'s storage. Its own
+  /// storage is reused from round to round.
+  Response dedup_;
+  bool dedup_has_response_ = false;
 };
 
 /// Runs one full attestation. The verifier's begin() is called internally.

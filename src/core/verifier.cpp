@@ -158,9 +158,10 @@ std::optional<std::string> SachaVerifier::check_message_sizes() const {
       slot += (r.count + per - 1) / per;
     }
   }
-  const Command config = make_config_command(widest_slot);
+  Command command;
+  make_config_command(widest_slot, command);
   if (auto error = too_big("configuration command",
-                           config.wire_payload_bytes() - 4)) {
+                           command.wire_payload_bytes() - 4)) {
     return error;
   }
   if (steps_.empty()) return std::nullopt;
@@ -170,9 +171,9 @@ std::optional<std::string> SachaVerifier::check_message_sizes() const {
   const auto widest_step = static_cast<std::size_t>(
       std::max_element(steps_.begin(), steps_.end(), by_frames) -
       steps_.begin());
-  const Command readback = make_readback_command(widest_step);
+  make_readback_command(widest_step, command);
   if (auto error = too_big("readback command",
-                           readback.wire_payload_bytes() - 4)) {
+                           command.wire_payload_bytes() - 4)) {
     return error;
   }
   const std::uint32_t frames = steps_[widest_step].second;
@@ -204,19 +205,18 @@ std::size_t SachaVerifier::command_count() const {
   return config_command_count() + steps_.size() + 1;  // +1: MAC_checksum
 }
 
-Command SachaVerifier::padded(CommandType type, std::uint32_t frame_nb,
-                              std::vector<std::uint32_t> stream,
-                              std::uint32_t target_words) {
+void SachaVerifier::set_padded(Command& out, CommandType type,
+                               std::uint32_t frame_nb,
+                               std::uint32_t target_words) {
   // The padding is a count: encode() spells it out as NOOP words, the
   // prover's RX FSM strips them, so in memory they never exist.
-  const std::uint32_t padding =
-      stream.size() < target_words
-          ? target_words - static_cast<std::uint32_t>(stream.size())
-          : 0;
-  return Command{type, frame_nb, std::move(stream), padding};
+  out.type = type;
+  out.frame_nb = frame_nb;
+  const auto words = static_cast<std::uint32_t>(out.stream.size());
+  out.padding = words < target_words ? target_words - words : 0;
 }
 
-Command SachaVerifier::make_config_command(std::size_t slot) const {
+void SachaVerifier::make_config_command(std::size_t slot, Command& out) const {
   const std::uint32_t per = std::max(1u, options_.frames_per_config);
   if (!options_.refresh_only) {
     const std::vector<fabric::FrameRange>& app_ranges = model_->app_ranges();
@@ -232,27 +232,30 @@ Command SachaVerifier::make_config_command(std::size_t slot) const {
           range.first + static_cast<std::uint32_t>(slot) * per;
       const std::uint32_t count = std::min(per, range.end() - first);
       if (count == 1) {
-        return padded(CommandType::kIcapConfig, 0,
-                      bitgen_.assemble_single_frame(
-                          image.frames[first - range.first], first, idcode_),
-                      options_.config_pad_words);
+        out.stream = bitgen_.assemble_single_frame(
+            image.frames[first - range.first], first, idcode_,
+            std::move(out.stream));
+        set_padded(out, CommandType::kIcapConfig, 0, options_.config_pad_words);
+        return;
       }
-      return Command{CommandType::kIcapConfig, 0,
-                     bitgen_.assemble(std::span<const bs::Frame>(image.frames)
-                                          .subspan(first - range.first, count),
-                                      first, idcode_)};
+      out.stream = bitgen_.assemble(std::span<const bs::Frame>(image.frames)
+                                        .subspan(first - range.first, count),
+                                    first, idcode_, std::move(out.stream));
+      set_padded(out, CommandType::kIcapConfig, 0, 0);
+      return;
     }
   }
   // Final configuration step: the nonce frame (Fig. 8's second phase).
-  return padded(CommandType::kIcapConfig, 0,
-                bitgen_.assemble_single_frame(nonce_image_.frames[0],
-                                              model_->nonce_frame(), idcode_),
-                options_.config_pad_words);
+  out.stream = bitgen_.assemble_single_frame(
+      nonce_image_.frames[0], model_->nonce_frame(), idcode_,
+      std::move(out.stream));
+  set_padded(out, CommandType::kIcapConfig, 0, options_.config_pad_words);
 }
 
-Command SachaVerifier::make_readback_command(std::size_t step) const {
+void SachaVerifier::make_readback_command(std::size_t step,
+                                          Command& out) const {
   const auto [first, count] = steps_[step];
-  bs::PacketWriter w;
+  bs::PacketWriter w(std::move(out.stream));
   // sync, idcode (2), rcfg (2), far (2), FDRO request (up to 2), desync (2).
   w.reserve(11);
   w.sync();
@@ -261,18 +264,28 @@ Command SachaVerifier::make_readback_command(std::size_t step) const {
   w.write_far(plan_.device().geometry().address_of(first));
   w.read_request(count * words_per_frame_);
   w.cmd(bs::CmdOp::kDesync);
-  return padded(CommandType::kIcapReadback, first, w.take(),
-                options_.readback_pad_words);
+  out.stream = w.take();
+  set_padded(out, CommandType::kIcapReadback, first,
+             options_.readback_pad_words);
 }
 
 Command SachaVerifier::command(std::size_t index) const {
+  Command out;
+  command_into(index, out);
+  return out;
+}
+
+void SachaVerifier::command_into(std::size_t index, Command& out) const {
   const std::size_t configs = config_commands_;
-  if (index < configs) return make_config_command(index);
-  if (index < configs + steps_.size()) {
-    return make_readback_command(index - configs);
+  if (index < configs) {
+    make_config_command(index, out);
+  } else if (index < configs + steps_.size()) {
+    make_readback_command(index - configs, out);
+  } else {
+    assert(index == configs + steps_.size());
+    out.stream.clear();
+    set_padded(out, CommandType::kMacChecksum, 0, 0);
   }
-  assert(index == configs + steps_.size());
-  return Command{CommandType::kMacChecksum, 0, {}};
 }
 
 void SachaVerifier::absorb_in_order(std::size_t step,
@@ -325,7 +338,7 @@ void SachaVerifier::absorb_in_order(std::size_t step,
 }
 
 void SachaVerifier::absorb_response(std::size_t step,
-                                    std::vector<std::uint32_t>&& words) {
+                                    std::vector<std::uint32_t>& words) {
   if (step != next_stream_step_) {
     static obs::Counter& parked = obs::MetricsRegistry::global().counter(
         "sacha.verifier.out_of_order_parked");
@@ -347,6 +360,11 @@ void SachaVerifier::absorb_response(std::size_t step,
 
 Status SachaVerifier::on_response(std::size_t index,
                                   std::optional<Response> response) {
+  return on_response_in_place(index, response);
+}
+
+Status SachaVerifier::on_response_in_place(std::size_t index,
+                                           std::optional<Response>& response) {
   const std::size_t configs = config_commands_;
   if (index < configs) {
     // Fire-and-forget; an error response means the device rejected a write.
@@ -383,7 +401,7 @@ Status SachaVerifier::on_response(std::size_t index,
                   "duplicate readback response at step " +
                       std::to_string(step));
     }
-    absorb_response(step, std::move(response->frame_words));
+    absorb_response(step, response->frame_words);
     return Status();
   }
   if (!response.has_value() || response->type != ResponseType::kMacValue) {

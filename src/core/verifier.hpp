@@ -122,12 +122,22 @@ class SachaVerifier {
   /// Command `index` of the schedule frozen at begin(), built at its exact
   /// size; NOOP padding is a count (Command::padding), not words.
   Command command(std::size_t index) const;
+  /// The same, built into `out` in its stream's storage: a driver that
+  /// keeps one Command for a session builds every command without
+  /// allocating.
+  void command_into(std::size_t index, Command& out) const;
 
   /// Feeds the response (or its absence, for fire-and-forget configuration
   /// commands) of command `index` back to the verifier. Takes the response
   /// by value: frame payloads are moved, never copied, into whatever
   /// buffering the mode requires (none in streaming mode).
   Status on_response(std::size_t index, std::optional<Response> response);
+  /// The same for a response the caller keeps: frame words absorb in place
+  /// and stay in `response`, so the caller can reuse their storage. Only
+  /// words the mode must keep (retained mode, or a step that arrives out of
+  /// order) are moved out of it.
+  Status on_response_in_place(std::size_t index,
+                              std::optional<Response>& response);
 
   struct Verdict {
     bool protocol_ok = false;  // every step answered, no prover errors
@@ -205,20 +215,20 @@ class SachaVerifier {
 
  private:
   std::size_t config_command_count() const;
-  Command make_config_command(std::size_t slot) const;
-  Command make_readback_command(std::size_t step) const;
-  /// A command whose stream is NOOP-padded to `target_words` on the wire.
-  static Command padded(CommandType type, std::uint32_t frame_nb,
-                        std::vector<std::uint32_t> stream,
-                        std::uint32_t target_words);
+  void make_config_command(std::size_t slot, Command& out) const;
+  void make_readback_command(std::size_t step, Command& out) const;
+  /// Sets `out`'s type and frame number, and pads its stream with NOOPs to
+  /// `target_words` on the wire.
+  static void set_padded(Command& out, CommandType type,
+                         std::uint32_t frame_nb, std::uint32_t target_words);
   std::optional<std::string> check_message_sizes() const;
   /// Records a protocol failure; the first one recorded is the verdict's.
   Status fail(FailureKind kind, std::string message);
   /// Streaming path: folds step `step`'s words into the running CMAC and
   /// masked-compares them against the golden model in place. Out-of-order
   /// arrivals are buffered (moved, not copied) until their turn so the MAC
-  /// sees readback order.
-  void absorb_response(std::size_t step, std::vector<std::uint32_t>&& words);
+  /// sees readback order; in-order words are left where they are.
+  void absorb_response(std::size_t step, std::vector<std::uint32_t>& words);
   void absorb_in_order(std::size_t step, std::span<const std::uint32_t> words);
 
   fabric::Floorplan plan_;

@@ -306,46 +306,46 @@ void Aes128::cbc_mac_absorb(AesBlock& state, const std::uint8_t* data,
   }
 }
 
-void Aes128::cbc_mac_absorb_words(AesBlock& state, const std::uint32_t* words,
+void Aes128::cbc_mac_absorb_words(AesBlock& state, const std::uint8_t* head,
+                                  const std::uint32_t* words,
                                   std::size_t nblocks) const {
-  if (nblocks == 0) return;
-  switch (impl_) {
-    case AesImpl::kAesni:
-      detail::aesni_cbc_mac_words(round_keys_.data(), state.data(), words,
-                                  nblocks);
-      return;
-    case AesImpl::kTtable:
-    case AesImpl::kAuto: {
-      // The T-table rounds already chain on big-endian column words, which
-      // is exactly the serialized layout of the word stream: the message
-      // words XOR in with no byte shuffling at all.
-      std::uint32_t c0 = load_be32(&state[0]);
-      std::uint32_t c1 = load_be32(&state[4]);
-      std::uint32_t c2 = load_be32(&state[8]);
-      std::uint32_t c3 = load_be32(&state[12]);
-      for (std::size_t b = 0; b < nblocks; ++b, words += 4) {
-        c0 ^= words[0];
-        c1 ^= words[1];
-        c2 ^= words[2];
-        c3 ^= words[3];
-        ttable_rounds(round_words_.data(), c0, c1, c2, c3);
-      }
-      store_be32(&state[0], c0);
-      store_be32(&state[4], c1);
-      store_be32(&state[8], c2);
-      store_be32(&state[12], c3);
-      return;
-    }
-    case AesImpl::kReference:
-      for (std::size_t b = 0; b < nblocks; ++b, words += 4) {
-        for (std::size_t i = 0; i < kAesBlockSize; ++i) {
-          state[i] ^= static_cast<std::uint8_t>(words[i / 4] >>
-                                                (24 - 8 * (i % 4)));
-        }
-        encrypt_block_reference(state);
-      }
-      return;
+  if (head == nullptr && nblocks == 0) return;
+  if (impl_ == AesImpl::kAesni) {
+    detail::aesni_cbc_mac_words(round_keys_.data(), state.data(), head, words,
+                                nblocks);
+    return;
   }
+  // The scalar tiers take a staged head block through the byte absorber.
+  if (head != nullptr) cbc_mac_absorb(state, head, 1);
+  if (impl_ == AesImpl::kReference) {
+    for (std::size_t b = 0; b < nblocks; ++b, words += 4) {
+      for (std::size_t i = 0; i < kAesBlockSize; ++i) {
+        state[i] ^= static_cast<std::uint8_t>(words[i / 4] >>
+                                              (24 - 8 * (i % 4)));
+      }
+      encrypt_block_reference(state);
+    }
+    return;
+  }
+  // The T-table tier (impl_ is never kAuto after construction). Its rounds
+  // already chain on big-endian column words, which is exactly the
+  // serialized layout of the word stream: the message words XOR in with no
+  // byte shuffling at all.
+  std::uint32_t c0 = load_be32(&state[0]);
+  std::uint32_t c1 = load_be32(&state[4]);
+  std::uint32_t c2 = load_be32(&state[8]);
+  std::uint32_t c3 = load_be32(&state[12]);
+  for (std::size_t b = 0; b < nblocks; ++b, words += 4) {
+    c0 ^= words[0];
+    c1 ^= words[1];
+    c2 ^= words[2];
+    c3 ^= words[3];
+    ttable_rounds(round_words_.data(), c0, c1, c2, c3);
+  }
+  store_be32(&state[0], c0);
+  store_be32(&state[4], c1);
+  store_be32(&state[8], c2);
+  store_be32(&state[12], c3);
 }
 
 AesKey to_aes_key(ByteSpan raw) {

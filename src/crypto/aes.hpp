@@ -66,6 +66,15 @@ class Aes128 {
   /// absorbing pre-serialized bytes — the readback hot path never
   /// materializes a byte stream at all.
   void cbc_mac_absorb_words(AesBlock& state, const std::uint32_t* words,
+                            std::size_t nblocks) const {
+    cbc_mac_absorb_words(state, nullptr, words, nblocks);
+  }
+  /// The same behind a `head` block: when `head` is not null, its 16 bytes
+  /// (already serialized) are absorbed first, in the same pass, so a CMAC
+  /// update that completes a block staged by the previous call enters the
+  /// kernel once.
+  void cbc_mac_absorb_words(AesBlock& state, const std::uint8_t* head,
+                            const std::uint32_t* words,
                             std::size_t nblocks) const;
 
   /// The tier actually executing (kAuto is resolved at construction).
@@ -99,7 +108,8 @@ void aesni_encrypt_block(const std::uint8_t* round_keys, std::uint8_t* block);
 void aesni_cbc_mac(const std::uint8_t* round_keys, std::uint8_t* state,
                    const std::uint8_t* data, std::size_t nblocks);
 void aesni_cbc_mac_words(const std::uint8_t* round_keys, std::uint8_t* state,
-                         const std::uint32_t* words, std::size_t nblocks);
+                         const std::uint8_t* head, const std::uint32_t* words,
+                         std::size_t nblocks);
 
 }  // namespace detail
 

@@ -102,25 +102,27 @@ void Cmac::update(std::span<const std::uint32_t> words) {
 
   any_input_ = true;
   std::size_t pos = 0;
-  if (buffered_ > 0) {
-    while (buffered_ < kAesBlockSize && pos < words.size()) {
-      stage_word(words[pos++]);
-    }
-    if (pos == words.size()) return;  // all staged; finalize() drains it
-    // buffered_ == kAesBlockSize and more input follows.
-    aes_.cbc_mac_absorb(state_, buffer_.data(), 1);
-    buffered_ = 0;
+  while (buffered_ > 0 && buffered_ < kAesBlockSize && pos < words.size()) {
+    stage_word(words[pos++]);
   }
+  if (pos == words.size()) return;  // all staged; finalize() drains it
 
-  // Bulk path: absorb every whole block except the last straight from the
+  // More words follow, so a full staged block may go now (finalize() only
+  // needs the last one kept). It rides ahead of the bulk blocks in the same
+  // kernel call: every whole block except the last comes straight from the
   // word stream (the tier does the big-endian mapping itself — no byte
-  // serialization). finalize() needs at least one byte left staged.
+  // serialization), and finalize() needs at least one byte left staged.
+  const std::uint8_t* head =
+      buffered_ == kAesBlockSize ? buffer_.data() : nullptr;
   const std::size_t remaining_bytes = (words.size() - pos) * 4;
-  if (remaining_bytes > kAesBlockSize) {
-    const std::size_t nblocks = (remaining_bytes - 1) / kAesBlockSize;
-    aes_.cbc_mac_absorb_words(state_, words.data() + pos, nblocks);
-    pos += nblocks * 4;
+  const std::size_t nblocks =
+      remaining_bytes > kAesBlockSize ? (remaining_bytes - 1) / kAesBlockSize
+                                      : 0;
+  if (head != nullptr || nblocks > 0) {
+    aes_.cbc_mac_absorb_words(state_, head, words.data() + pos, nblocks);
   }
+  buffered_ = 0;
+  pos += nblocks * 4;
   while (pos < words.size()) stage_word(words[pos++]);  // 1..4 tail words
 }
 

@@ -35,10 +35,10 @@ class Cmac {
 
   /// Word-span fast path: absorbs 32-bit words in big-endian order (the wire
   /// and MAC byte order everywhere in SACHa) without materialising a byte
-  /// vector. Words are serialised through a small stack staging area in
-  /// 16-byte-aligned chunks, so readback frames stream into the MAC with no
-  /// per-frame heap allocation. Used by the prover's MacEngine and the
-  /// streaming verifier.
+  /// vector. One call enters the AES kernel once: a block staged by the
+  /// previous call rides ahead of the whole blocks read straight from the
+  /// span, and only the 1-4 tail words are staged. Used by the prover's
+  /// MacEngine and the streaming verifier, once per readback frame.
   void update(std::span<const std::uint32_t> words);
 
   /// Completes the tag; the object must be reset() before reuse.

@@ -8,7 +8,7 @@ std::size_t TimeLedger::find(std::string_view action) const {
   return i;
 }
 
-void TimeLedger::add(std::string_view action, SimDuration duration) {
+std::size_t TimeLedger::row(std::string_view action) {
   const std::size_t i = find(action);
   if (i == order_.size()) {
     if (order_.empty()) {
@@ -19,8 +19,11 @@ void TimeLedger::add(std::string_view action, SimDuration duration) {
     order_.emplace_back(action);
     entries_.emplace_back();
   }
-  ++entries_[i].count;
-  entries_[i].total += duration;
+  return i;
+}
+
+void TimeLedger::add(std::string_view action, SimDuration duration) {
+  add_at(row(action), duration);
 }
 
 std::uint64_t TimeLedger::count(std::string_view action) const {

@@ -5,8 +5,10 @@
 // (count, total duration) per named action during a session so the bench
 // binaries can print both tables directly from a run.
 //
-// A session books ~500k rows, so a booking is a scan of a handful of rows
-// by name and never allocates once the row exists.
+// A session books ~500k rows. A driver that books the same actions over and
+// over resolves each name to its row once (row()) and then books by index
+// (add_at()), which neither scans nor allocates; add() by name is the same
+// booking after a scan of the handful of rows.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,16 @@ namespace sacha::sim {
 class TimeLedger {
  public:
   void add(std::string_view action, SimDuration duration);
+
+  /// Index of `action`'s row, appended (count 0) if the ledger has none
+  /// yet: rows keep their first-use order as long as a caller resolves a
+  /// name only when it first books it.
+  std::size_t row(std::string_view action);
+  /// Books `duration` onto a row returned by row().
+  void add_at(std::size_t row, SimDuration duration) {
+    ++entries_[row].count;
+    entries_[row].total += duration;
+  }
 
   std::uint64_t count(std::string_view action) const;
   SimDuration total(std::string_view action) const;

@@ -1,13 +1,14 @@
 // Heap-allocation budget of one in-process Virtex-6 session.
 //
 // This binary replaces the global operator new with a counting one, so it
-// holds only these tests. A session may allocate at most once per
-// configuration round (the command's stream), twice per readback round (the
-// command's stream and the frame data the ICAP produces, which then moves
-// through the response into the verifier), plus a fixed 64 for the session
-// itself (schedule, nonce image, report, first use of reusable buffers).
-// The first session on a device is measured, so the device's reusable
-// buffers are inside the budget.
+// holds only these tests. A command round allocates nothing: the session
+// builds every command in one reused Command, and the prover reads each
+// frame back into the storage the previous response handed back. So a
+// session may allocate a fixed 64 times whatever its length (schedule,
+// nonce image, report and ledger rows, first use of the reused buffers),
+// and one allocation per round, 26,400 or 28,488 of them, fails the
+// budget. The first session on a device is measured, so the device's
+// reusable buffers are inside the budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -89,17 +90,15 @@ void expect_within_budget(core::SachaVerifier& verifier,
   const std::uint64_t used = g_allocations.load() - before;
   ASSERT_TRUE(report.verdict.ok()) << report.verdict.detail;
 
-  const std::uint64_t readbacks = verifier.readback_steps().size();
-  const std::uint64_t configs = verifier.command_count() - readbacks - 1;
-  const std::uint64_t budget = configs + 2 * readbacks + kPerSession;
   std::printf("%s session: %llu allocations for %llu commands (%.3f per "
               "command), budget %llu\n",
               label, static_cast<unsigned long long>(used),
               static_cast<unsigned long long>(report.commands_sent),
               static_cast<double>(used) /
                   static_cast<double>(report.commands_sent),
-              static_cast<unsigned long long>(budget));
-  EXPECT_LE(used, budget) << label << " session over its allocation budget";
+              static_cast<unsigned long long>(kPerSession));
+  EXPECT_LE(used, kPerSession)
+      << label << " session over its allocation budget";
 }
 
 TEST(AllocationBudget, Virtex6FullAndRefreshSessions) {

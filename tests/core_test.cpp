@@ -4,9 +4,12 @@
 // channels, and the PUF-keyed variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/prover.hpp"
 #include "core/session.hpp"
 #include "core/verifier.hpp"
+#include "config/icap.hpp"
 #include "puf/enrollment.hpp"
 
 namespace sacha::core {
@@ -212,6 +215,145 @@ TEST(Prover, NoopPaddingIsStrippedBeforeIcap) {
   // (sync 1 + idcode 2 + wcfg 2 + far 2 + hdr 1 + 8 data + desync 2),
   // so cycles = 18 + 8 + 11 = 37, not hundreds.
   EXPECT_EQ(rig.prover.icap().stats().cycles - cycles_before, 37u);
+}
+
+/// Every frame of `prover`'s memory as the ICAP reads it back (stored
+/// configuration with the live register bits), for memory comparisons.
+std::vector<std::uint32_t> memory_image(const SachaProver& prover) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t f = 0; f < prover.memory().total_frames(); ++f) {
+    prover.memory().readback_into(f, out);
+  }
+  return out;
+}
+
+/// A burst of `frames` random frames written at frame 5, with NOOPs before
+/// and between its packets and after its last one.
+std::vector<std::uint32_t> burst_with_interior_noops(const SachaProver& prover,
+                                                     std::uint32_t frames) {
+  const fabric::DeviceModel& device = prover.memory().device();
+  Rng rng(frames);
+  std::vector<std::uint32_t> payload(frames *
+                                     device.geometry().words_per_frame());
+  for (std::uint32_t& w : payload) {
+    w = static_cast<std::uint32_t>(rng.next_u64());
+  }
+  bs::PacketWriter w;
+  w.noop(2);
+  w.sync();
+  w.noop(3);
+  w.write_idcode(config::device_idcode(device));
+  w.cmd(bs::CmdOp::kWcfg);
+  w.noop(2);
+  w.write_far(device.geometry().address_of(5));
+  w.write_frames(payload);
+  w.crc(bs::stream_crc(payload));
+  w.noop();
+  w.cmd(bs::CmdOp::kDesync);
+  w.noop(4);
+  return w.take();
+}
+
+/// A readback of frames [5, 8) with NOOPs between its packets.
+std::vector<std::uint32_t> readback_with_interior_noops(
+    const SachaProver& prover) {
+  const fabric::DeviceModel& device = prover.memory().device();
+  bs::PacketWriter w;
+  w.sync();
+  w.write_idcode(config::device_idcode(device));
+  w.noop();
+  w.cmd(bs::CmdOp::kRcfg);
+  w.write_far(device.geometry().address_of(5));
+  w.noop(2);
+  w.read_request(3 * device.geometry().words_per_frame());
+  w.cmd(bs::CmdOp::kDesync);
+  return w.take();
+}
+
+TEST(Prover, PaddingAsCountOrAsNoopWordsStagesAlike) {
+  // The in-memory command carries its padding as a count; the same command
+  // decoded from a packet (handle_packet) carries it as explicit NOOP
+  // words. Both must pass the same staging check, book the same A2/A4 time
+  // and leave the same memory — multi-frame bursts with NOOPs between their
+  // packets included.
+  Rig counted;
+  Rig spelled;
+  counted.verifier.begin();
+  const std::size_t configs =
+      counted.verifier.command_count() -
+      counted.verifier.readback_steps().size() - 1;
+  const std::vector<Command> commands = {
+      counted.verifier.command(0),
+      Command{CommandType::kIcapConfig, 0,
+              burst_with_interior_noops(counted.prover, 3), 100},
+      counted.verifier.command(configs),
+      Command{CommandType::kIcapReadback, 5,
+              readback_with_interior_noops(counted.prover), 50},
+  };
+  for (std::size_t k = 0; k < commands.size(); ++k) {
+    const Command& command = commands[k];
+    ASSERT_GT(command.padding, 0u) << "command " << k;
+    const SachaProver::HandleResult a = counted.prover.handle(command);
+    const SachaProver::HandleResult b =
+        spelled.prover.handle_packet(command.encode());
+    EXPECT_GT(a.icap_time, 0u) << "command " << k;
+    EXPECT_EQ(a.icap_time, b.icap_time) << "command " << k;
+    EXPECT_EQ(a.response, b.response) << "command " << k;
+    if (a.response.has_value()) {
+      EXPECT_NE(a.response->type, ResponseType::kError) << "command " << k;
+    }
+    EXPECT_EQ(memory_image(counted.prover), memory_image(spelled.prover))
+        << "command " << k;
+  }
+
+  // NOOPs cost the port nothing wherever they sit: the burst books the
+  // cycles of its NOOP-free words, plus the FDRI write pipeline and three
+  // frame commits.
+  const std::vector<std::uint32_t> burst =
+      burst_with_interior_noops(counted.prover, 3);
+  const auto effective = static_cast<std::uint32_t>(
+      burst.size() - std::count(burst.begin(), burst.end(), bs::kNoopWord));
+  const SachaProver::HandleResult result =
+      counted.prover.handle(Command{CommandType::kIcapConfig, 0, burst, 0});
+  EXPECT_EQ(result.icap_time, sim::icap_domain().cycles_to_time(
+                                  effective + 3 * 8 + 3 * 11));
+}
+
+TEST(Prover, StagingBoundCountsOnlyEffectiveWords) {
+  // A buffer of exactly one single-frame program (18 words on the test
+  // device): a NOOP-heavy copy of that program is within the bound and
+  // runs; a burst whose effective words exceed it is refused with
+  // kBadCommand however it is padded, and leaves memory untouched.
+  Rig rig;
+  rig.verifier.begin();
+  SachaProver prover(fabric::DeviceModel::small_test_device(), "dev-2",
+                     test_key(), ProverOptions{.command_buffer_bytes = 18 * 4});
+  prover.boot(rig.verifier.static_image());
+
+  Command fits = rig.verifier.command(0);
+  ASSERT_EQ(fits.stream.size(), 18u);
+  fits.padding = 5'000;  // far more words than the buffer holds
+  const SachaProver::HandleResult ok = prover.handle(fits);
+  EXPECT_FALSE(ok.response.has_value());
+  EXPECT_EQ(ok.icap_time, sim::icap_domain().cycles_to_time(18 + 8 + 11));
+  const SachaProver::HandleResult ok_packet =
+      prover.handle_packet(fits.encode());
+  EXPECT_FALSE(ok_packet.response.has_value());
+  EXPECT_EQ(ok_packet.icap_time, ok.icap_time);
+
+  const std::vector<std::uint32_t> before = memory_image(prover);
+  for (std::uint32_t padding : {0u, 300u}) {
+    const Command oversized{CommandType::kIcapConfig, 0,
+                            burst_with_interior_noops(prover, 2), padding};
+    for (const SachaProver::HandleResult& refused :
+         {prover.handle(oversized), prover.handle_packet(oversized.encode())}) {
+      ASSERT_TRUE(refused.response.has_value()) << "padding " << padding;
+      EXPECT_EQ(refused.response->status, ProverStatus::kBadCommand)
+          << "padding " << padding;
+      EXPECT_EQ(refused.icap_time, 0u);
+    }
+  }
+  EXPECT_EQ(memory_image(prover), before);
 }
 
 TEST(Prover, KeyFromPufRoundTrip) {

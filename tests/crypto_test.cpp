@@ -182,6 +182,14 @@ TEST(Aes128Tiers, CbcMacAbsorbMatchesBlockwiseEncrypt) {
       aes.cbc_mac_absorb_words(from_words, words.data(), nblocks);
       EXPECT_EQ(from_words, expected)
           << "words " << to_string(impl) << " nblocks=" << nblocks;
+      if (nblocks > 0) {
+        // The first block as a serialized head, the rest as words.
+        AesBlock from_head = start;
+        aes.cbc_mac_absorb_words(from_head, msg.data(), words.data() + 4,
+                                 nblocks - 1);
+        EXPECT_EQ(from_head, expected)
+            << "head+words " << to_string(impl) << " nblocks=" << nblocks;
+      }
     }
   }
 }

@@ -149,6 +149,19 @@ TEST(GoldenModel, DifferentAppSpecGetsDifferentModel) {
   EXPECT_EQ(a.golden_model().get(), b.golden_model().get());
 }
 
+TEST(GoldenModel, ProverBesideOnlyAVerifierSharesTheModelsRegisterTable) {
+  // A built model fills its masks from the device type's interned register
+  // positions and holds them, so a prover provisioned while only a
+  // verifier of the type is alive reuses that table instead of deriving
+  // every frame's mask again.
+  const attacks::AttackEnv env = attacks::AttackEnv::small(31);
+  const core::SachaVerifier verifier = env.make_verifier();
+  const auto& positions = verifier.golden_model()->register_positions();
+  ASSERT_NE(positions, nullptr);
+  const core::SachaProver prover = env.make_prover();
+  EXPECT_EQ(prover.memory().register_positions().get(), positions.get());
+}
+
 TEST(GoldenModel, CacheEntriesDieWithTheirLastVerifier) {
   const std::size_t before = bs::GoldenModel::live_cache_entries();
   {
