@@ -58,7 +58,8 @@ void BM_IcapConfigOneFrame(benchmark::State& state) {
   config::Icap icap(memory, config::device_idcode(device));
   const bitstream::Frame frame(device.geometry().words_per_frame(), 0x5a5a5a5a);
   const auto stream =
-      gen.assemble_single_frame(frame, 100, config::device_idcode(device));
+      gen.assemble_single_frame(frame.words(), 100,
+                                config::device_idcode(device));
   for (auto _ : state) {
     benchmark::DoNotOptimize(icap.execute(stream).ok());
   }

@@ -44,7 +44,7 @@ core::SachaProver AttackEnv::make_prover(bool genuine_key) const {
   // verifier interns for this design.
   const auto model =
       bitstream::GoldenModel::shared(plan, static_spec, app_spec);
-  prover.boot(model->static_image());
+  prover.boot(model->static_words());
   return prover;
 }
 

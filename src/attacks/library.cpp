@@ -385,9 +385,7 @@ AttackOutcome ExternalTapAttack::run(const AttackEnv& env) const {
   verifier.begin();
   const auto& device = env.plan.device();
   const BitVec golden_pins = bs::extract_pin_map(
-      device, [&verifier](std::uint32_t f) -> const std::vector<std::uint32_t>& {
-        return verifier.golden_frame(f).words();
-      });
+      device, [&verifier](std::uint32_t f) { return verifier.golden_words(f); });
 
   // Pick a pin the design leaves unconnected; the adversary taps it.
   std::optional<std::uint32_t> target_pin;

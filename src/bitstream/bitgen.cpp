@@ -98,21 +98,31 @@ BitGen::BitGen(const fabric::DeviceModel& device) : device_(device) {}
 
 ConfigImage BitGen::generate(const fabric::FrameRange& range,
                              const DesignSpec& spec) const {
-  const std::uint32_t words = device_.geometry().words_per_frame();
   ConfigImage image;
   image.frames.reserve(range.count);
+  for (std::uint32_t i = 0; i < range.count; ++i) {
+    Frame& frame =
+        image.frames.emplace_back(device_.geometry().words_per_frame());
+    generate_into({range.first + i, 1}, spec, frame.words());
+  }
+  return image;
+}
+
+void BitGen::generate_into(const fabric::FrameRange& range,
+                           const DesignSpec& spec,
+                           std::span<std::uint32_t> rows) const {
+  const std::uint32_t words = device_.geometry().words_per_frame();
+  assert(rows.size() == std::size_t{range.count} * words);
   const std::uint64_t design_hash =
       fnv1a(spec.name) ^ (spec.seed * 0x9e3779b97f4a7c15ULL);
+  std::uint32_t* out = rows.data();
   for (std::uint32_t i = 0; i < range.count; ++i) {
     const std::uint32_t frame_index = range.first + i;
     Rng rng(design_hash ^ (static_cast<std::uint64_t>(frame_index) << 1 | 1));
-    Frame frame(words);
     for (std::uint32_t w = 0; w < words; ++w) {
-      frame.set_word(w, static_cast<std::uint32_t>(rng.next_u64()));
+      *out++ = static_cast<std::uint32_t>(rng.next_u64());
     }
-    image.frames.push_back(std::move(frame));
   }
-  return image;
 }
 
 ConfigImage BitGen::nonce_frame(std::uint64_t nonce) const {
@@ -126,51 +136,38 @@ ConfigImage BitGen::nonce_frame(std::uint64_t nonce) const {
   return image;
 }
 
-std::vector<std::uint32_t> BitGen::assemble(const ConfigImage& image,
-                                            std::uint32_t first_frame,
-                                            std::uint32_t idcode) const {
-  return assemble(std::span<const Frame>(image.frames), first_frame, idcode);
-}
-
 std::vector<std::uint32_t> BitGen::assemble(
-    std::span<const Frame> frames, std::uint32_t first_frame,
+    std::span<const std::uint32_t> words, std::uint32_t first_frame,
     std::uint32_t idcode, std::vector<std::uint32_t> storage) const {
-  const std::uint32_t payload_words =
-      static_cast<std::uint32_t>(frames.size()) *
-      device_.geometry().words_per_frame();
+  assert(words.size() % device_.geometry().words_per_frame() == 0);
   PacketWriter writer(std::move(storage));
   // sync, noop, idcode (2), wcfg (2), far (2), FDRI header (up to 2), the
   // payload, crc (2), desync (2), noop.
-  writer.reserve(16 + payload_words);
+  writer.reserve(16 + words.size());
   writer.sync();
   writer.noop();
   writer.write_idcode(idcode);
   writer.cmd(CmdOp::kWcfg);
   writer.write_far(device_.geometry().address_of(first_frame));
-  writer.write_frames_header(payload_words);
-  StreamCrc crc;
-  for (const Frame& frame : frames) {
-    writer.append(frame.words());
-    crc.update(frame.words());
-  }
-  writer.crc(crc.value());
+  writer.write_frames(words);
+  writer.crc(stream_crc(words));
   writer.cmd(CmdOp::kDesync);
   writer.noop();
   return writer.take();
 }
 
 std::vector<std::uint32_t> BitGen::assemble_single_frame(
-    const Frame& frame, std::uint32_t frame_index, std::uint32_t idcode,
-    std::vector<std::uint32_t> storage) const {
-  assert(frame.size() == device_.geometry().words_per_frame());
+    std::span<const std::uint32_t> frame_words, std::uint32_t frame_index,
+    std::uint32_t idcode, std::vector<std::uint32_t> storage) const {
+  assert(frame_words.size() == device_.geometry().words_per_frame());
   PacketWriter writer(std::move(storage));
   // sync, idcode (2), wcfg (2), far (2), FDRI header, the frame, desync (2).
-  writer.reserve(10 + frame.size());
+  writer.reserve(10 + frame_words.size());
   writer.sync();
   writer.write_idcode(idcode);
   writer.cmd(CmdOp::kWcfg);
   writer.write_far(device_.geometry().address_of(frame_index));
-  writer.write_frames(frame.words());
+  writer.write_frames(frame_words);
   writer.cmd(CmdOp::kDesync);
   return writer.take();
 }

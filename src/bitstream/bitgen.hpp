@@ -98,29 +98,29 @@ class BitGen {
   /// `architectural_mask`.
   ConfigImage generate(const fabric::FrameRange& range,
                        const DesignSpec& spec) const;
+  /// The same content written straight into `rows` (range.count frames of
+  /// words, back to back): how GoldenModel fills its table.
+  void generate_into(const fabric::FrameRange& range, const DesignSpec& spec,
+                     std::span<std::uint32_t> rows) const;
 
   /// One frame embedding a 64-bit nonce in its first two words (§5.2.2's
   /// separate nonce-register partition).
   ConfigImage nonce_frame(std::uint64_t nonce) const;
 
-  /// Encodes `image` as a single-burst partial bitstream starting at linear
-  /// frame index `first_frame` (FAR auto-increment semantics).
-  std::vector<std::uint32_t> assemble(const ConfigImage& image,
-                                      std::uint32_t first_frame,
-                                      std::uint32_t idcode) const;
-  /// The same burst over consecutive frames held anywhere (a slice of an
-  /// image), built at its exact size in `storage` (see PacketWriter's
-  /// storage constructor).
+  /// Encodes consecutive frames' `words` as a single-burst partial
+  /// bitstream starting at linear frame index `first_frame` (FAR
+  /// auto-increment semantics), built at its exact size in `storage` (see
+  /// PacketWriter's storage constructor).
   std::vector<std::uint32_t> assemble(
-      std::span<const Frame> frames, std::uint32_t first_frame,
+      std::span<const std::uint32_t> words, std::uint32_t first_frame,
       std::uint32_t idcode, std::vector<std::uint32_t> storage = {}) const;
 
   /// Encodes one frame write as a standalone command stream (what each
   /// ICAP_config network packet of the paper's protocol carries), in
   /// `storage`.
   std::vector<std::uint32_t> assemble_single_frame(
-      const Frame& frame, std::uint32_t frame_index, std::uint32_t idcode,
-      std::vector<std::uint32_t> storage = {}) const;
+      std::span<const std::uint32_t> frame_words, std::uint32_t frame_index,
+      std::uint32_t idcode, std::vector<std::uint32_t> storage = {}) const;
 
   /// Device IDCODE used in our encodings.
   static constexpr std::uint32_t kIdcodeXc6vlx240t = 0x0424A093;

@@ -59,77 +59,44 @@ GoldenModel::GoldenModel(const fabric::Floorplan& plan, DesignSpec static_spec,
   if (app_ranges_.back().count == 0) app_ranges_.pop_back();
   for (const fabric::FrameRange& r : app_ranges_) app_frame_total_ += r.count;
 
-  BitGen bitgen(device);
-  for (const fabric::FrameRange& r : stat_ranges) {
-    static_images_.emplace_back(r, bitgen.generate(r, static_spec_));
-  }
-  app_images_.reserve(app_ranges_.size());
-  for (const fabric::FrameRange& r : app_ranges_) {
-    app_images_.push_back(bitgen.generate(r, app_spec_));
-  }
-  zero_frame_ = Frame(words_per_frame_);
-
-  // Flat tables: the masks come from the device type's interned register
-  // positions (one architectural_mask derivation per device type, shared
-  // with every ConfigMemory of the type), and golden words are pre-masked so
-  // the streaming compare is a single AND+compare pass.
-  positions_ = RegisterPositions::shared(device);
+  // BitGen writes each partition's words straight into its rows (partitions
+  // never overlap). Rows no partition writes (the nonce frame, frames
+  // outside every partition) stay zero.
+  assert(stat_ranges.front().first == 0 && "BootMem image must start at frame 0");
+  static_frames_ = stat_ranges.front().count;
   const std::size_t table_words =
       static_cast<std::size_t>(total_frames_) * words_per_frame_;
-  mask_words_.resize(table_words);
-  masked_golden_.assign(table_words, 0);
-  for (std::uint32_t f = 0; f < total_frames_; ++f) {
-    std::uint32_t* mask_row =
-        mask_words_.data() + static_cast<std::size_t>(f) * words_per_frame_;
-    positions_->write_mask(f, mask_row);
-    if (f == nonce_frame_) continue;  // golden content is per-session
-    const Frame& golden = golden_frame(f);
-    std::uint32_t* golden_row =
-        masked_golden_.data() + static_cast<std::size_t>(f) * words_per_frame_;
-    for (std::uint32_t w = 0; w < words_per_frame_; ++w) {
-      golden_row[w] = golden.word(w) & mask_row[w];
-    }
+  golden_.assign(table_words, 0);
+  const BitGen bitgen(device);
+  const auto rows = [this](const fabric::FrameRange& r) {
+    return std::span<std::uint32_t>(golden_).subspan(
+        static_cast<std::size_t>(r.first) * words_per_frame_,
+        static_cast<std::size_t>(r.count) * words_per_frame_);
+  };
+  for (const fabric::FrameRange& r : stat_ranges) {
+    bitgen.generate_into(r, static_spec_, rows(r));
   }
-  mask_table_ = mask_words_.data();
-  golden_table_ = masked_golden_.data();
+  for (const fabric::FrameRange& r : app_ranges_) {
+    bitgen.generate_into(r, app_spec_, rows(r));
+  }
+
+  // The masks come from the device type's interned register positions (one
+  // architectural_mask derivation per device type, shared with every
+  // ConfigMemory of the type).
+  positions_ = RegisterPositions::shared(device);
+  mask_.resize(table_words);
+  for (std::uint32_t f = 0; f < total_frames_; ++f) {
+    positions_->write_mask(
+        f, mask_.data() + static_cast<std::size_t>(f) * words_per_frame_);
+  }
+  golden_table_ = golden_.data();
+  mask_table_ = mask_.data();
 }
 
 GoldenModel::~GoldenModel() {
 #if defined(SACHA_GM_MMAP)
   if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
 #endif
-}
-
-const ConfigImage& GoldenModel::static_image() const {
-  assert(!static_images_.empty() && static_images_.front().first.first == 0 &&
-         "BootMem image must start at frame 0");
-  return static_images_.front().second;
-}
-
-const Frame& GoldenModel::golden_frame(std::uint32_t index) const {
-  if (index == nonce_frame_) return zero_frame_;
-  for (std::size_t region = 0; region < app_ranges_.size(); ++region) {
-    if (app_ranges_[region].contains(index)) {
-      return app_images_[region].frames[index - app_ranges_[region].first];
-    }
-  }
-  for (const auto& [range, image] : static_images_) {
-    if (range.contains(index)) return image.frames[index - range.first];
-  }
-  // Frames outside every partition are never configured: golden is zero.
-  return zero_frame_;
-}
-
-std::size_t GoldenModel::footprint_bytes() const {
-  std::size_t bytes = (mask_words_.size() + masked_golden_.size()) * 4;
-  const auto image_bytes = [](const ConfigImage& image) {
-    std::size_t b = 0;
-    for (const Frame& f : image.frames) b += f.words().size() * 4;
-    return b;
-  };
-  for (const auto& [range, image] : static_images_) bytes += image_bytes(image);
-  for (const ConfigImage& image : app_images_) bytes += image_bytes(image);
-  return bytes;
 }
 
 namespace {
@@ -195,13 +162,12 @@ std::size_t GoldenModel::live_cache_entries() {
 namespace {
 
 // Versioned binary layout (host-endian; a local warm-start cache, not an
-// interchange format): magic, version, identity digest, geometry, specs,
-// region structure, region images (frames only: masks live in the mask
-// table), flat tables. Both flat-table payloads
+// interchange format): magic, version, identity digest, geometry, specs, the
+// app ranges, then the golden table and the mask table. Both table payloads
 // are 64-byte-aligned (zero pad after the length word) so load_mapped() can
 // hand the mapped bytes straight to the uint32 SIMD compare.
 constexpr char kMagic[8] = {'S', 'A', 'C', 'H', 'A', 'G', 'M', '1'};
-constexpr std::uint32_t kFormatVersion = 3;
+constexpr std::uint32_t kFormatVersion = 4;
 constexpr std::size_t kTableAlign = 64;
 
 struct Writer {
@@ -216,10 +182,6 @@ struct Writer {
   }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
   void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void words(const std::vector<std::uint32_t>& v) {
-    u64(v.size());
-    raw(v.data(), v.size() * sizeof(std::uint32_t));
-  }
   void str(const std::string& s) {
     u64(s.size());
     raw(s.data(), s.size());
@@ -228,11 +190,6 @@ struct Writer {
     str(s.name);
     u64(s.seed);
   }
-  void frame(const Frame& f) { words(f.words()); }
-  void image(const ConfigImage& img) {
-    u32(static_cast<std::uint32_t>(img.frames.size()));
-    for (const Frame& f : img.frames) frame(f);
-  }
   void align() {
     static constexpr char zeros[kTableAlign] = {};
     const std::size_t pad =
@@ -240,7 +197,7 @@ struct Writer {
         kTableAlign;
     raw(zeros, pad);
   }
-  /// Flat-table payload: length word, pad to the next 64-byte file offset,
+  /// Table payload: length word, pad to the next 64-byte file offset,
   /// then the raw words (so a mapping of the file yields aligned lanes).
   void table(const std::uint32_t* p, std::uint64_t n) {
     u64(n);
@@ -261,8 +218,8 @@ struct ModelParser {
   std::size_t size = 0;
   std::size_t pos = 0;
   bool ok = true;
-  /// Per-vector sanity cap: no table in a valid model exceeds this many
-  /// words, so a corrupt length field fails fast instead of allocating.
+  /// Sanity cap on string lengths and range counts: a corrupt length
+  /// field fails fast instead of allocating.
   static constexpr std::uint64_t kMaxWords = 1u << 28;  // 1 GiB of words
 
   bool need(std::size_t bytes) {
@@ -303,29 +260,6 @@ struct ModelParser {
     s.seed = u64();
     return s;
   }
-  std::vector<std::uint32_t> words() {
-    const std::uint64_t n = u64();
-    if (n > kMaxWords) {
-      ok = false;
-      return {};
-    }
-    std::vector<std::uint32_t> v(ok ? static_cast<std::size_t>(n) : 0);
-    raw(v.data(), v.size() * sizeof(std::uint32_t));
-    return v;
-  }
-  Frame frame() { return Frame(words()); }
-  ConfigImage image() {
-    ConfigImage img;
-    const std::uint32_t frames = u32();
-    if (frames > kMaxWords) {
-      ok = false;
-      return img;
-    }
-    for (std::uint32_t i = 0; ok && i < frames; ++i) {
-      img.frames.push_back(frame());
-    }
-    return img;
-  }
   void align() {
     const std::size_t target = (pos + (kTableAlign - 1)) & ~(kTableAlign - 1);
     if (!ok || target > size) {
@@ -334,7 +268,7 @@ struct ModelParser {
     }
     pos = target;
   }
-  /// Length-checked flat table; returns a borrowed pointer into the buffer.
+  /// Length-checked table; returns a borrowed pointer into the buffer.
   const std::uint32_t* table(std::uint64_t expect_words) {
     const std::uint64_t n = u64();
     if (!ok || n != expect_words) {
@@ -350,7 +284,7 @@ struct ModelParser {
     return p;
   }
 
-  /// Full-file decode + validation. `borrow` keeps the flat tables as
+  /// Full-file decode + validation. `borrow` keeps the tables as
   /// pointers into `data` (the caller must keep the buffer alive — the mmap
   /// path); otherwise they are copied onto the heap. Returns nullptr on any
   /// truncation, trailing garbage, or identity/geometry mismatch.
@@ -376,6 +310,7 @@ struct ModelParser {
     model->words_per_frame_ = p.u32();
     model->nonce_frame_ = p.u32();
     model->app_frame_total_ = p.u32();
+    model->static_frames_ = p.u32();
     model->static_spec_ = p.spec();
     model->app_spec_ = p.spec();
     const std::uint32_t ranges = p.u32();
@@ -386,27 +321,22 @@ struct ModelParser {
       range.count = p.u32();
       model->app_ranges_.push_back(range);
     }
-    const std::uint32_t statics = p.u32();
-    if (statics > kMaxWords) p.ok = false;
-    for (std::uint32_t i = 0; p.ok && i < statics; ++i) {
-      fabric::FrameRange range;
-      range.first = p.u32();
-      range.count = p.u32();
-      model->static_images_.emplace_back(range, p.image());
-    }
-    const std::uint32_t apps = p.u32();
-    if (apps > kMaxWords) p.ok = false;
-    for (std::uint32_t i = 0; p.ok && i < apps; ++i) {
-      model->app_images_.push_back(p.image());
-    }
     if (!p.ok) return nullptr;
 
     // Geometry sanity against the live floorplan before trusting the table
     // lengths (truncated or corrupted tables must not produce a
     // quietly-wrong model).
     const fabric::DeviceModel& device = plan.device();
-    if (model->total_frames_ != device.total_frames() ||
-        model->words_per_frame_ != device.geometry().words_per_frame()) {
+    // Rows are read by range, so every range must lie inside the table.
+    const std::uint32_t frames = device.total_frames();
+    const auto outside = [frames](const fabric::FrameRange& r) {
+      return r.first > frames || r.count > frames - r.first;
+    };
+    if (model->total_frames_ != frames ||
+        model->words_per_frame_ != device.geometry().words_per_frame() ||
+        model->static_frames_ > frames || model->nonce_frame_ >= frames ||
+        std::any_of(model->app_ranges_.begin(), model->app_ranges_.end(),
+                    outside)) {
       return nullptr;
     }
     if (model->static_spec_ != static_spec || model->app_spec_ != app_spec) {
@@ -415,8 +345,8 @@ struct ModelParser {
     const std::uint64_t table_words =
         static_cast<std::uint64_t>(model->total_frames_) *
         model->words_per_frame_;
-    const std::uint32_t* mask = p.table(table_words);
     const std::uint32_t* golden = p.table(table_words);
+    const std::uint32_t* mask = p.table(table_words);
     if (!p.ok) return nullptr;
     // A well-formed file ends exactly at the second table: trailing bytes
     // mean the writer and this reader disagree about the format — reject
@@ -424,15 +354,14 @@ struct ModelParser {
     if (p.pos != p.size) return nullptr;
 
     if (borrow) {
-      model->mask_table_ = mask;
       model->golden_table_ = golden;
+      model->mask_table_ = mask;
     } else {
-      model->mask_words_.assign(mask, mask + table_words);
-      model->masked_golden_.assign(golden, golden + table_words);
-      model->mask_table_ = model->mask_words_.data();
-      model->golden_table_ = model->masked_golden_.data();
+      model->golden_.assign(golden, golden + table_words);
+      model->mask_.assign(mask, mask + table_words);
+      model->golden_table_ = model->golden_.data();
+      model->mask_table_ = model->mask_.data();
     }
-    model->zero_frame_ = Frame(model->words_per_frame_);
     return model;
   }
 };
@@ -510,6 +439,7 @@ bool GoldenModel::write_file(const std::string& path,
   w.u32(words_per_frame_);
   w.u32(nonce_frame_);
   w.u32(app_frame_total_);
+  w.u32(static_frames_);
   w.spec(static_spec_);
   w.spec(app_spec_);
   w.u32(static_cast<std::uint32_t>(app_ranges_.size()));
@@ -517,18 +447,10 @@ bool GoldenModel::write_file(const std::string& path,
     w.u32(r.first);
     w.u32(r.count);
   }
-  w.u32(static_cast<std::uint32_t>(static_images_.size()));
-  for (const auto& [range, image] : static_images_) {
-    w.u32(range.first);
-    w.u32(range.count);
-    w.image(image);
-  }
-  w.u32(static_cast<std::uint32_t>(app_images_.size()));
-  for (const ConfigImage& image : app_images_) w.image(image);
   const std::uint64_t table_words =
       static_cast<std::uint64_t>(total_frames_) * words_per_frame_;
-  w.table(mask_table_, table_words);
   w.table(golden_table_, table_words);
+  w.table(mask_table_, table_words);
   w.out.close();
   return w.ok && !w.out.fail();
 }
@@ -599,17 +521,16 @@ bool GoldenModel::operator==(const GoldenModel& other) const {
         words_per_frame_ == other.words_per_frame_ &&
         nonce_frame_ == other.nonce_frame_ &&
         app_frame_total_ == other.app_frame_total_ &&
-        app_ranges_ == other.app_ranges_ &&
-        static_images_ == other.static_images_ &&
-        app_images_ == other.app_images_)) {
+        static_frames_ == other.static_frames_ &&
+        app_ranges_ == other.app_ranges_)) {
     return false;
   }
   // Table contents, not storage: a mapped model compares equal to the heap
   // model it was serialised from.
   const std::size_t table_bytes = static_cast<std::size_t>(total_frames_) *
                                   words_per_frame_ * sizeof(std::uint32_t);
-  return std::memcmp(mask_table_, other.mask_table_, table_bytes) == 0 &&
-         std::memcmp(golden_table_, other.golden_table_, table_bytes) == 0;
+  return std::memcmp(golden_table_, other.golden_table_, table_bytes) == 0 &&
+         std::memcmp(mask_table_, other.mask_table_, table_bytes) == 0;
 }
 
 std::shared_ptr<const GoldenModel> GoldenModel::shared_cached(

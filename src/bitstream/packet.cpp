@@ -17,7 +17,6 @@ constexpr std::uint32_t kType2 = 0x2u << 29;
 constexpr std::uint32_t kOpcodeNop = 0x0u << 27;
 constexpr std::uint32_t kOpcodeRead = 0x1u << 27;
 constexpr std::uint32_t kOpcodeWrite = 0x2u << 27;
-constexpr std::uint32_t kType1MaxCount = 0x7ff;
 constexpr std::uint32_t kType2MaxCount = 0x07ffffff;
 
 std::uint32_t header_type(std::uint32_t word) { return word >> 29; }

@@ -23,6 +23,9 @@ namespace sacha::bitstream {
 
 inline constexpr std::uint32_t kSyncWord = 0xAA995566;
 inline constexpr std::uint32_t kNoopWord = 0x20000000;
+/// Largest word count a type-1 header carries; longer FDRI/FDRO bursts add
+/// a type-2 header.
+inline constexpr std::uint32_t kType1MaxCount = 0x7ff;
 
 /// Configuration registers (subset of the Virtex-6 set).
 enum class ConfigReg : std::uint32_t {

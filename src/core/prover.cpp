@@ -35,13 +35,11 @@ SachaProver::SachaProver(SachaProver&& other) noexcept
   icap_.rebind(memory_);
 }
 
-void SachaProver::boot(const bitstream::ConfigImage& static_image) {
-  boot_words_.clear();
-  boot_words_.reserve(static_image.frames.size() * memory_.words_per_frame());
-  for (std::uint32_t i = 0; i < static_image.frames.size(); ++i) {
-    memory_.write_frame(i, static_image.frames[i]);
-    const std::vector<std::uint32_t>& words = static_image.frames[i].words();
-    boot_words_.insert(boot_words_.end(), words.begin(), words.end());
+void SachaProver::boot(std::span<const std::uint32_t> static_words) {
+  boot_words_.assign(static_words.begin(), static_words.end());
+  const std::uint32_t wpf = memory_.words_per_frame();
+  for (std::uint32_t i = 0; i < static_words.size() / wpf; ++i) {
+    memory_.write_frame(i, static_words.subspan(std::size_t{i} * wpf, wpf));
   }
 }
 

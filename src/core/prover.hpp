@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "config/bram_buffer.hpp"
@@ -78,8 +79,8 @@ class SachaProver {
   SachaProver& operator=(const SachaProver&) = delete;
 
   /// Power-on: BootMem loads the static partition's configuration into the
-  /// (volatile) StatMem. `static_image` covers frames [0, image size).
-  void boot(const bitstream::ConfigImage& static_image);
+  /// (volatile) StatMem. `static_words` holds frames [0, n) back to back.
+  void boot(std::span<const std::uint32_t> static_words);
 
   struct HandleResult {
     std::optional<Response> response;  // nullopt: fire-and-forget config

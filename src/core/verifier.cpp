@@ -40,10 +40,37 @@ SachaVerifier::SachaVerifier(fabric::Floorplan plan,
          model_->words_per_frame() ==
              plan_.device().geometry().words_per_frame() &&
          "golden model built for a different device");
-}
-
-const bitstream::ConfigImage& SachaVerifier::static_image() const {
-  return model_->static_image();
+  words_per_frame_ = model_->words_per_frame();
+  // Every stream opens sync, IDCODE, the CMD, then the FAR write whose word
+  // each round patches.
+  const auto head = [this](bs::CmdOp op, StreamTemplate& t) {
+    bs::PacketWriter w;
+    w.sync();
+    w.write_idcode(idcode_);
+    w.cmd(op);
+    w.write_far({});
+    t.far_at = static_cast<std::uint32_t>(w.words().size() - 1);
+    return w;
+  };
+  bs::PacketWriter config = head(bs::CmdOp::kWcfg, config_template_);
+  config.write_frames(std::vector<std::uint32_t>(words_per_frame_));
+  config_template_.slot_at =
+      static_cast<std::uint32_t>(config.words().size() - words_per_frame_);
+  config.cmd(bs::CmdOp::kDesync);
+  config_template_.words = config.take();
+  // A readback's count word holds zero; each round adds its own count.
+  const auto readback = [&head](std::uint32_t count) {
+    StreamTemplate t;
+    bs::PacketWriter w = head(bs::CmdOp::kRcfg, t);
+    w.read_request(count);
+    t.slot_at = static_cast<std::uint32_t>(w.words().size() - 1);
+    w.cmd(bs::CmdOp::kDesync);
+    t.words = w.take();
+    t.words[t.slot_at] -= count;
+    return t;
+  };
+  readback_short_ = readback(0);
+  readback_long_ = readback(bs::kType1MaxCount + 1);
 }
 
 void SachaVerifier::set_app_spec(bitstream::DesignSpec spec) {
@@ -57,16 +84,6 @@ void SachaVerifier::begin() {
   crypto::Prg prg(session_seed_ + session_counter_++, "sacha-session");
   nonce_ = prg.next_u64();
   nonce_image_ = bitgen_.nonce_frame(nonce_);
-  // Session overlay for the streaming compare: nonce words under the nonce
-  // frame's architectural mask (its row in the shared model is zero).
-  const std::span<const std::uint32_t> nonce_mask =
-      model_->mask_words(model_->nonce_frame());
-  const std::vector<std::uint32_t>& nonce_words =
-      nonce_image_.frames[0].words();
-  nonce_masked_.resize(nonce_words.size());
-  for (std::size_t w = 0; w < nonce_words.size(); ++w) {
-    nonce_masked_[w] = nonce_words[w] & nonce_mask[w];
-  }
 
   const std::uint32_t total = plan_.device().total_frames();
   steps_.clear();
@@ -111,7 +128,6 @@ void SachaVerifier::begin() {
   }
 
   config_commands_ = config_command_count();
-  words_per_frame_ = plan_.device().geometry().words_per_frame();
   stream_cmac_.reset();
   streamed_mac_.reset();
   next_stream_step_ = 0;
@@ -216,55 +232,51 @@ void SachaVerifier::set_padded(Command& out, CommandType type,
   out.padding = words < target_words ? target_words - words : 0;
 }
 
+void SachaVerifier::stamp(const StreamTemplate& t, std::uint32_t frame,
+                          std::span<const std::uint32_t> payload,
+                          Command& out) const {
+  out.stream.assign(t.words.begin(), t.words.end());
+  out.stream[t.far_at] = plan_.device().geometry().address_of(frame).pack();
+  std::copy(payload.begin(), payload.end(), out.stream.begin() + t.slot_at);
+}
+
 void SachaVerifier::make_config_command(std::size_t slot, Command& out) const {
   const std::uint32_t per = std::max(1u, options_.frames_per_config);
   if (!options_.refresh_only) {
-    const std::vector<fabric::FrameRange>& app_ranges = model_->app_ranges();
-    for (std::size_t region = 0; region < app_ranges.size(); ++region) {
-      const fabric::FrameRange& range = app_ranges[region];
+    for (const fabric::FrameRange& range : model_->app_ranges()) {
       const std::size_t region_slots = (range.count + per - 1) / per;
       if (slot >= region_slots) {
         slot -= region_slots;
         continue;
       }
-      const bs::ConfigImage& image = model_->app_image(region);
       const std::uint32_t first =
           range.first + static_cast<std::uint32_t>(slot) * per;
       const std::uint32_t count = std::min(per, range.end() - first);
       if (count == 1) {
-        out.stream = bitgen_.assemble_single_frame(
-            image.frames[first - range.first], first, idcode_,
-            std::move(out.stream));
+        stamp(config_template_, first, model_->golden_words(first), out);
         set_padded(out, CommandType::kIcapConfig, 0, options_.config_pad_words);
         return;
       }
-      out.stream = bitgen_.assemble(std::span<const bs::Frame>(image.frames)
-                                        .subspan(first - range.first, count),
-                                    first, idcode_, std::move(out.stream));
+      out.stream = bitgen_.assemble(model_->golden_words(first, count), first,
+                                    idcode_, std::move(out.stream));
       set_padded(out, CommandType::kIcapConfig, 0, 0);
       return;
     }
   }
   // Final configuration step: the nonce frame (Fig. 8's second phase).
-  out.stream = bitgen_.assemble_single_frame(
-      nonce_image_.frames[0], model_->nonce_frame(), idcode_,
-      std::move(out.stream));
+  stamp(config_template_, model_->nonce_frame(),
+        nonce_image_.frames[0].words(), out);
   set_padded(out, CommandType::kIcapConfig, 0, options_.config_pad_words);
 }
 
 void SachaVerifier::make_readback_command(std::size_t step,
                                           Command& out) const {
   const auto [first, count] = steps_[step];
-  bs::PacketWriter w(std::move(out.stream));
-  // sync, idcode (2), rcfg (2), far (2), FDRO request (up to 2), desync (2).
-  w.reserve(11);
-  w.sync();
-  w.write_idcode(idcode_);
-  w.cmd(bs::CmdOp::kRcfg);
-  w.write_far(plan_.device().geometry().address_of(first));
-  w.read_request(count * words_per_frame_);
-  w.cmd(bs::CmdOp::kDesync);
-  out.stream = w.take();
+  const std::uint32_t words = count * words_per_frame_;
+  const StreamTemplate& t =
+      words > bs::kType1MaxCount ? readback_long_ : readback_short_;
+  stamp(t, first, {}, out);
+  out.stream[t.slot_at] += words;
   set_padded(out, CommandType::kIcapReadback, first,
              options_.readback_pad_words);
 }
@@ -313,16 +325,14 @@ void SachaVerifier::absorb_in_order(std::size_t step,
     if (mismatch_frame_.has_value()) break;
     const std::span<const std::uint32_t> frame_words =
         words.subspan(static_cast<std::size_t>(f) * wpf, wpf);
-    bool match;
-    if (frame_index == nonce_frame) {
-      // Same masked compare as the model rows, with the session overlay as
-      // the pre-masked golden.
-      match = bitstream::masked_words_match(
-          frame_words.data(), model_->mask_words(nonce_frame).data(),
-          nonce_masked_.data(), wpf);
-    } else {
-      match = model_->frame_matches(frame_index, frame_words);
-    }
+    // The nonce frame's golden words are the session's, under that frame's
+    // mask row; every other frame compares against its model row.
+    const bool match =
+        frame_index == nonce_frame
+            ? bitstream::masked_words_equal(
+                  frame_words.data(), nonce_image_.frames[0].words().data(),
+                  model_->mask_words(nonce_frame).data(), wpf)
+            : model_->frame_matches(frame_index, frame_words);
     if (!match) {
       static obs::Counter& mismatches =
           obs::MetricsRegistry::global().counter(
@@ -415,11 +425,12 @@ Status SachaVerifier::on_response_in_place(std::size_t index,
   return Status();
 }
 
-const bitstream::Frame& SachaVerifier::golden_frame(std::uint32_t index) const {
+std::span<const std::uint32_t> SachaVerifier::golden_words(
+    std::uint32_t index) const {
   if (index == model_->nonce_frame() && !nonce_image_.frames.empty()) {
-    return nonce_image_.frames[0];
+    return nonce_image_.frames[0].words();
   }
-  return model_->golden_frame(index);
+  return model_->golden_words(index);
 }
 
 bool SachaVerifier::verify_mac(ByteSpan data, const crypto::Mac& mac) const {

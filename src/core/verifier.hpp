@@ -96,10 +96,13 @@ class SachaVerifier {
                 crypto::AesKey key, std::uint64_t session_seed,
                 VerifierOptions options = {});
 
-  /// Golden image of the base static partition (the one starting at frame
-  /// 0) — what the BootMem is provisioned with. Additional static islands
-  /// are provisioned separately and covered by golden_frame().
-  const bitstream::ConfigImage& static_image() const;
+  /// Golden rows of the base static partition (the one starting at frame
+  /// 0), back to back — what the BootMem is provisioned with. Additional
+  /// static islands are provisioned separately and covered by
+  /// golden_words(). Views the golden model: valid until set_app_spec().
+  std::span<const std::uint32_t> static_image() const {
+    return model_->static_words();
+  }
 
   /// The frame that holds the session nonce (its own tiny reconfigurable
   /// partition at the top of the dynamic region, §5.2.2).
@@ -187,8 +190,14 @@ class SachaVerifier {
 
   /// The golden configuration of a frame (static design, application, or
   /// the current session's nonce frame). Used by the state-attestation
-  /// extension to build expected-state references.
-  const bitstream::Frame& golden_frame(std::uint32_t index) const;
+  /// extension to build expected-state references. Valid until the next
+  /// begin() or set_app_spec().
+  std::span<const std::uint32_t> golden_words(std::uint32_t index) const;
+  /// The same words as a Frame.
+  bitstream::Frame golden_frame(std::uint32_t index) const {
+    const std::span<const std::uint32_t> words = golden_words(index);
+    return bitstream::Frame({words.begin(), words.end()});
+  }
 
   /// The shared golden reference. Fleet members provisioned identically
   /// return the same object (use_count exposes the sharing).
@@ -221,6 +230,18 @@ class SachaVerifier {
   /// `target_words` on the wire.
   static void set_padded(Command& out, CommandType type,
                          std::uint32_t frame_nb, std::uint32_t target_words);
+  /// A command stream whose words are fixed but for the FAR word and one
+  /// more slot: the first payload word of a single-frame configuration, or
+  /// the FDRO count word of a readback (held with a zero count).
+  struct StreamTemplate {
+    std::vector<std::uint32_t> words;
+    std::uint32_t far_at = 0;
+    std::uint32_t slot_at = 0;
+  };
+  /// Copies `t` into `out`'s stream with the FAR word of `frame` and
+  /// `payload` (if any) at the template's slot.
+  void stamp(const StreamTemplate& t, std::uint32_t frame,
+             std::span<const std::uint32_t> payload, Command& out) const;
   std::optional<std::string> check_message_sizes() const;
   /// Records a protocol failure; the first one recorded is the verdict's.
   Status fail(FailureKind kind, std::string message);
@@ -238,15 +259,19 @@ class SachaVerifier {
   std::uint64_t session_seed_;
   VerifierOptions options_;
 
-  /// Immutable golden reference (regions, images, flat mask / masked-golden
-  /// tables), interned so identical fleet members share one copy.
+  /// Immutable golden reference (regions, golden and mask tables),
+  /// interned so identical fleet members share one copy.
   std::shared_ptr<const bitstream::GoldenModel> model_;
 
+  /// Built once per verifier (they depend only on the IDCODE and the
+  /// frame size): single-frame ICAP_config, and ICAP_readback with a
+  /// type-1 or a type-2 FDRO count.
+  StreamTemplate config_template_;
+  StreamTemplate readback_short_;
+  StreamTemplate readback_long_;
+
+  /// The session's nonce frame (the model's row for it is zero).
   bitstream::ConfigImage nonce_image_;
-  /// Current nonce frame content under its architectural mask (the nonce
-  /// frame's row in the golden model is zero because its content is
-  /// per-session; this is the session overlay).
-  std::vector<std::uint32_t> nonce_masked_;
   std::uint64_t nonce_ = 0;
   std::uint64_t session_counter_ = 0;
 
@@ -255,9 +280,10 @@ class SachaVerifier {
   /// sessions). finish()'s coverage check requires exactly these — a probe
   /// verdict is scoped to its sample by construction.
   std::vector<char> scheduled_;
-  /// config_command_count() and words-per-frame, frozen at begin():
-  /// on_response runs once per response (28k+ times on a Virtex-6 session),
-  /// so the region walk and geometry chasing move out of the hot path.
+  /// config_command_count(), frozen at begin(), and words-per-frame, set at
+  /// construction: on_response runs once per response (28k+ times on a
+  /// Virtex-6 session), so the region walk and geometry chasing move out of
+  /// the hot path.
   std::size_t config_commands_ = 0;
   std::uint32_t words_per_frame_ = 0;
 

@@ -5,29 +5,35 @@
 
 namespace sacha::obs {
 
-namespace {
-
 #ifndef SACHA_OBS_DEFAULT_ENABLED
 #define SACHA_OBS_DEFAULT_ENABLED 0
 #endif
 
-bool initial_enabled() {
-  if (const char* env = std::getenv("SACHA_OBS")) {
-    return env[0] == '1' || env[0] == 't' || env[0] == 'T' || env[0] == 'y';
-  }
-  return SACHA_OBS_DEFAULT_ENABLED != 0;
-}
+constinit std::atomic<bool> detail::enabled_flag{SACHA_OBS_DEFAULT_ENABLED !=
+                                                 0};
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{initial_enabled()};
-  return flag;
-}
+namespace {
+
+/// Set by set_enabled(): an explicit choice made before SACHA_OBS is read
+/// keeps its value.
+constinit std::atomic<bool> set_explicitly{false};
+
+/// Reads SACHA_OBS once, during this file's static initialization.
+[[maybe_unused]] const bool env_read = [] {
+  const char* env = std::getenv("SACHA_OBS");
+  if (env != nullptr && !set_explicitly.load(std::memory_order_relaxed)) {
+    detail::enabled_flag.store(
+        env[0] == '1' || env[0] == 't' || env[0] == 'T' || env[0] == 'y',
+        std::memory_order_relaxed);
+  }
+  return true;
+}();
 
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
 void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
+  set_explicitly.store(true, std::memory_order_relaxed);
+  detail::enabled_flag.store(on, std::memory_order_relaxed);
 }
 
 std::span<const std::uint64_t> default_latency_buckets_ns() {

@@ -27,9 +27,19 @@
 
 namespace sacha::obs {
 
+namespace detail {
+/// The enable flag: constant-initialized from SACHA_OBS_DEFAULT_ENABLED,
+/// then set once from SACHA_OBS during static initialization (metrics.cpp).
+extern std::atomic<bool> enabled_flag;
+}  // namespace detail
+
 /// Runtime telemetry toggle. Initialised from SACHA_OBS=1/0 when set,
-/// otherwise from the SACHA_OBS_DEFAULT_ENABLED compile definition.
-bool enabled();
+/// otherwise from the SACHA_OBS_DEFAULT_ENABLED compile definition; a
+/// set_enabled() made before SACHA_OBS is read wins over it. Inline: every
+/// counter update reads it.
+inline bool enabled() {
+  return detail::enabled_flag.load(std::memory_order_relaxed);
+}
 void set_enabled(bool on);
 
 class Counter {

@@ -75,12 +75,10 @@ bool get_preimage(ByteSpan in, std::size_t& offset,
 crypto::Sha256Digest payload_digest(const bitstream::GoldenModel& model) {
   crypto::Sha256 hash;
   Bytes frame_bytes;
-  for (std::size_t region = 0; region < model.app_ranges().size(); ++region) {
-    const bitstream::ConfigImage& image = model.app_image(region);
-    for (const bitstream::Frame& frame : image.frames) {
+  for (const fabric::FrameRange& range : model.app_ranges()) {
+    for (std::uint32_t f = range.first; f < range.end(); ++f) {
       frame_bytes.clear();
-      frame_bytes.reserve(frame.words().size() * 4);
-      for (std::uint32_t w : frame.words()) put_u32be(frame_bytes, w);
+      for (std::uint32_t w : model.golden_words(f)) put_u32be(frame_bytes, w);
       hash.update(frame_bytes);
     }
   }
@@ -88,13 +86,8 @@ crypto::Sha256Digest payload_digest(const bitstream::GoldenModel& model) {
 }
 
 std::uint64_t payload_frame_bytes(const bitstream::GoldenModel& model) {
-  std::uint64_t bytes = 0;
-  for (std::size_t region = 0; region < model.app_ranges().size(); ++region) {
-    for (const bitstream::Frame& frame : model.app_image(region).frames) {
-      bytes += frame.words().size() * 4;
-    }
-  }
-  return bytes;
+  return std::uint64_t{model.app_frame_total()} * model.words_per_frame() *
+         sizeof(std::uint32_t);
 }
 
 Bytes UpdateManifest::encode() const {

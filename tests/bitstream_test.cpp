@@ -8,6 +8,7 @@
 #include "bitstream/bitgen.hpp"
 #include "bitstream/frame.hpp"
 #include "bitstream/golden_model.hpp"
+#include "bitstream/masked_compare.hpp"
 #include "bitstream/packet.hpp"
 #include "common/rng.hpp"
 #include "fabric/device.hpp"
@@ -203,6 +204,38 @@ TEST(Packets, StreamCrcDetectsChange) {
   EXPECT_NE(before, stream_crc(words));
 }
 
+// ---------------------------------------------------------- masked compare
+
+TEST(MaskedCompare, WideRoutineMatchesTheScalarOracle) {
+  // Lengths across every SIMD tail shape, one flipped bit per case, on and
+  // off the mask.
+  Rng rng(41);
+  for (std::size_t n = 0; n <= 90; ++n) {
+    std::vector<std::uint32_t> golden(n), mask(n), received(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      golden[i] = static_cast<std::uint32_t>(rng.next_u64());
+      mask[i] = static_cast<std::uint32_t>(rng.next_u64());
+      received[i] = golden[i] ^ (~mask[i] & static_cast<std::uint32_t>(
+                                                rng.next_u64()));
+    }
+    EXPECT_TRUE(
+        masked_words_equal(received.data(), golden.data(), mask.data(), n));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const std::uint32_t bit : {0u, 17u, 31u}) {
+        received[i] ^= 1u << bit;
+        const bool scalar = masked_words_equal_scalar(
+            received.data(), golden.data(), mask.data(), n);
+        EXPECT_EQ(scalar, ((mask[i] >> bit) & 1u) == 0);
+        EXPECT_EQ(masked_words_equal(received.data(), golden.data(),
+                                     mask.data(), n),
+                  scalar)
+            << "n " << n << " word " << i << " bit " << bit;
+        received[i] ^= 1u << bit;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------ BitGen
 
 TEST(BitGen, GenerateIsDeterministic) {
@@ -268,7 +301,9 @@ TEST(BitGen, AssembleParsesBack) {
   const BitGen gen(test_device());
   const fabric::FrameRange range{4, 3};
   const ConfigImage image = gen.generate(range, {"app", 1});
-  const auto words = gen.assemble(image, range.first, 0x1234);
+  std::vector<std::uint32_t> payload(range.count * 8);
+  gen.generate_into(range, {"app", 1}, payload);
+  const auto words = gen.assemble(payload, range.first, 0x1234);
   auto parsed = parse_packets(words);
   ASSERT_TRUE(parsed.ok()) << parsed.message();
   // The payload must contain all three frames back to back.
@@ -288,7 +323,7 @@ TEST(BitGen, SingleFrameStreamIsSelfContained) {
   const BitGen gen(test_device());
   Rng rng(5);
   const Frame frame = random_frame(rng, 8);
-  const auto words = gen.assemble_single_frame(frame, 9, 0x1234);
+  const auto words = gen.assemble_single_frame(frame.words(), 9, 0x1234);
   auto parsed = parse_packets(words);
   ASSERT_TRUE(parsed.ok()) << parsed.message();
   bool saw_far = false, saw_frame = false;

@@ -125,7 +125,8 @@ class IcapTest : public ::testing::Test {
 
 TEST_F(IcapTest, SingleFrameConfig) {
   const bs::Frame f = pattern_frame(8, 0xc0de0000);
-  const auto words = gen_.assemble_single_frame(f, 6, device_idcode(device_));
+  const auto words =
+      gen_.assemble_single_frame(f.words(), 6, device_idcode(device_));
   auto result = icap_.execute(words);
   ASSERT_TRUE(result.ok()) << result.message();
   EXPECT_TRUE(result.value().empty());
@@ -136,7 +137,10 @@ TEST_F(IcapTest, SingleFrameConfig) {
 TEST_F(IcapTest, BurstConfigWritesContiguousFrames) {
   const fabric::FrameRange range{4, 5};
   const bs::ConfigImage image = gen_.generate(range, {"burst", 1});
-  const auto words = gen_.assemble(image, range.first, device_idcode(device_));
+  std::vector<std::uint32_t> payload(range.count * 8);
+  gen_.generate_into(range, {"burst", 1}, payload);
+  const auto words =
+      gen_.assemble(payload, range.first, device_idcode(device_));
   auto result = icap_.execute(words);
   ASSERT_TRUE(result.ok()) << result.message();
   for (std::uint32_t i = 0; i < range.count; ++i) {
@@ -146,7 +150,8 @@ TEST_F(IcapTest, BurstConfigWritesContiguousFrames) {
 
 TEST_F(IcapTest, ReadbackReturnsLiveFrame) {
   const bs::Frame f = pattern_frame(8, 0xfeed0000);
-  auto cfg = icap_.execute(gen_.assemble_single_frame(f, 2, device_idcode(device_)));
+  auto cfg = icap_.execute(
+      gen_.assemble_single_frame(f.words(), 2, device_idcode(device_)));
   ASSERT_TRUE(cfg.ok());
 
   bs::PacketWriter w;
@@ -163,7 +168,7 @@ TEST_F(IcapTest, ReadbackReturnsLiveFrame) {
 
 TEST_F(IcapTest, RejectsWrongIdcode) {
   const bs::Frame f = pattern_frame(8, 1);
-  const auto words = gen_.assemble_single_frame(f, 0, 0xdead0000);
+  const auto words = gen_.assemble_single_frame(f.words(), 0, 0xdead0000);
   EXPECT_FALSE(icap_.execute(words).ok());
   EXPECT_EQ(mem_.config_frame(0), bs::Frame(8));  // nothing written
 }
@@ -259,7 +264,8 @@ TEST(IcapTiming, SingleFrameConfigCyclesMatchTable3) {
   ConfigMemory mem(device);
   Icap icap(mem, device_idcode(device));
   const bs::Frame f(device.geometry().words_per_frame(), 0x1);
-  auto r = icap.execute(gen.assemble_single_frame(f, 0, device_idcode(device)));
+  auto r = icap.execute(
+      gen.assemble_single_frame(f.words(), 0, device_idcode(device)));
   ASSERT_TRUE(r.ok()) << r.message();
   EXPECT_EQ(icap.stats().cycles, 183u);
 }

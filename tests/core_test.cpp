@@ -161,7 +161,7 @@ TEST(Prover, BootLoadsStaticFrames) {
   Rig rig;
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(rig.prover.memory().config_frame(i),
-              rig.verifier.static_image().frames[i]);
+              rig.verifier.golden_frame(i));
   }
 }
 

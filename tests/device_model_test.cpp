@@ -85,8 +85,13 @@ TEST_P(DeviceModelDiff, RandomOperationsMatchTheReferenceModel) {
   core::SachaProver prover(device, "diff", crypto::AesKey{});
   ReferenceConfigMemory ref(device);
   std::vector<bs::Frame> boot;
-  for (std::uint32_t i = 0; i < frames / 4; ++i) boot.push_back(random_frame(pick, words));
-  prover.boot(bs::ConfigImage{.frames = boot});
+  std::vector<std::uint32_t> boot_words;
+  for (std::uint32_t i = 0; i < frames / 4; ++i) {
+    boot.push_back(random_frame(pick, words));
+    boot_words.insert(boot_words.end(), boot.back().words().begin(),
+                      boot.back().words().end());
+  }
+  prover.boot(boot_words);
   ref.reboot(boot);
   config::ConfigMemory& memory = prover.memory();
   expect_same(memory, ref, "boot");
@@ -225,8 +230,8 @@ TEST(DeviceModelPins, Virtex6ReadbackAfterBootConfigurationAndTick) {
   core::SachaVerifier verifier = env.make_verifier();
   core::SachaProver prover = env.make_prover();
   config::ConfigMemory& memory = prover.memory();
-  const auto static_frames =
-      static_cast<std::uint32_t>(verifier.static_image().frames.size());
+  const auto static_frames = static_cast<std::uint32_t>(
+      verifier.static_image().size() / memory.words_per_frame());
   for (std::uint32_t f = static_frames; f < memory.total_frames(); ++f) {
     memory.write_frame(f, verifier.golden_frame(f));
   }

@@ -6,12 +6,17 @@
 // on every path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <ostream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "attacks/env.hpp"
+#include "bitstream/packet.hpp"
+#include "config/icap.hpp"
 #include "core/protocol.hpp"
 #include "core/session.hpp"
 #include "crypto/sha256.hpp"
@@ -170,8 +175,8 @@ std::string hex(const crypto::Sha256Digest& digest) {
 constexpr const char* kPinnedWireDigest =
     "c69770748294f5089ae073382d6be5cdf526be5ba9b6a59ef217a5e3c0c0d4b4";
 
-TEST(PinnedWire, ByteHooksSeeTheSameBytesAsBefore) {
-  const attacks::AttackEnv env = attacks::AttackEnv::small(1);
+/// SHA-256 of the wire bytes the byte hooks see in one session of `env`.
+std::string session_wire_digest(const attacks::AttackEnv& env) {
   core::SachaVerifier verifier = env.make_verifier();
   core::SachaProver prover = env.make_prover();
   crypto::Sha256 sha;
@@ -186,8 +191,22 @@ TEST(PinnedWire, ByteHooksSeeTheSameBytesAsBefore) {
   };
   const AttestationReport report =
       core::run_attestation(verifier, prover, env.session_options, hooks);
-  ASSERT_TRUE(report.verdict.ok()) << report.verdict.detail;
-  EXPECT_EQ(hex(sha.finalize()), kPinnedWireDigest);
+  EXPECT_TRUE(report.verdict.ok()) << report.verdict.detail;
+  return hex(sha.finalize());
+}
+
+TEST(PinnedWire, ByteHooksSeeTheSameBytesAsBefore) {
+  EXPECT_EQ(session_wire_digest(attacks::AttackEnv::small(1)),
+            kPinnedWireDigest);
+}
+
+TEST(PinnedWire, FourFrameBurstSessionMatchesItsPin) {
+  // Application frames ship four to a configuration burst: the same wire
+  // bytes as when bursts were assembled from the model's region images.
+  attacks::AttackEnv env = attacks::AttackEnv::small(1);
+  env.verifier_options.frames_per_config = 4;
+  EXPECT_EQ(session_wire_digest(env),
+            "f464c050394c63cb8b4c43a8f7961515d26ef177032500d2801f171ab1d36d39");
 }
 
 TEST(PinnedWire, CodecOfTheScheduleMatchesThePin) {
@@ -214,6 +233,113 @@ TEST(PinnedWire, CodecOfTheScheduleMatchesThePin) {
   }
   EXPECT_EQ(hex(sha.finalize()), kPinnedWireDigest);
 }
+
+// ---- Command templates ----------------------------------------------------
+
+/// Every command stream of `verifier`'s frozen schedule as PacketWriter
+/// builds it word by word: the oracle for the verifier's patched templates.
+std::vector<std::vector<std::uint32_t>> reference_streams(
+    const core::SachaVerifier& verifier) {
+  const bitstream::GoldenModel& model = *verifier.golden_model();
+  const fabric::DeviceModel& device = verifier.floorplan().device();
+  const std::uint32_t idcode = config::device_idcode(device);
+  const auto open = [&](bitstream::CmdOp op, std::uint32_t frame,
+                        bool burst = false) {
+    bitstream::PacketWriter w;
+    w.sync();
+    if (burst) w.noop();
+    w.write_idcode(idcode);
+    w.cmd(op);
+    w.write_far(device.geometry().address_of(frame));
+    return w;
+  };
+  const auto single = [&](std::uint32_t frame,
+                          std::span<const std::uint32_t> words) {
+    bitstream::PacketWriter w = open(bitstream::CmdOp::kWcfg, frame);
+    w.write_frames(words);
+    w.cmd(bitstream::CmdOp::kDesync);
+    return w.take();
+  };
+  std::vector<std::vector<std::uint32_t>> streams;
+  const std::uint32_t per = verifier.options().frames_per_config;
+  for (const fabric::FrameRange& r :
+       verifier.options().refresh_only ? std::vector<fabric::FrameRange>{}
+                                       : model.app_ranges()) {
+    for (std::uint32_t first = r.first; first < r.end(); first += per) {
+      const std::uint32_t count = std::min(per, r.end() - first);
+      if (count == 1) {
+        streams.push_back(single(first, model.golden_words(first)));
+        continue;
+      }
+      const auto words = model.golden_words(first, count);
+      bitstream::PacketWriter w =
+          open(bitstream::CmdOp::kWcfg, first, /*burst=*/true);
+      w.write_frames(words);
+      w.crc(bitstream::stream_crc(words));
+      w.cmd(bitstream::CmdOp::kDesync);
+      w.noop();
+      streams.push_back(w.take());
+    }
+  }
+  streams.push_back(single(model.nonce_frame(),
+                           verifier.golden_words(model.nonce_frame())));
+  for (const auto& [first, count] : verifier.readback_steps()) {
+    bitstream::PacketWriter w = open(bitstream::CmdOp::kRcfg, first);
+    w.read_request(count * model.words_per_frame());
+    w.cmd(bitstream::CmdOp::kDesync);
+    streams.push_back(w.take());
+  }
+  streams.emplace_back();  // MAC_checksum
+  return streams;
+}
+
+struct TemplateCase {
+  std::string name;
+  bool virtex6 = false;
+  std::uint32_t frames_per_config = 1;
+  std::uint32_t frames_per_readback = 1;
+  bool refresh_only = false;
+  core::ReadbackOrder order = core::ReadbackOrder::kSequentialFromOffset;
+};
+
+void PrintTo(const TemplateCase& c, std::ostream* os) { *os << c.name; }
+
+class CommandTemplates : public ::testing::TestWithParam<TemplateCase> {};
+
+TEST_P(CommandTemplates, EveryStreamEqualsThePacketWriterBuild) {
+  const TemplateCase& c = GetParam();
+  attacks::AttackEnv env =
+      c.virtex6 ? attacks::AttackEnv::virtex6(1) : attacks::AttackEnv::small(1);
+  env.verifier_options.frames_per_config = c.frames_per_config;
+  env.verifier_options.frames_per_readback = c.frames_per_readback;
+  env.verifier_options.refresh_only = c.refresh_only;
+  env.verifier_options.order = c.order;
+  core::SachaVerifier verifier = env.make_verifier();
+  verifier.begin();
+  const auto expected = reference_streams(verifier);
+  ASSERT_EQ(verifier.command_count(), expected.size());
+  core::Command command;  // kept across rounds, as the session driver does
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    verifier.command_into(i, command);
+    ASSERT_EQ(command.stream, expected[i]) << "command " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, CommandTemplates,
+    ::testing::Values(
+        TemplateCase{"small_single_frames"},
+        TemplateCase{.name = "small_bursts_of_4", .frames_per_config = 4,
+                     .frames_per_readback = 4},
+        TemplateCase{.name = "small_bursts_clipped_to_the_region",
+                     .frames_per_config = 64, .frames_per_readback = 64},
+        TemplateCase{.name = "small_random_order",
+                     .order = core::ReadbackOrder::kRandomPermutation},
+        // 26 frames are 2,106 words: a type-2 FDRO count. 28,488 = 1,095 x
+        // 26 + 18, so the last step's 1,458 words take a type-1 count.
+        TemplateCase{.name = "virtex6_refresh_type2_fdro", .virtex6 = true,
+                     .frames_per_readback = 26, .refresh_only = true}),
+    [](const auto& info) { return info.param.name; });
 
 // ---- Messages the 16-bit length field cannot carry -----------------------
 

@@ -15,6 +15,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "attacks/library.hpp"
 #include "bitstream/golden_model.hpp"
@@ -66,37 +69,56 @@ TEST(GoldenModel, MaskTableMatchesPerCallArchitecturalMask) {
   }
 }
 
-TEST(GoldenModel, MaskedGoldenTableMatchesApplyMask) {
-  const attacks::AttackEnv env = attacks::AttackEnv::small();
-  const auto model = bs::GoldenModel::shared(env.plan, env.static_spec,
-                                             env.app_spec);
-  const fabric::DeviceModel& device = env.plan.device();
-  for (std::uint32_t f = 0; f < device.total_frames(); ++f) {
-    if (f == model->nonce_frame()) {
-      // Per-session content: the shared table holds zeros.
-      for (const std::uint32_t w : model->masked_golden_words(f)) {
-        EXPECT_EQ(w, 0u);
-      }
-      continue;
-    }
-    const bs::Frame expected = bs::apply_mask(
-        model->golden_frame(f), bs::architectural_mask(device, f));
-    const auto table = model->masked_golden_words(f);
-    for (std::uint32_t w = 0; w < expected.size(); ++w) {
-      EXPECT_EQ(table[w], expected.word(w)) << "frame " << f << " word " << w;
+TEST(GoldenModel, GoldenRowsAreBitGenPartitionsAndZeroElsewhere) {
+  // Small device with gaps: static [0,3), dynamic [4,9), static island
+  // [10,11), dynamic [12,16); frames 3, 9 and 11 belong to no partition.
+  fabric::Floorplan plan(fabric::DeviceModel::small_test_device());
+  plan.add_partition({"Stat", fabric::PartitionKind::kStatic, {0, 3}, {}});
+  plan.add_partition({"DynA", fabric::PartitionKind::kDynamic, {4, 5}, {}});
+  plan.add_partition({"Island", fabric::PartitionKind::kStatic, {10, 1}, {}});
+  plan.add_partition({"DynB", fabric::PartitionKind::kDynamic, {12, 4}, {}});
+  ASSERT_TRUE(plan.validate().ok());
+  const bs::DesignSpec static_spec{"gapped-static", 3};
+  const bs::DesignSpec app_spec{"gapped-app", 5};
+  const bs::GoldenModel model(plan, static_spec, app_spec);
+  const bs::BitGen gen(plan.device());
+
+  std::vector<bs::Frame> expected(plan.device().total_frames(),
+                                  bs::Frame(model.words_per_frame()));
+  for (const fabric::Partition& p : plan.partitions()) {
+    const bs::ConfigImage image = gen.generate(
+        p.frames,
+        p.kind == fabric::PartitionKind::kStatic ? static_spec : app_spec);
+    for (std::uint32_t i = 0; i < p.frames.count; ++i) {
+      expected[p.frames.first + i] = image.frames[i];
     }
   }
+  ASSERT_EQ(model.nonce_frame(), 15u);
+  expected[model.nonce_frame()] = bs::Frame(model.words_per_frame());
+  for (std::uint32_t f = 0; f < model.total_frames(); ++f) {
+    EXPECT_TRUE(std::ranges::equal(model.golden_words(f), expected[f].words()))
+        << "frame " << f;
+  }
+  EXPECT_TRUE(std::ranges::equal(model.static_words(),
+                                 model.golden_words(0, 3)));
 }
 
-/// SHA-256 over a flat table, each word serialised big-endian.
-std::string table_digest(const bs::GoldenModel& model, bool masked_golden) {
+enum class Table { kMask, kMaskedGolden, kGolden };
+
+/// SHA-256 over one frame-indexed table, each word serialised big-endian.
+/// The masked-golden table (golden & mask) is the one the model kept before
+/// it held the unmasked golden words.
+std::string table_digest(const bs::GoldenModel& model, Table table) {
   crypto::Sha256 sha;
   Bytes row;
   for (std::uint32_t f = 0; f < model.total_frames(); ++f) {
     row.clear();
-    for (const std::uint32_t w : masked_golden ? model.masked_golden_words(f)
-                                               : model.mask_words(f)) {
-      put_u32be(row, w);
+    const auto golden = model.golden_words(f);
+    const auto mask = model.mask_words(f);
+    for (std::uint32_t w = 0; w < model.words_per_frame(); ++w) {
+      put_u32be(row, table == Table::kMask     ? mask[w]
+                     : table == Table::kGolden ? golden[w]
+                                               : golden[w] & mask[w]);
     }
     sha.update(row);
   }
@@ -104,16 +126,22 @@ std::string table_digest(const bs::GoldenModel& model, bool masked_golden) {
 }
 
 TEST(GoldenModel, Virtex6TablesMatchPinnedDigests) {
-  // The full XC6VLX240T model's two flat tables, pinned at the commit
-  // before the per-frame image masks were dropped: the verifier compares
-  // against these tables alone, so no change to how images are generated
-  // or stored may move them.
+  // The full XC6VLX240T model's tables, pinned: the mask and masked-golden
+  // digests at the commit before the per-frame image masks were dropped,
+  // the unmasked golden digest from the region images (golden_frame) at the
+  // commit before the model kept only its two tables. The verifier compares
+  // against these tables alone, so no change to how they are generated or
+  // stored may move them.
   const attacks::AttackEnv env = attacks::AttackEnv::virtex6();
   const bs::GoldenModel model(env.plan, env.static_spec, env.app_spec);
-  EXPECT_EQ(table_digest(model, /*masked_golden=*/false),
+  EXPECT_EQ(table_digest(model, Table::kMask),
             "f8ffe15f09077845fccd1e1dcf87fce4fed6f4ede1400db4ed44600d081427ce");
-  EXPECT_EQ(table_digest(model, /*masked_golden=*/true),
+  EXPECT_EQ(table_digest(model, Table::kMaskedGolden),
             "2d1aabe4d4cb224d7d15d30118f56d65b2f4d9dd92bba892501106dcd6b0f0e6");
+  EXPECT_EQ(table_digest(model, Table::kGolden),
+            "d6a565407372f7ebed50c8c907b21ef02245116e793ae64a90cbd81740011ea6");
+  // Two tables of 28,488 frames x 81 words, and nothing else.
+  EXPECT_EQ(model.footprint_bytes(), 2u * 9'230'112u);
 }
 
 TEST(GoldenModel, RegionStructureMatchesVerifier) {
@@ -121,7 +149,8 @@ TEST(GoldenModel, RegionStructureMatchesVerifier) {
   const core::SachaVerifier verifier = env.make_verifier();
   const auto& model = verifier.golden_model();
   EXPECT_EQ(model->nonce_frame(), verifier.nonce_frame_index());
-  EXPECT_EQ(model->static_image(), verifier.static_image());
+  EXPECT_EQ(model->static_words().data(), verifier.static_image().data());
+  EXPECT_EQ(verifier.static_image().size(), 4u * model->words_per_frame());
   EXPECT_GT(model->app_frame_total(), 0u);
   EXPECT_GT(model->footprint_bytes(), 0u);
 }
@@ -345,6 +374,83 @@ TEST(GoldenModelMapped, LoadMappedIsBitIdenticalAndBorrowsTables) {
     EXPECT_LT(mapped->footprint_bytes(), built.footprint_bytes());
   }
   std::filesystem::remove(path);
+}
+
+/// Bytes the C heap has handed out (0 where the allocator does not say).
+std::size_t heap_in_use() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 info = ::mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+TEST(GoldenModelMapped, MappedVirtex6ModelKeepsItsTablesOffTheHeap) {
+  const attacks::AttackEnv env = attacks::AttackEnv::virtex6();
+  const bs::GoldenModel built(env.plan, env.static_spec, env.app_spec);
+  const std::string path = private_temp("sacha_mapped_v6", ".sgm");
+  ASSERT_TRUE(built.save(path, env.plan));
+  const auto loaded =
+      bs::GoldenModel::load(path, env.plan, env.static_spec, env.app_spec);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->footprint_bytes(), 2u * 9'230'112u);
+
+  const std::size_t heap_before = heap_in_use();
+  const auto mapped = bs::GoldenModel::load_mapped(path, env.plan,
+                                                   env.static_spec,
+                                                   env.app_spec);
+  const std::size_t heap_after = heap_in_use();
+  ASSERT_NE(mapped, nullptr);
+  EXPECT_TRUE(*mapped == built);
+  if (mapped->tables_mapped()) {
+    EXPECT_EQ(mapped->footprint_bytes(), 0u);
+    EXPECT_LT(heap_after > heap_before ? heap_after - heap_before : 0,
+              std::size_t{1} << 20);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(GoldenModelCache, VersionThreeFileIsRejectedAndRebuilt) {
+  attacks::AttackEnv env = attacks::AttackEnv::small();
+  env.app_spec = bs::DesignSpec{"version-probe", 37};
+  const std::string dir = private_temp("sacha_version_cache");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path =
+      dir + "/" +
+      bs::GoldenModel::cache_digest(env.plan, env.static_spec, env.app_spec) +
+      ".sgm";
+  const bs::GoldenModel built(env.plan, env.static_spec, env.app_spec);
+  ASSERT_TRUE(built.save(path, env.plan));
+  {
+    // The format version is the word after the 8-byte magic.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t version = 3;
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  EXPECT_EQ(bs::GoldenModel::load(path, env.plan, env.static_spec,
+                                  env.app_spec),
+            nullptr);
+  EXPECT_EQ(bs::GoldenModel::load_mapped(path, env.plan, env.static_spec,
+                                         env.app_spec),
+            nullptr);
+
+  bs::GoldenModel::CacheSource source;
+  auto rebuilt = bs::GoldenModel::shared_cached(
+      env.plan, env.static_spec, env.app_spec, dir, &source,
+      /*prefer_mapped=*/true);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(source, bs::GoldenModel::CacheSource::kBuilt);
+  EXPECT_TRUE(*rebuilt == built);
+  rebuilt.reset();
+  // The rebuild persisted the current format over the old file.
+  const auto reloaded =
+      bs::GoldenModel::load(path, env.plan, env.static_spec, env.app_spec);
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_TRUE(*reloaded == built);
+  std::filesystem::remove_all(dir);
 }
 
 #if defined(__unix__)
