@@ -14,7 +14,12 @@
 //      gate cannot physically pass — the bench then degrades to a
 //      no-collapse check (4 shards >= 0.5x of 1 shard) and says so on
 //      stdout, so the strong gate stays armed exactly where it is
-//      meaningful.
+//      meaningful. Each point also measures the CPU one attestation costs
+//      the load client (c, its thread's getrusage) and the shards (s,
+//      utime + stime of every shard child), and prints the rate the host's
+//      cores allow, cores / (c + s), beside the one client thread's own
+//      cap, 1 / c: a failed gate then shows whether the client or the
+//      shards capped it.
 //   3. Memory: a shard that maps the shared `.sgm` golden model
 //      (load_mapped, MAP_SHARED) must add at most 1 MiB of anonymous RSS,
 //      where a shard heap-loading the same file adds both tables — the
@@ -27,6 +32,7 @@
 //
 // Writes BENCH_shard.json in the bench_util schema (same record shape as
 // BENCH_net.json: attestations_per_s + session p50/p99/p999 per point).
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -36,6 +42,7 @@
 #include <deque>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -197,7 +204,55 @@ struct ShardPoint {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double p999_ms = 0.0;
+  /// CPU seconds per completed attestation over the trials: the load
+  /// client's thread, and every shard child together.
+  double client_cpu_s = 0.0;
+  double shard_cpu_s = 0.0;
+  /// Attestations per second the host's cores allow at those costs.
+  double ceiling(unsigned cores) const {
+    const double per_attest = client_cpu_s + shard_cpu_s;
+    return per_attest > 0 ? cores / per_attest : 0.0;
+  }
 };
+
+/// CPU seconds (user + system) the calling thread has used: run_load
+/// drives every connection from the thread that calls it.
+double thread_cpu_seconds() {
+  rusage usage{};
+  if (::getrusage(RUSAGE_THREAD, &usage) != 0) return 0.0;
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// CPU seconds (utime + stime, /proc/<pid>/stat) process `pid` has used,
+/// or 0 if it cannot be read.
+double process_cpu_seconds(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return 0.0;
+  // Fields after the parenthesised command name, which may hold spaces:
+  // state is field 3, utime 14 and stime 15.
+  const std::size_t close = line.rfind(')');
+  if (close == std::string::npos) return 0.0;
+  std::istringstream fields(line.substr(close + 1));
+  std::string field;
+  double ticks = 0.0;
+  for (int n = 3; n <= 15 && fields >> field; ++n) {
+    if (n >= 14) ticks += std::strtod(field.c_str(), nullptr);
+  }
+  return ticks / static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
+
+/// CPU seconds every live shard child of `coordinator` has used.
+double shards_cpu_seconds(const shard::ShardCoordinator& coordinator) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < coordinator.shard_count(); ++i) {
+    total += process_cpu_seconds(coordinator.shard(i).pid);
+  }
+  return total;
+}
 
 ShardPoint run_shard_point(std::size_t shards, std::size_t members,
                            const std::string& cache_dir) {
@@ -219,6 +274,8 @@ ShardPoint run_shard_point(std::size_t shards, std::size_t members,
   std::vector<double> rates;
   std::vector<double> latencies_ms;
   point.all_completed = true;
+  const double client_before = thread_cpu_seconds();
+  const double shards_before = shards_cpu_seconds(coordinator);
   for (int trial = 0; trial < benchutil::kGateTrials; ++trial) {
     benchutil::Trial t = benchutil::timed_trial(
         [&] { return net::run_load(fleet_load(coordinator.port(), members)); });
@@ -227,6 +284,11 @@ ShardPoint run_shard_point(std::size_t shards, std::size_t members,
     point.all_completed = point.all_completed && t.all_completed;
     latencies_ms.insert(latencies_ms.end(), t.latencies_ms.begin(),
                         t.latencies_ms.end());
+  }
+  if (point.completed > 0) {
+    const auto n = static_cast<double>(point.completed);
+    point.client_cpu_s = (thread_cpu_seconds() - client_before) / n;
+    point.shard_cpu_s = (shards_cpu_seconds(coordinator) - shards_before) / n;
   }
   coordinator.stop();
 
@@ -460,16 +522,19 @@ int main() {
   bool gates_ok = run_identity_gate(cache_dir);
 
   constexpr std::size_t kMembers = 256;
-  std::printf("\n%8s %12s %14s %12s %12s %12s\n", "shards", "completed",
-              "attest/s", "p50 ms", "p99 ms", "p999 ms");
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::printf("\n%8s %12s %14s %12s %12s %12s %14s %14s %14s\n", "shards",
+              "completed", "attest/s", "p50 ms", "p99 ms", "p999 ms",
+              "client ms/att", "shards ms/att", "ceiling/s");
   double rate1 = 0.0;
-  double rate4 = 0.0;
+  ShardPoint point4;
   for (const std::size_t shards :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     const ShardPoint point = run_shard_point(shards, kMembers, cache_dir);
-    std::printf("%8zu %12zu %14.1f %12.3f %12.3f %12.3f\n", point.shards,
-                point.completed, point.rate, point.p50_ms, point.p99_ms,
-                point.p999_ms);
+    std::printf("%8zu %12zu %14.1f %12.3f %12.3f %12.3f %14.4f %14.4f %14.1f\n",
+                point.shards, point.completed, point.rate, point.p50_ms,
+                point.p99_ms, point.p999_ms, point.client_cpu_s * 1e3,
+                point.shard_cpu_s * 1e3, point.ceiling(cores));
     if (!point.all_completed) {
       std::fprintf(stderr,
                    "shard sweep: a %zu-member load did not complete at %zu "
@@ -478,18 +543,40 @@ int main() {
       gates_ok = false;
     }
     if (shards == 1) rate1 = point.rate;
-    if (shards == 4) rate4 = point.rate;
+    if (shards == 4) point4 = point;
     const std::string tag = "shard/" + std::to_string(shards) + "shards";
     records.push_back({tag, "attestations_per_s", point.rate, "1/s"});
     records.push_back({tag, "session_p50", point.p50_ms, "ms"});
     records.push_back({tag, "session_p99", point.p99_ms, "ms"});
     records.push_back({tag, "session_p999", point.p999_ms, "ms"});
+    records.push_back(
+        {tag, "client_cpu_per_attest", point.client_cpu_s * 1e3, "ms"});
+    records.push_back(
+        {tag, "shard_cpu_per_attest", point.shard_cpu_s * 1e3, "ms"});
+    records.push_back({tag, "cpu_ceiling", point.ceiling(cores), "1/s"});
   }
-  const unsigned cores = std::thread::hardware_concurrency();
-  const double speedup = rate1 > 0 ? rate4 / rate1 : 0.0;
+  const double speedup = rate1 > 0 ? point4.rate / rate1 : 0.0;
+  const double ceiling4 = point4.ceiling(cores);
+  const double ceiling_4v1 = rate1 > 0 ? ceiling4 / rate1 : 0.0;
   records.push_back({"shard/scaling", "speedup_4v1", speedup, "x"});
+  records.push_back({"shard/scaling", "ceiling_4v1", ceiling_4v1, "x"});
   records.push_back(
       {"shard/scaling", "host_cores", static_cast<double>(cores), "cores"});
+  // The client drives every connection from one thread, so it alone caps
+  // the rate at 1 / c whatever the cores allow.
+  const double client_cap =
+      point4.client_cpu_s > 0 ? 1.0 / point4.client_cpu_s : 0.0;
+  records.push_back({"shard/scaling", "client_thread_cap", client_cap, "1/s"});
+  std::printf(
+      "scaling            : 4 shards = %.2fx of 1 shard; at 4 shards the "
+      "client costs %.4f ms and the shards %.4f ms of CPU per attestation, "
+      "so %u cores allow at most %.1f att/s (%.2fx of 1 shard; %s) and the "
+      "client's one thread at most %.1f att/s\n",
+      speedup, point4.client_cpu_s * 1e3, point4.shard_cpu_s * 1e3, cores,
+      ceiling4, ceiling_4v1,
+      point4.client_cpu_s > point4.shard_cpu_s ? "the client costs more"
+                                               : "the shards cost more",
+      client_cap);
   if (cores >= 4) {
     if (speedup < 2.0) {
       std::fprintf(stderr,

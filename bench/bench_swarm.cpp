@@ -213,8 +213,6 @@ void wallclock_sweep_and_emit(std::vector<benchutil::BenchRecord> records) {
            static_cast<double>(serial.golden_model_bytes), "B"},
           {"bench_swarm", "unshared_golden_model_bytes_16",
            static_cast<double>(serial.unshared_golden_model_bytes), "B"},
-          {"bench_swarm", "retained_readback_bytes_16",
-           static_cast<double>(serial.retained_readback_bytes), "B"},
           {"bench_swarm", "lossy_attested_8",
            static_cast<double>(lossy_report.attested), "sessions"},
           {"bench_swarm", "lossy_healed_8",

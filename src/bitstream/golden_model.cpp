@@ -209,13 +209,15 @@ struct Writer {
 }  // namespace
 
 /// Shared decoder for load() and load_mapped(): one bounds-checked pass over
-/// an in-memory buffer (whole-file read or mmap). Every read is validated
-/// against the remaining byte count, so a truncated file fails cleanly at
-/// whatever section the cut landed in, and a final exact-length check
-/// rejects garbage-tailed files — the corruption-matrix tests exercise both.
+/// the file, read from a mapping (`data`) or straight from the stream
+/// (`file`). Every read is validated against the remaining byte count, so a
+/// truncated file fails cleanly at whatever section the cut landed in, and
+/// a final exact-length check rejects garbage-tailed files — the
+/// corruption-matrix tests exercise both.
 struct ModelParser {
-  const std::uint8_t* data = nullptr;
-  std::size_t size = 0;
+  const std::uint8_t* data = nullptr;  // the mapped file, or null
+  std::istream* file = nullptr;        // the file to read, when not mapped
+  std::size_t size = 0;                // file length
   std::size_t pos = 0;
   bool ok = true;
   /// Sanity cap on string lengths and range counts: a corrupt length
@@ -228,10 +230,15 @@ struct ModelParser {
     return false;
   }
   void raw(void* out, std::size_t bytes) {
-    if (need(bytes)) {
+    if (!need(bytes)) return;
+    if (data != nullptr) {
       std::memcpy(out, data + pos, bytes);
-      pos += bytes;
+    } else if (!file->read(static_cast<char*>(out),
+                           static_cast<std::streamsize>(bytes))) {
+      ok = false;
+      return;
     }
+    pos += bytes;
   }
   std::uint32_t u32() {
     std::uint32_t v = 0;
@@ -249,9 +256,8 @@ struct ModelParser {
       ok = false;
       return {};
     }
-    std::string s(reinterpret_cast<const char*>(data + pos),
-                  static_cast<std::size_t>(n));
-    pos += static_cast<std::size_t>(n);
+    std::string s(static_cast<std::size_t>(n), '\0');
+    raw(s.data(), s.size());
     return s;
   }
   DesignSpec spec() {
@@ -261,15 +267,13 @@ struct ModelParser {
     return s;
   }
   void align() {
-    const std::size_t target = (pos + (kTableAlign - 1)) & ~(kTableAlign - 1);
-    if (!ok || target > size) {
-      ok = false;
-      return;
-    }
-    pos = target;
+    char pad[kTableAlign];
+    raw(pad, ((pos + (kTableAlign - 1)) & ~(kTableAlign - 1)) - pos);
   }
-  /// Length-checked table; returns a borrowed pointer into the buffer.
-  const std::uint32_t* table(std::uint64_t expect_words) {
+  /// Length-checked table. A mapped table is borrowed: the pointer is into
+  /// the mapping. Otherwise the words are read straight into `heap`.
+  const std::uint32_t* table(std::uint64_t expect_words,
+                             std::vector<std::uint32_t>& heap) {
     const std::uint64_t n = u64();
     if (!ok || n != expect_words) {
       ok = false;
@@ -279,49 +283,52 @@ struct ModelParser {
     const std::size_t bytes =
         static_cast<std::size_t>(n) * sizeof(std::uint32_t);
     if (!need(bytes)) return nullptr;
-    const auto* p = reinterpret_cast<const std::uint32_t*>(data + pos);
-    pos += bytes;
-    return p;
+    if (data != nullptr) {
+      const auto* p = reinterpret_cast<const std::uint32_t*>(data + pos);
+      pos += bytes;
+      return p;
+    }
+    heap.resize(static_cast<std::size_t>(n));
+    raw(heap.data(), bytes);
+    return ok ? heap.data() : nullptr;
   }
 
-  /// Full-file decode + validation. `borrow` keeps the tables as
-  /// pointers into `data` (the caller must keep the buffer alive — the mmap
-  /// path); otherwise they are copied onto the heap. Returns nullptr on any
-  /// truncation, trailing garbage, or identity/geometry mismatch.
-  static std::shared_ptr<GoldenModel> parse(
-      const std::uint8_t* data, std::size_t size, const fabric::Floorplan& plan,
-      const DesignSpec& static_spec, const DesignSpec& app_spec, bool borrow) {
-    ModelParser p{data, size};
+  /// Full-file decode + validation. Returns nullptr on any truncation,
+  /// trailing garbage, or identity/geometry mismatch. A mapped model's
+  /// tables point into `data`, which the caller must keep mapped.
+  std::shared_ptr<GoldenModel> parse(const fabric::Floorplan& plan,
+                                     const DesignSpec& static_spec,
+                                     const DesignSpec& app_spec) {
     char magic[sizeof(kMagic)] = {};
-    p.raw(magic, sizeof(magic));
-    if (!p.ok || !std::equal(std::begin(magic), std::end(magic), kMagic)) {
+    raw(magic, sizeof(magic));
+    if (!ok || !std::equal(std::begin(magic), std::end(magic), kMagic)) {
       return nullptr;
     }
-    if (p.u32() != kFormatVersion) return nullptr;
+    if (u32() != kFormatVersion) return nullptr;
     // The identity digest seals device, partition layout and specs: a stale
     // file for a different fleet configuration can never be mistaken for
     // this one.
-    if (p.str() != GoldenModel::cache_digest(plan, static_spec, app_spec)) {
+    if (str() != GoldenModel::cache_digest(plan, static_spec, app_spec)) {
       return nullptr;
     }
 
     std::shared_ptr<GoldenModel> model(new GoldenModel());
-    model->total_frames_ = p.u32();
-    model->words_per_frame_ = p.u32();
-    model->nonce_frame_ = p.u32();
-    model->app_frame_total_ = p.u32();
-    model->static_frames_ = p.u32();
-    model->static_spec_ = p.spec();
-    model->app_spec_ = p.spec();
-    const std::uint32_t ranges = p.u32();
-    if (ranges > kMaxWords) p.ok = false;
-    for (std::uint32_t i = 0; p.ok && i < ranges; ++i) {
+    model->total_frames_ = u32();
+    model->words_per_frame_ = u32();
+    model->nonce_frame_ = u32();
+    model->app_frame_total_ = u32();
+    model->static_frames_ = u32();
+    model->static_spec_ = spec();
+    model->app_spec_ = spec();
+    const std::uint32_t ranges = u32();
+    if (ranges > kMaxWords) ok = false;
+    for (std::uint32_t i = 0; ok && i < ranges; ++i) {
       fabric::FrameRange range;
-      range.first = p.u32();
-      range.count = p.u32();
+      range.first = u32();
+      range.count = u32();
       model->app_ranges_.push_back(range);
     }
-    if (!p.ok) return nullptr;
+    if (!ok) return nullptr;
 
     // Geometry sanity against the live floorplan before trusting the table
     // lengths (truncated or corrupted tables must not produce a
@@ -345,23 +352,13 @@ struct ModelParser {
     const std::uint64_t table_words =
         static_cast<std::uint64_t>(model->total_frames_) *
         model->words_per_frame_;
-    const std::uint32_t* golden = p.table(table_words);
-    const std::uint32_t* mask = p.table(table_words);
-    if (!p.ok) return nullptr;
+    model->golden_table_ = table(table_words, model->golden_);
+    model->mask_table_ = table(table_words, model->mask_);
+    if (!ok) return nullptr;
     // A well-formed file ends exactly at the second table: trailing bytes
     // mean the writer and this reader disagree about the format — reject
     // rather than silently ignoring them.
-    if (p.pos != p.size) return nullptr;
-
-    if (borrow) {
-      model->golden_table_ = golden;
-      model->mask_table_ = mask;
-    } else {
-      model->golden_.assign(golden, golden + table_words);
-      model->mask_.assign(mask, mask + table_words);
-      model->golden_table_ = model->golden_.data();
-      model->mask_table_ = model->mask_.data();
-    }
+    if (pos != size) return nullptr;
     return model;
   }
 };
@@ -458,19 +455,16 @@ bool GoldenModel::write_file(const std::string& path,
 std::shared_ptr<const GoldenModel> GoldenModel::load(
     const std::string& path, const fabric::Floorplan& plan,
     const DesignSpec& static_spec, const DesignSpec& app_spec) {
+  // The header is read field by field and each table straight into the
+  // model's vector, so the load never holds a second copy of the file.
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return nullptr;
   in.seekg(0, std::ios::end);
   const std::streamoff len = in.tellg();
   if (len <= 0) return nullptr;
   in.seekg(0);
-  std::vector<std::uint8_t> buf(static_cast<std::size_t>(len));
-  if (!in.read(reinterpret_cast<char*>(buf.data()),
-               static_cast<std::streamsize>(buf.size()))) {
-    return nullptr;
-  }
-  return ModelParser::parse(buf.data(), buf.size(), plan, static_spec,
-                            app_spec, /*borrow=*/false);
+  ModelParser parser{.file = &in, .size = static_cast<std::size_t>(len)};
+  return parser.parse(plan, static_spec, app_spec);
 }
 
 bool GoldenModel::mapping_supported() {
@@ -499,8 +493,9 @@ std::shared_ptr<const GoldenModel> GoldenModel::load_mapped(
   // Fault the tables in ahead of the verify hot loop instead of paying
   // one major fault per 4 KiB mid-session.
   (void)::madvise(base, len, MADV_WILLNEED);
-  auto model = ModelParser::parse(static_cast<const std::uint8_t*>(base), len,
-                                  plan, static_spec, app_spec, /*borrow=*/true);
+  ModelParser parser{.data = static_cast<const std::uint8_t*>(base),
+                     .size = len};
+  auto model = parser.parse(plan, static_spec, app_spec);
   if (model == nullptr) {
     ::munmap(base, len);
     return nullptr;

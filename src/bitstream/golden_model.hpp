@@ -73,7 +73,9 @@ class GoldenModel {
   bool save(const std::string& path, const fabric::Floorplan& plan) const;
 
   /// Deserialises a model previously save()d for the same (device, plan,
-  /// specs), copying both tables onto the heap. Validates magic, version,
+  /// specs), reading both tables straight into the model's heap storage
+  /// (no whole-file buffer, so a load holds little beyond the two tables).
+  /// Validates magic, version,
   /// identity digest and geometry, and rejects truncated or garbage-tailed
   /// files; returns nullptr on any mismatch or I/O/corruption error. A file
   /// of an older format version is a mismatch: shared_cached() rebuilds it.

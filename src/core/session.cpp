@@ -110,17 +110,15 @@ const char* VerifierSession::phase_at(std::size_t index) const {
   return nullptr;
 }
 
-Command VerifierSession::next_command() {
-  return verifier_.command(issued_++);
-}
-
 void VerifierSession::next_command(Command& out) {
   verifier_.command_into(issued_++, out);
 }
 
 std::optional<Bytes> VerifierSession::next_command_wire() {
   if (all_issued()) return std::nullopt;
-  return next_command().encode();
+  Command command;
+  next_command(command);
+  return command.encode();
 }
 
 void VerifierSession::on_response(std::optional<Response> response) {
@@ -449,8 +447,8 @@ AttestationReport SessionMachine::finish() {
         actions::kA10}) {
     report_.theoretical_time += report_.ledger.total(key);
   }
-  // Streaming mode did its masked compares during readback.absorb; this
-  // phase is where the retained oracle does all of its comparing.
+  // The masked compares ran during readback.absorb; this phase only
+  // assembles the verdict.
   begin_phase(VerifierSession::kVerdictPhase);
   VerifierSession::Report verdict = verifier_.finish();
   // The session span ends where its last phase does.
@@ -458,8 +456,6 @@ AttestationReport SessionMachine::finish() {
   report_.verdict = std::move(verdict.verdict);
   report_.failure = verdict.failure;
   report_.host_ns = verdict.host_ns;
-  report_.verifier_retained_bytes =
-      verifier_.verifier().retained_readback_bytes();
   report_.messages_lost = channel_.messages_lost();
   report_.channel_time = channel_.transfer_time();
   if (report_.failure != FailureKind::kNone && session_span_.has_value()) {

@@ -125,10 +125,6 @@ struct AttestationReport {
   bool deadline_hit = false;
   std::uint64_t bytes_to_prover = 0;
   std::uint64_t bytes_to_verifier = 0;
-  /// Readback bytes the verifier still buffers after finish(): the full
-  /// transcript in VerifyMode::kRetained, 0 in the streaming mode. The
-  /// fleet benches aggregate this per member.
-  std::uint64_t verifier_retained_bytes = 0;
   /// Simulated time delivered messages occupied the channel (both
   /// directions) — the share of total_time a blocking driver spends
   /// waiting on the wire, i.e. what the fleet engine overlaps.
@@ -174,7 +170,8 @@ class VerifierSession {
     std::uint64_t host_ns = 0;
   };
 
-  /// The phase finish() runs in: the masked compare and the verdict.
+  /// The phase finish() runs in: the verdict (the masked compares ran as
+  /// each readback absorbed).
   static constexpr const char* kVerdictPhase = "compare.verdict";
 
   /// Calls verifier.begin(). A schedule the wire cannot carry
@@ -208,11 +205,9 @@ class VerifierSession {
   /// n-1) readback, n-1 the MAC checksum.
   const char* phase_at(std::size_t index) const;
 
-  /// The next command of the schedule, as words. Precondition:
-  /// !all_issued().
-  Command next_command();
-  /// The same, built into `out` in its storage (SachaVerifier::
-  /// command_into), so a driver's command rounds do not allocate.
+  /// Builds the next command of the schedule into `out`, in its storage
+  /// (SachaVerifier::command_into), so a driver's command rounds do not
+  /// allocate. Precondition: !all_issued().
   void next_command(Command& out);
   /// The next command's wire encoding; nullopt once the schedule is
   /// exhausted.

@@ -231,8 +231,6 @@ SwarmReport attest_swarm(std::vector<SwarmMember>& fleet,
     if (distinct.insert(model.get()).second) {
       report.golden_model_bytes += model->footprint_bytes();
     }
-    report.retained_readback_bytes +=
-        member.verifier->retained_readback_bytes();
   }
   report.distinct_golden_models = distinct.size();
 

@@ -123,9 +123,6 @@ struct SwarmReport {
   std::size_t distinct_golden_models = 0;
   std::size_t golden_model_bytes = 0;           // sum over distinct models
   std::size_t unshared_golden_model_bytes = 0;  // sum over members
-  /// Readback bytes still buffered across all member verifiers after their
-  /// sessions (0 for streaming-mode fleets).
-  std::size_t retained_readback_bytes = 0;
 
   // Supervisor outcome. A healthy fleet has attested == members.size() and
   // zeros everywhere here; a converged faulty fleet has every member either

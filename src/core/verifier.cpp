@@ -131,16 +131,8 @@ void SachaVerifier::begin() {
   stream_cmac_.reset();
   streamed_mac_.reset();
   next_stream_step_ = 0;
-  pending_.clear();
-  step_done_.assign(steps_.size(), 0);
   covered_.assign(total, 0);
   mismatch_frame_.reset();
-  if (options_.mode == VerifyMode::kRetained) {
-    received_.assign(steps_.size(), std::nullopt);
-  } else {
-    received_.clear();
-    received_.shrink_to_fit();
-  }
   received_mac_.reset();
   protocol_error_.reset();
   protocol_failure_ = FailureKind::kNone;
@@ -300,8 +292,7 @@ void SachaVerifier::command_into(std::size_t index, Command& out) const {
   }
 }
 
-void SachaVerifier::absorb_in_order(std::size_t step,
-                                    std::span<const std::uint32_t> words) {
+void SachaVerifier::absorb(std::span<const std::uint32_t> words) {
   // Counters only on this path: it runs once per readback round (28k+ per
   // Virtex-6 session), so the per-event telemetry cost must stay at a
   // relaxed add behind the enable branch. Span-level timing lives one layer
@@ -311,16 +302,15 @@ void SachaVerifier::absorb_in_order(std::size_t step,
       registry.counter("sacha.verifier.frames_absorbed");
   static obs::Counter& words_absorbed =
       registry.counter("sacha.verifier.words_absorbed");
-  step_done_[step] = 1;
-  const auto [first, count] = steps_[step];
+  const auto [first, count] = steps_[next_stream_step_];
   frames_absorbed.add(count);
   words_absorbed.add(words.size());
   const std::uint32_t wpf = model_->words_per_frame();
   const std::uint32_t nonce_frame = model_->nonce_frame();
   for (std::uint32_t f = 0; f < count; ++f) {
     const std::uint32_t frame_index = first + f;
-    // The compare stops at the first mismatch in step order, matching the
-    // retained verdict's first-failure detail (the MAC still absorbs every
+    // The compare stops at the first mismatch in step order, so the
+    // verdict names the first failing frame (the MAC still absorbs every
     // step — it is defined over the whole transcript).
     if (mismatch_frame_.has_value()) break;
     const std::span<const std::uint32_t> frame_words =
@@ -345,25 +335,7 @@ void SachaVerifier::absorb_in_order(std::size_t step,
   }
   // MAC fold last (it is independent of the compare — disjoint state).
   stream_cmac_.update(words);
-}
-
-void SachaVerifier::absorb_response(std::size_t step,
-                                    std::vector<std::uint32_t>& words) {
-  if (step != next_stream_step_) {
-    static obs::Counter& parked = obs::MetricsRegistry::global().counter(
-        "sacha.verifier.out_of_order_parked");
-    parked.add(1);
-    pending_.emplace(step, std::move(words));
-    return;
-  }
-  absorb_in_order(step, words);
-  ++next_stream_step_;
-  while (!pending_.empty() && pending_.begin()->first == next_stream_step_) {
-    auto node = pending_.extract(pending_.begin());
-    absorb_in_order(next_stream_step_, node.mapped());
-    ++next_stream_step_;
-  }
-  if (next_stream_step_ == steps_.size()) {
+  if (++next_stream_step_ == steps_.size()) {
     streamed_mac_ = stream_cmac_.finalize();
   }
 }
@@ -387,6 +359,17 @@ Status SachaVerifier::on_response_in_place(std::size_t index,
   }
   if (index < configs + steps_.size()) {
     const std::size_t step = index - configs;
+    if (step > next_stream_step_) {
+      // Ahead of the chain, so never kept. Behind a failed step the verdict
+      // is already that failure: drop the response unread, with no detail
+      // formatted (the short status text fits std::string's inline buffer,
+      // so a session that loses a response does not allocate per step).
+      if (protocol_error_.has_value()) return Status::error("step dropped");
+      return fail(FailureKind::kDecodeError,
+                  "readback response at step " + std::to_string(step) +
+                      " arrived before step " +
+                      std::to_string(next_stream_step_));
+    }
     if (!response.has_value() || response->type != ResponseType::kFrameData) {
       return fail(!response.has_value() ? FailureKind::kTimeoutExhausted
                   : response->type == ResponseType::kError
@@ -401,17 +384,13 @@ Status SachaVerifier::on_response_in_place(std::size_t index,
                   "readback step " + std::to_string(step) +
                       " returned wrong word count");
     }
-    if (options_.mode == VerifyMode::kRetained) {
-      received_[step] = std::move(response->frame_words);
-      return Status();
-    }
-    // Streaming: a step can be absorbed into the running MAC exactly once.
-    if (step_done_[step] || (!pending_.empty() && pending_.count(step) != 0)) {
+    // A step can be absorbed into the running MAC exactly once.
+    if (step < next_stream_step_) {
       return fail(FailureKind::kDecodeError,
                   "duplicate readback response at step " +
                       std::to_string(step));
     }
-    absorb_response(step, response->frame_words);
+    absorb(response->frame_words);
     return Status();
   }
   if (!response.has_value() || response->type != ResponseType::kMacValue) {
@@ -438,30 +417,6 @@ bool SachaVerifier::verify_mac(ByteSpan data, const crypto::Mac& mac) const {
   return crypto::ct_equal(expected, mac);
 }
 
-std::optional<crypto::Mac> SachaVerifier::expected_mac() const {
-  if (options_.mode == VerifyMode::kStreaming) return streamed_mac_;
-  for (const auto& step_words : received_) {
-    if (!step_words.has_value()) return std::nullopt;
-  }
-  crypto::Cmac cmac(key_);
-  for (const auto& step_words : received_) {
-    Bytes bytes;
-    bytes.reserve(step_words->size() * 4);
-    for (std::uint32_t w : *step_words) put_u32be(bytes, w);
-    cmac.update(bytes);
-  }
-  return cmac.finalize();
-}
-
-std::size_t SachaVerifier::retained_readback_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& step_words : received_) {
-    if (step_words.has_value()) bytes += step_words->size() * 4;
-  }
-  for (const auto& [step, words] : pending_) bytes += words.size() * 4;
-  return bytes;
-}
-
 SachaVerifier::Verdict SachaVerifier::finish() const {
   Verdict verdict;
   if (protocol_error_.has_value()) {
@@ -478,75 +433,38 @@ SachaVerifier::Verdict SachaVerifier::finish() const {
     verdict.kind = FailureKind::kTimeoutExhausted;
     return verdict;
   }
-  const bool streaming = options_.mode == VerifyMode::kStreaming;
-  for (std::size_t s = 0; s < steps_.size(); ++s) {
-    const bool have = streaming ? step_done_[s] != 0 : received_[s].has_value();
-    if (!have) {
-      verdict.detail = "no data for readback step " + std::to_string(s);
-      verdict.kind = FailureKind::kTimeoutExhausted;
-      return verdict;
-    }
+  if (next_stream_step_ < steps_.size()) {
+    verdict.detail =
+        "no data for readback step " + std::to_string(next_stream_step_);
+    verdict.kind = FailureKind::kTimeoutExhausted;
+    return verdict;
   }
   verdict.protocol_ok = true;
 
   // H_Vrf = MAC_K(received configuration), in readback order.
-  const std::optional<crypto::Mac> expected = expected_mac();
-  verdict.mac_ok =
-      expected.has_value() && crypto::ct_equal(*expected, *received_mac_);
+  verdict.mac_ok = streamed_mac_.has_value() &&
+                   crypto::ct_equal(*streamed_mac_, *received_mac_);
   if (!verdict.mac_ok) {
     verdict.detail = "MAC mismatch: device does not hold the key or data was modified";
     verdict.kind = FailureKind::kMacMismatch;
   }
 
-  // B_Prv == B_Vrf under Msk, every frame covered. Streaming mode already
-  // did the masked compares and coverage marking on arrival; only the O(1)
-  // verdict assembly is left here.
+  // B_Prv == B_Vrf under Msk, every frame covered. The masked compares and
+  // the coverage marking happened on arrival; only the verdict is left.
   bool config_ok = true;
   std::string config_detail;
-  if (streaming) {
-    if (mismatch_frame_.has_value()) {
-      config_ok = false;
-      config_detail = "configuration mismatch at frame " +
-                      std::to_string(*mismatch_frame_);
-    } else {
-      // Coverage is required for every *scheduled* frame: the whole memory
-      // in a full or refresh session, only the sample in a probe session.
-      for (std::uint32_t f = 0; f < covered_.size(); ++f) {
-        if (scheduled_[f] && !covered_[f]) {
-          config_ok = false;
-          config_detail = "frame " + std::to_string(f) + " never read back";
-          break;
-        }
-      }
-    }
+  if (mismatch_frame_.has_value()) {
+    config_ok = false;
+    config_detail =
+        "configuration mismatch at frame " + std::to_string(*mismatch_frame_);
   } else {
-    const std::uint32_t wpf = plan_.device().geometry().words_per_frame();
-    std::vector<bool> covered(plan_.device().total_frames(), false);
-    for (std::size_t s = 0; s < steps_.size() && config_ok; ++s) {
-      const auto [first, count] = steps_[s];
-      for (std::uint32_t f = 0; f < count; ++f) {
-        const std::uint32_t frame_index = first + f;
-        bs::Frame received_frame(std::vector<std::uint32_t>(
-            received_[s]->begin() + static_cast<std::ptrdiff_t>(f) * wpf,
-            received_[s]->begin() + static_cast<std::ptrdiff_t>(f + 1) * wpf));
-        const bs::FrameMask msk =
-            bs::architectural_mask(plan_.device(), frame_index);
-        if (!bs::masked_equal(received_frame, golden_frame(frame_index), msk)) {
-          config_ok = false;
-          config_detail = "configuration mismatch at frame " +
-                          std::to_string(frame_index);
-          break;
-        }
-        covered[frame_index] = true;
-      }
-    }
-    if (config_ok) {
-      for (std::uint32_t f = 0; f < covered.size(); ++f) {
-        if (scheduled_[f] && !covered[f]) {
-          config_ok = false;
-          config_detail = "frame " + std::to_string(f) + " never read back";
-          break;
-        }
+    // Coverage is required for every *scheduled* frame: the whole memory in
+    // a full or refresh session, only the sample in a probe session.
+    for (std::uint32_t f = 0; f < covered_.size(); ++f) {
+      if (scheduled_[f] && !covered_[f]) {
+        config_ok = false;
+        config_detail = "frame " + std::to_string(f) + " never read back";
+        break;
       }
     }
   }

@@ -4,26 +4,23 @@
 // design + intended application + session nonce), the register-bit mask
 // Msk, the shared MAC key, and the protocol schedule (which frames to
 // configure, and the order — any permutation, §6.1 — in which to read the
-// configuration memory back). After the run it checks two things (Fig. 9):
+// configuration memory back). It checks two things (Fig. 9):
 //   1. MAC_K(received frames, in readback order) equals the device's MAC —
 //      the data came from the keyed device and was not modified in flight;
 //   2. Msk(received frames) equals Msk(golden frames) for every step, with
 //      every configuration frame covered — the device is configured exactly
 //      as intended, nonce included.
 //
-// Two execution modes produce bit-identical verdicts:
-//   - kStreaming (default): responses are folded into a running CMAC and
-//     masked-compared against the shared GoldenModel the moment they
-//     arrive; nothing is retained per step, so finish() is O(1) checks and
-//     a fleet of verifiers holds one golden image between them.
-//   - kRetained: the seed behaviour — buffer every response and do all the
-//     work in finish() (byte re-serialisation for the MAC, per-frame
-//     architectural_mask regeneration for the compare). Kept as the
-//     differential-testing oracle and the bench baseline.
+// One pass, in schedule order: each readback response is folded into a
+// running CMAC and masked-compared against the shared GoldenModel the
+// moment it arrives, and its words stay with the caller. No readback is
+// buffered, so finish() is O(1) checks and a fleet of verifiers holds one
+// golden image between them. The seed verifier, which buffered the
+// transcript and did all the work in finish(), lives on as the test-only
+// oracle in tests/reference_verifier.hpp.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -43,11 +40,6 @@ enum class ReadbackOrder : std::uint8_t {
   kSequentialFromZero,    // 0, 1, ..., N-1
   kSequentialFromOffset,  // i, i+1, ..., (i+N-1) % N  (the PoC's choice)
   kRandomPermutation,     // any permutation (§6.1 allows this)
-};
-
-enum class VerifyMode : std::uint8_t {
-  kStreaming,  // verify responses as they arrive, retain nothing
-  kRetained,   // buffer the transcript, verify in finish() (seed behaviour)
 };
 
 struct VerifierOptions {
@@ -78,7 +70,6 @@ struct VerifierOptions {
   /// probe pass as "no new evidence of staleness", nothing more). 1.0 keeps
   /// the full-memory refresh readback.
   double probe_coverage = 1.0;
-  VerifyMode mode = VerifyMode::kStreaming;
 };
 
 class SachaVerifier {
@@ -131,14 +122,16 @@ class SachaVerifier {
   void command_into(std::size_t index, Command& out) const;
 
   /// Feeds the response (or its absence, for fire-and-forget configuration
-  /// commands) of command `index` back to the verifier. Takes the response
-  /// by value: frame payloads are moved, never copied, into whatever
-  /// buffering the mode requires (none in streaming mode).
+  /// commands) of command `index` back to the verifier. Readback responses
+  /// absorb in schedule order:
+  ///   - the chain's next step is folded into the MAC and compared;
+  ///   - a step the chain has passed is a duplicate (kDecodeError);
+  ///   - a step ahead of the chain is never kept: behind a failed step it
+  ///     is dropped unread, since that failure is already the verdict;
+  ///     otherwise it arrived out of order (kDecodeError).
   Status on_response(std::size_t index, std::optional<Response> response);
   /// The same for a response the caller keeps: frame words absorb in place
-  /// and stay in `response`, so the caller can reuse their storage. Only
-  /// words the mode must keep (retained mode, or a step that arrives out of
-  /// order) are moved out of it.
+  /// and stay in `response`, so the caller can reuse their storage.
   Status on_response_in_place(std::size_t index,
                               std::optional<Response>& response);
 
@@ -209,18 +202,10 @@ class SachaVerifier {
   /// (constant-time). Used by protocol extensions that add readback phases.
   bool verify_mac(ByteSpan data, const crypto::Mac& mac) const;
 
-  /// H_Vrf: the MAC recomputed over the received readback transcript, or
-  /// nullopt while steps are missing. finish() compares this against the
+  /// H_Vrf: the MAC folded over the readback transcript, or nullopt until
+  /// every step has been absorbed. finish() compares this against the
   /// device's H_Prv; the signature extension signs/verifies it instead.
-  /// In streaming mode this is the incrementally folded MAC — no transcript
-  /// is retained or re-serialised.
-  std::optional<crypto::Mac> expected_mac() const;
-
-  /// Readback bytes currently buffered for verification: the full ~9.2 MB
-  /// (Virtex-6) transcript in retained mode, 0 in streaming mode once the
-  /// in-order absorb has drained (out-of-order arrivals buffer only the
-  /// gap). The fleet benches report this per member.
-  std::size_t retained_readback_bytes() const;
+  std::optional<crypto::Mac> expected_mac() const { return streamed_mac_; }
 
  private:
   std::size_t config_command_count() const;
@@ -245,12 +230,9 @@ class SachaVerifier {
   std::optional<std::string> check_message_sizes() const;
   /// Records a protocol failure; the first one recorded is the verdict's.
   Status fail(FailureKind kind, std::string message);
-  /// Streaming path: folds step `step`'s words into the running CMAC and
-  /// masked-compares them against the golden model in place. Out-of-order
-  /// arrivals are buffered (moved, not copied) until their turn so the MAC
-  /// sees readback order; in-order words are left where they are.
-  void absorb_response(std::size_t step, std::vector<std::uint32_t>& words);
-  void absorb_in_order(std::size_t step, std::span<const std::uint32_t> words);
+  /// Folds the chain's next step into the running CMAC and masked-compares
+  /// its frames against the golden model, reading `words` in place.
+  void absorb(std::span<const std::uint32_t> words);
 
   fabric::Floorplan plan_;
   bitstream::BitGen bitgen_;
@@ -287,23 +269,15 @@ class SachaVerifier {
   std::size_t config_commands_ = 0;
   std::uint32_t words_per_frame_ = 0;
 
-  // -- Streaming state (kStreaming) ----------------------------------------
+  // -- The readback chain ---------------------------------------------------
   crypto::Cmac stream_cmac_;
   std::optional<crypto::Mac> streamed_mac_;  // set once all absorbed
+  /// Steps [0, next_stream_step_) are absorbed; the next is the chain's.
   std::size_t next_stream_step_ = 0;
-  /// Out-of-order arrivals parked (moved) until the in-order absorb reaches
-  /// them. Empty for the session driver, which delivers in step order.
-  std::map<std::size_t, std::vector<std::uint32_t>> pending_;
-  std::vector<char> step_done_;
   std::vector<char> covered_;
-  /// First masked mismatch in step order (the compare stops there, matching
-  /// the retained verdict's first-failure detail).
+  /// First masked mismatch in step order (the compare stops there: the
+  /// verdict names the first failing frame).
   std::optional<std::uint32_t> mismatch_frame_;
-
-  // -- Retained state (kRetained, the seed behaviour) ----------------------
-  // Per-step received readback words (repeated frames may legitimately
-  // return different register bits, so data is kept per step, not per frame).
-  std::vector<std::optional<std::vector<std::uint32_t>>> received_;
 
   std::optional<crypto::Mac> received_mac_;
   /// The first protocol failure (detail and typed kind) of the session.

@@ -538,29 +538,24 @@ struct AttestServer::Impl {
     // the same construction the in-process oracle uses (provision.hpp).
     // With a model cache dir the golden model comes from the shared tiers
     // (intern -> .sgm disk cache, optionally mmap'd) instead of a rebuild.
-    if (!opts.model_cache_dir.empty()) {
-      bitstream::GoldenModel::CacheSource source =
-          bitstream::GoldenModel::CacheSource::kBuilt;
-      conn->verifier.emplace(verifier_for(
-          conn->hello,
-          ModelCacheConfig{opts.model_cache_dir, opts.model_map}, &source));
-      switch (source) {
-        case bitstream::GoldenModel::CacheSource::kInterned:
-          models_interned.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case bitstream::GoldenModel::CacheSource::kLoaded:
-          models_loaded.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case bitstream::GoldenModel::CacheSource::kMapped:
-          models_mapped.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case bitstream::GoldenModel::CacheSource::kBuilt:
-          models_built.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
-    } else {
-      conn->verifier.emplace(verifier_for(conn->hello));
-      models_built.fetch_add(1, std::memory_order_relaxed);
+    bitstream::GoldenModel::CacheSource source =
+        bitstream::GoldenModel::CacheSource::kBuilt;
+    conn->verifier.emplace(verifier_for(
+        conn->hello, ModelCacheConfig{opts.model_cache_dir, opts.model_map},
+        &source));
+    switch (source) {
+      case bitstream::GoldenModel::CacheSource::kInterned:
+        models_interned.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case bitstream::GoldenModel::CacheSource::kLoaded:
+        models_loaded.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case bitstream::GoldenModel::CacheSource::kMapped:
+        models_mapped.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case bitstream::GoldenModel::CacheSource::kBuilt:
+        models_built.fetch_add(1, std::memory_order_relaxed);
+        break;
     }
     provisioned_models.insert(conn->verifier->golden_model());
     conn->session.emplace(*conn->verifier);

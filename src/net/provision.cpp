@@ -56,19 +56,14 @@ HelloMsg member_hello(const FleetSpec& spec, std::size_t index) {
   return hello;
 }
 
-core::SachaVerifier verifier_for(const HelloMsg& hello) {
-  return member_env(hello.scale, hello.base_seed + hello.member_index)
-      .make_verifier();
-}
-
 core::SachaVerifier verifier_for(const HelloMsg& hello,
                                  const ModelCacheConfig& cache,
                                  bitstream::GoldenModel::CacheSource* source) {
   const attacks::AttackEnv env =
       member_env(hello.scale, hello.base_seed + hello.member_index);
   if (cache.cache_dir.empty()) {
-    // No disk tier requested: the plain construction (which itself interns
-    // via GoldenModel::shared inside SachaVerifier's model path).
+    // No disk tier: the plain construction, which interns the model through
+    // GoldenModel::shared.
     if (source != nullptr) {
       *source = bitstream::GoldenModel::CacheSource::kBuilt;
     }

@@ -54,10 +54,6 @@ attacks::AttackEnv member_env(DeviceScale scale, std::uint64_t env_seed);
 /// The HELLO frame the client opens member `index`'s session with.
 HelloMsg member_hello(const FleetSpec& spec, std::size_t index);
 
-/// Server side: the verifier a HELLO provisions. Identical to
-/// member_env(scale, base_seed + index).make_verifier().
-core::SachaVerifier verifier_for(const HelloMsg& hello);
-
 /// Golden-model cache policy for verifier provisioning.
 struct ModelCacheConfig {
   /// Directory of the `.sgm` warm-start cache; empty disables the disk
@@ -68,13 +64,16 @@ struct ModelCacheConfig {
   bool prefer_mapped = false;
 };
 
-/// verifier_for with the golden model provisioned through
-/// GoldenModel::shared_cached (process intern -> disk cache -> build) —
-/// same construction, same bit-identical verdicts, but the ~MB flat
-/// tables come from the shared tiers instead of a per-verifier build.
+/// Server side: the verifier a HELLO provisions, identical to
+/// member_env(scale, base_seed + index).make_verifier(). Without a cache
+/// dir the golden model is interned in process (GoldenModel::shared) and
+/// `source` reads kBuilt; with one it comes through
+/// GoldenModel::shared_cached (process intern -> disk cache -> build), so
+/// the ~MB flat tables come from the shared tiers instead of a
+/// per-verifier build — same construction, same bit-identical verdicts.
 /// `source` (optional) reports which tier hit.
 core::SachaVerifier verifier_for(
-    const HelloMsg& hello, const ModelCacheConfig& cache,
+    const HelloMsg& hello, const ModelCacheConfig& cache = {},
     bitstream::GoldenModel::CacheSource* source = nullptr);
 
 /// Client side: the booted prover for the same HELLO.

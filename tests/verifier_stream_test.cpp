@@ -1,12 +1,15 @@
-// Streaming verifier + shared GoldenModel: equivalence against the retained
-// (seed) verifier across the attack library, golden-table regressions, model
-// sharing semantics, and the zero-retention memory contract.
+// Streaming verifier + shared GoldenModel: the production verifier held to
+// the test-only reference (the seed verifier, tests/reference_verifier.hpp)
+// on captured transcripts, the attack library's pinned verdicts, the
+// schedule-order absorb rule, golden-table regressions, model sharing
+// semantics, and the on-disk model cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -23,6 +26,7 @@
 #include "bitstream/golden_model.hpp"
 #include "core/swarm.hpp"
 #include "crypto/sha256.hpp"
+#include "reference_verifier.hpp"
 
 namespace sacha {
 namespace {
@@ -43,13 +47,6 @@ std::string private_temp(const std::string& stem,
   name += "_" + std::to_string(::getpid());
 #endif
   return ::testing::TempDir() + stem + "_" + name + suffix;
-}
-
-attacks::AttackEnv env_with_mode(core::VerifyMode mode,
-                                 std::uint64_t seed = 77) {
-  attacks::AttackEnv env = attacks::AttackEnv::small(seed);
-  env.verifier_options.mode = mode;
-  return env;
 }
 
 // ---- GoldenModel table regressions --------------------------------------
@@ -603,195 +600,354 @@ TEST(GoldenModelCache, WarmStartedVerifierAttests) {
   std::filesystem::remove_all(dir);
 }
 
-// ---- Streaming == retained, across the attack library -------------------
+// ---- Streaming == retained (the reference verifier) ---------------------
 
-/// Every scenario in the §7.2 suite must produce the identical outcome,
-/// verdict flags, and detail string under both verifier modes.
-TEST(StreamingVerifier, AttackLibraryVerdictsBitIdenticalToRetained) {
-  for (const auto& attack : attacks::standard_suite()) {
-    const attacks::AttackOutcome streamed =
-        attack->run(env_with_mode(core::VerifyMode::kStreaming));
-    const attacks::AttackOutcome retained =
-        attack->run(env_with_mode(core::VerifyMode::kRetained));
-    EXPECT_EQ(streamed.result, retained.result) << attack->name();
-    EXPECT_EQ(streamed.verdict.protocol_ok, retained.verdict.protocol_ok)
-        << attack->name();
-    EXPECT_EQ(streamed.verdict.mac_ok, retained.verdict.mac_ok)
-        << attack->name();
-    EXPECT_EQ(streamed.verdict.config_ok, retained.verdict.config_ok)
-        << attack->name();
-    EXPECT_EQ(streamed.verdict.detail, retained.verdict.detail)
-        << attack->name();
-    EXPECT_EQ(streamed.evidence, retained.evidence) << attack->name();
+/// One session's responses, one per command of the schedule the verifier
+/// froze at begin(). A test-only driver captures them: each command goes
+/// through the prover half's boundary rule (ProverSession::note_command)
+/// and SachaProver::handle, with no channel in between.
+using Transcript = std::vector<std::optional<core::Response>>;
+
+/// Rewrites the captured response of command `index` (drop it, forge it).
+using TranscriptEdit =
+    std::function<void(std::size_t, std::optional<core::Response>&)>;
+
+Transcript capture_transcript(
+    const core::SachaVerifier& verifier, core::SachaProver& prover,
+    const core::SessionOptions& options,
+    std::function<void(core::SachaProver&)> after_config = nullptr,
+    const TranscriptEdit& edit = nullptr) {
+  core::ProverSession prover_half(prover, std::move(after_config),
+                                  options.seed,
+                                  options.register_flip_probability);
+  Transcript transcript(verifier.command_count());
+  for (std::size_t i = 0; i < transcript.size(); ++i) {
+    const core::Command command = verifier.command(i);
+    prover_half.note_command(command.type);
+    transcript[i] = prover.handle(command).response;
+    if (edit) edit(i, transcript[i]);
+  }
+  return transcript;
+}
+
+struct Judged {
+  core::SachaVerifier::Verdict verdict;
+  std::optional<crypto::Mac> mac;  // H_Vrf after finish()
+};
+
+/// Feeds `transcript`, in command order, to the begun production verifier
+/// and to a reference verifier of the same schedule, and expects the two
+/// to agree on the verdict flags, kind, detail and H_Vrf. Returns the
+/// production verifier's judgement.
+Judged expect_matches_reference(core::SachaVerifier& verifier,
+                                const crypto::AesKey& key,
+                                const Transcript& transcript) {
+  testing::ReferenceVerifier reference(verifier, key);
+  for (std::size_t i = 0; i < transcript.size(); ++i) {
+    reference.on_response(i, transcript[i]);
+    (void)verifier.on_response(i, transcript[i]);
+  }
+  const core::SachaVerifier::Verdict want = reference.finish();
+  Judged got{verifier.finish(), verifier.expected_mac()};
+  EXPECT_EQ(got.verdict.protocol_ok, want.protocol_ok);
+  EXPECT_EQ(got.verdict.mac_ok, want.mac_ok);
+  EXPECT_EQ(got.verdict.config_ok, want.config_ok);
+  EXPECT_EQ(got.verdict.kind, want.kind);
+  EXPECT_EQ(got.verdict.detail, want.detail);
+  EXPECT_EQ(got.mac, reference.expected_mac());
+  return got;
+}
+
+/// Captures one session of a fresh verifier/prover pair of `env` and holds
+/// the production verifier to the reference on it.
+Judged run_against_reference(
+    const attacks::AttackEnv& env,
+    std::function<void(core::SachaProver&)> after_config = nullptr,
+    const TranscriptEdit& edit = nullptr, bool genuine_key = true) {
+  core::SachaVerifier verifier = env.make_verifier();
+  core::SachaProver prover = env.make_prover(genuine_key);
+  verifier.begin();
+  const Transcript transcript =
+      capture_transcript(verifier, prover, env.session_options,
+                         std::move(after_config), edit);
+  return expect_matches_reference(verifier, env.key, transcript);
+}
+
+/// Index of the first readback command of the verifier's frozen schedule.
+std::size_t first_readback(const core::SachaVerifier& verifier) {
+  return verifier.command_count() - 1 - verifier.readback_steps().size();
+}
+
+/// The verdict of every §7.2 attack on AttackEnv::small(77), pinned where
+/// the streaming and retained modes were asserted bit-identical on every
+/// field below.
+struct PinnedOutcome {
+  const char* name;
+  attacks::AttackResult result;
+  bool protocol_ok;
+  bool mac_ok;
+  bool config_ok;
+  const char* detail;
+  const char* evidence;
+};
+
+constexpr const char* kMacMismatch =
+    "MAC mismatch: device does not hold the key or data was modified";
+
+const PinnedOutcome kPinnedSuite[] = {
+    {"dynpart-tamper", attacks::AttackResult::kDetected, true, true, false,
+     "configuration mismatch at frame 5",
+     "masked compare caught the modified dynamic frame (configuration "
+     "mismatch at frame 5)"},
+    {"statpart-tamper", attacks::AttackResult::kDetected, true, true, false,
+     "configuration mismatch at frame 0",
+     "full-memory readback covers the static partition too (configuration "
+     "mismatch at frame 0)"},
+    {"impersonation", attacks::AttackResult::kDetected, true, false, true,
+     kMacMismatch,
+     "MAC keyed by the PUF-bound device key (MAC mismatch: device does not "
+     "hold the key or data was modified)"},
+    {"proxy-mac", attacks::AttackResult::kDetected, true, false, true,
+     kMacMismatch,
+     "proxy cannot produce MAC_K without the shared key (MAC mismatch: "
+     "device does not hold the key or data was modified)"},
+    {"replay", attacks::AttackResult::kDetected, true, true, false,
+     "configuration mismatch at frame 5",
+     "fresh nonce and fresh readback order invalidate the recorded "
+     "transcript (configuration mismatch at frame 5)"},
+    {"nonce-freeze", attacks::AttackResult::kDetected, true, true, false,
+     "configuration mismatch at frame 15",
+     "stale nonce frame fails the masked golden compare (configuration "
+     "mismatch at frame 15)"},
+    {"bram-staging", attacks::AttackResult::kPrevented, true, true, true,
+     "attested",
+     "stash destroyed: BRAM-content frames are overwritten and read back "
+     "like all configuration memory (toy device: capacity alone would have "
+     "allowed the stash)"},
+    {"hidden-module", attacks::AttackResult::kPrevented, true, true, true,
+     "attested",
+     "the full-DynMem overwrite erased the parked module; full readback "
+     "confirmed frame 14 now holds the intended application (first dyn "
+     "frame 4)"},
+    {"update-injection", attacks::AttackResult::kDetected, true, true, false,
+     "configuration mismatch at frame 6",
+     "readback reflects the injected content, golden compare rejects it "
+     "(configuration mismatch at frame 6)"},
+    {"external-tap", attacks::AttackResult::kDetected, true, true, false,
+     "configuration mismatch at frame 0",
+     "unexpected connections on pin(s): 2 (configuration mismatch at frame "
+     "0)"},
+};
+
+TEST(StreamingVerifier, AttackLibraryVerdictsMatchPinnedTable) {
+  const auto suite = attacks::standard_suite();
+  ASSERT_EQ(suite.size(), std::size(kPinnedSuite));
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const PinnedOutcome& want = kPinnedSuite[i];
+    const attacks::AttackOutcome got =
+        suite[i]->run(attacks::AttackEnv::small(77));
+    ASSERT_EQ(suite[i]->name(), want.name);
+    EXPECT_EQ(got.result, want.result) << want.name;
+    EXPECT_EQ(got.verdict.protocol_ok, want.protocol_ok) << want.name;
+    EXPECT_EQ(got.verdict.mac_ok, want.mac_ok) << want.name;
+    EXPECT_EQ(got.verdict.config_ok, want.config_ok) << want.name;
+    EXPECT_EQ(got.verdict.detail, want.detail) << want.name;
+    EXPECT_EQ(got.evidence, want.evidence) << want.name;
   }
 }
 
-/// One full session per mode with the same seeds: reports (times, byte
-/// counts, MACs) must agree field for field; only the retained buffer
-/// differs.
-void expect_reports_identical(const core::AttestationReport& streamed,
-                              const core::AttestationReport& retained) {
-  EXPECT_EQ(streamed.verdict.protocol_ok, retained.verdict.protocol_ok);
-  EXPECT_EQ(streamed.verdict.mac_ok, retained.verdict.mac_ok);
-  EXPECT_EQ(streamed.verdict.config_ok, retained.verdict.config_ok);
-  EXPECT_EQ(streamed.verdict.detail, retained.verdict.detail);
-  EXPECT_EQ(streamed.theoretical_time, retained.theoretical_time);
-  EXPECT_EQ(streamed.total_time, retained.total_time);
-  EXPECT_EQ(streamed.commands_sent, retained.commands_sent);
-  EXPECT_EQ(streamed.retransmissions, retained.retransmissions);
-  EXPECT_EQ(streamed.bytes_to_prover, retained.bytes_to_prover);
-  EXPECT_EQ(streamed.bytes_to_verifier, retained.bytes_to_verifier);
-}
-
-core::AttestationReport run_mode(core::VerifyMode mode,
-                                 const core::SessionOptions& session,
-                                 const core::SessionHooks& hooks = {},
-                                 std::uint64_t seed = 321) {
-  attacks::AttackEnv env = env_with_mode(mode, seed);
-  env.session_options = session;
-  core::SachaVerifier verifier = env.make_verifier();
-  core::SachaProver prover = env.make_prover();
-  return core::run_attestation(verifier, prover, env.session_options, hooks);
-}
-
 TEST(StreamingVerifier, HonestSessionMatchesRetained) {
-  const core::SessionOptions session;
-  const auto streamed = run_mode(core::VerifyMode::kStreaming, session);
-  const auto retained = run_mode(core::VerifyMode::kRetained, session);
-  ASSERT_TRUE(streamed.verdict.ok()) << streamed.verdict.detail;
-  expect_reports_identical(streamed, retained);
-  EXPECT_EQ(streamed.verifier_retained_bytes, 0u);
-  EXPECT_GT(retained.verifier_retained_bytes, 0u);
+  const Judged got = run_against_reference(attacks::AttackEnv::small(321));
+  EXPECT_TRUE(got.verdict.ok()) << got.verdict.detail;
+  EXPECT_TRUE(got.mac.has_value());
 }
 
 TEST(StreamingVerifier, LossyReliableRetransmitRunMatchesRetained) {
-  core::SessionOptions session;
+  // The channel never changes what the device reads back: a lossy reliable
+  // session's verdict and H_Vrf equal the reference's on the transcript
+  // captured without a channel.
+  const attacks::AttackEnv env = attacks::AttackEnv::small(321);
+  core::SachaVerifier reference_verifier = env.make_verifier();
+  core::SachaProver reference_prover = env.make_prover();
+  reference_verifier.begin();
+  const Transcript transcript = capture_transcript(
+      reference_verifier, reference_prover, env.session_options);
+  testing::ReferenceVerifier reference(reference_verifier, env.key);
+  for (std::size_t i = 0; i < transcript.size(); ++i) {
+    reference.on_response(i, transcript[i]);
+  }
+  const core::SachaVerifier::Verdict want = reference.finish();
+  ASSERT_TRUE(want.ok()) << want.detail;
+
+  core::SessionOptions session = env.session_options;
   session.reliable = true;
   session.channel.loss_probability = 0.08;
-  const auto streamed = run_mode(core::VerifyMode::kStreaming, session);
-  const auto retained = run_mode(core::VerifyMode::kRetained, session);
-  ASSERT_TRUE(streamed.verdict.ok()) << streamed.verdict.detail;
-  EXPECT_GT(streamed.retransmissions, 0u)
+  core::SachaVerifier verifier = env.make_verifier();
+  core::SachaProver prover = env.make_prover();
+  const core::AttestationReport report =
+      core::run_attestation(verifier, prover, session);
+  EXPECT_GT(report.retransmissions, 0u)
       << "lossy channel should force retransmissions";
-  expect_reports_identical(streamed, retained);
+  EXPECT_TRUE(report.verdict.ok()) << report.verdict.detail;
+  EXPECT_EQ(report.verdict.detail, want.detail);
+  EXPECT_EQ(verifier.expected_mac(), reference.expected_mac());
 }
 
 TEST(StreamingVerifier, DroppedReadbackResponseMatchesRetained) {
-  core::SessionHooks hooks;
-  int reply_count = 0;
-  hooks.on_response = [&reply_count](Bytes&) { return ++reply_count != 9; };
-  const core::SessionOptions session;
-  const auto streamed =
-      run_mode(core::VerifyMode::kStreaming, session, hooks);
-  reply_count = 0;
-  const auto retained =
-      run_mode(core::VerifyMode::kRetained, session, hooks);
-  EXPECT_FALSE(streamed.verdict.ok());
-  expect_reports_identical(streamed, retained);
+  int frame_data = 0;
+  const Judged got = run_against_reference(
+      attacks::AttackEnv::small(321), nullptr,
+      [&frame_data](std::size_t, std::optional<core::Response>& response) {
+        if (response.has_value() &&
+            response->type == core::ResponseType::kFrameData &&
+            frame_data++ == 3) {
+          response.reset();  // readback step 3 is lost
+        }
+      });
+  EXPECT_FALSE(got.verdict.ok());
+  EXPECT_EQ(got.verdict.kind, core::FailureKind::kTimeoutExhausted);
+  EXPECT_EQ(got.verdict.detail, "missing or bad readback response at step 3");
+  EXPECT_FALSE(got.mac.has_value());
 }
 
 TEST(StreamingVerifier, TamperWindowMatchesRetained) {
-  core::SessionHooks hooks;
-  hooks.after_config = [](core::SachaProver& p) {
-    bitstream::Frame f = p.memory().config_frame(6);
-    f.flip_bit(2);  // a configuration-visible bit flip after config phase
-    p.memory().write_frame(6, f);
-  };
-  const core::SessionOptions session;
-  const auto streamed = run_mode(core::VerifyMode::kStreaming, session, hooks);
-  const auto retained = run_mode(core::VerifyMode::kRetained, session, hooks);
-  expect_reports_identical(streamed, retained);
+  const Judged got = run_against_reference(
+      attacks::AttackEnv::small(321), [](core::SachaProver& p) {
+        bitstream::Frame f = p.memory().config_frame(6);
+        f.flip_bit(2);  // a configuration-visible bit flip after config phase
+        p.memory().write_frame(6, f);
+      });
+  EXPECT_FALSE(got.verdict.config_ok);
 }
 
 /// Single-event upsets on *register* (mask=0) bits must stay invisible to
-/// the masked compare while *configuration* bit flips are detected — in
-/// both modes, with identical details.
+/// the masked compare while *configuration* bit flips are detected, with
+/// the reference's details.
 TEST(StreamingVerifier, SeuOnRegisterBitIgnoredOnConfigBitDetected) {
   for (const bool flip_config_bit : {false, true}) {
-    core::SessionHooks hooks;
-    hooks.after_config = [flip_config_bit](core::SachaProver& p) {
-      const fabric::DeviceModel& device = p.memory().device();
-      const bs::FrameMask mask = bs::architectural_mask(device, 5);
-      // Find a bit of the wanted kind: config (mask=1) or register (mask=0).
-      for (std::uint32_t b = 0; b < mask.bit_count(); ++b) {
-        if (mask.get_bit(b) == flip_config_bit) {
-          bitstream::Frame f = p.memory().config_frame(5);
-          f.flip_bit(b);
-          p.memory().write_frame(5, f);
-          return;
-        }
-      }
-      FAIL() << "no bit of the requested kind in frame 5";
-    };
-    const core::SessionOptions session;
-    const auto streamed =
-        run_mode(core::VerifyMode::kStreaming, session, hooks);
-    const auto retained =
-        run_mode(core::VerifyMode::kRetained, session, hooks);
-    expect_reports_identical(streamed, retained);
+    const Judged got = run_against_reference(
+        attacks::AttackEnv::small(321),
+        [flip_config_bit](core::SachaProver& p) {
+          const fabric::DeviceModel& device = p.memory().device();
+          const bs::FrameMask mask = bs::architectural_mask(device, 5);
+          // Find a bit of the wanted kind: config (mask=1) or register
+          // (mask=0).
+          for (std::uint32_t b = 0; b < mask.bit_count(); ++b) {
+            if (mask.get_bit(b) == flip_config_bit) {
+              bitstream::Frame f = p.memory().config_frame(5);
+              f.flip_bit(b);
+              p.memory().write_frame(5, f);
+              return;
+            }
+          }
+          FAIL() << "no bit of the requested kind in frame 5";
+        });
     if (flip_config_bit) {
-      EXPECT_FALSE(streamed.verdict.config_ok);
+      EXPECT_FALSE(got.verdict.config_ok);
     } else {
       // A register-bit SEU changes the raw words (and thus the MAC input on
       // both sides consistently) but not the masked compare.
-      EXPECT_TRUE(streamed.verdict.ok()) << streamed.verdict.detail;
+      EXPECT_TRUE(got.verdict.ok()) << got.verdict.detail;
     }
   }
 }
 
-TEST(StreamingVerifier, RefreshSessionMatchesRetained) {
-  for (const core::VerifyMode mode :
-       {core::VerifyMode::kStreaming, core::VerifyMode::kRetained}) {
-    attacks::AttackEnv env = env_with_mode(mode);
-    core::SachaVerifier verifier = env.make_verifier();
-    core::SachaProver prover = env.make_prover();
-    const auto install = core::run_attestation(verifier, prover);
-    ASSERT_TRUE(install.verdict.ok()) << install.verdict.detail;
-    verifier.set_refresh_only(true);
-    const auto refresh = core::run_attestation(verifier, prover);
-    EXPECT_TRUE(refresh.verdict.ok()) << refresh.verdict.detail;
-    EXPECT_EQ(refresh.verifier_retained_bytes,
-              mode == core::VerifyMode::kStreaming
-                  ? 0u
-                  : install.verifier_retained_bytes);
-  }
+TEST(StreamingVerifier, ForgedMacMatchesRetained) {
+  const Judged got = run_against_reference(
+      attacks::AttackEnv::small(321), nullptr,
+      [](std::size_t, std::optional<core::Response>& response) {
+        if (response.has_value() &&
+            response->type == core::ResponseType::kMacValue) {
+          response->mac[0] ^= 0x01;
+        }
+      });
+  EXPECT_FALSE(got.verdict.mac_ok);
+  EXPECT_EQ(got.verdict.kind, core::FailureKind::kMacMismatch);
 }
 
-// ---- Streaming-specific mechanics ---------------------------------------
+TEST(StreamingVerifier, NonGenuineKeyMatchesRetained) {
+  const Judged got = run_against_reference(attacks::AttackEnv::small(321),
+                                           nullptr, nullptr,
+                                           /*genuine_key=*/false);
+  EXPECT_FALSE(got.verdict.mac_ok);
+  EXPECT_TRUE(got.verdict.config_ok);
+  EXPECT_EQ(got.verdict.detail, kMacMismatch);
+}
 
-/// The public on_response API does not require in-order delivery: the
-/// streaming absorb parks out-of-order steps and drains them so the MAC
-/// still sees readback order.
-TEST(StreamingVerifier, OutOfOrderResponsesAbsorbCorrectly) {
-  attacks::AttackEnv env = env_with_mode(core::VerifyMode::kStreaming);
+TEST(StreamingVerifier, RefreshSessionMatchesRetained) {
+  const attacks::AttackEnv env = attacks::AttackEnv::small(77);
+  core::SachaVerifier verifier = env.make_verifier();
+  core::SachaProver prover = env.make_prover();
+  const auto install = core::run_attestation(verifier, prover);
+  ASSERT_TRUE(install.verdict.ok()) << install.verdict.detail;
+  verifier.set_refresh_only(true);
+  verifier.begin();
+  const Transcript transcript =
+      capture_transcript(verifier, prover, env.session_options);
+  const Judged got = expect_matches_reference(verifier, env.key, transcript);
+  EXPECT_TRUE(got.verdict.ok()) << got.verdict.detail;
+}
+
+// ---- The schedule-order absorb rule --------------------------------------
+
+TEST(StreamingVerifier, ResponseAheadOfTheChainIsADecodeError) {
+  const attacks::AttackEnv env = attacks::AttackEnv::small(77);
   core::SachaVerifier verifier = env.make_verifier();
   core::SachaProver prover = env.make_prover();
   verifier.begin();
-
-  const std::size_t n = verifier.command_count();
-  std::vector<std::optional<core::Response>> responses(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    responses[i] = prover.handle(verifier.command(i)).response;
+  Transcript transcript =
+      capture_transcript(verifier, prover, env.session_options);
+  const std::size_t readback = first_readback(verifier);
+  for (std::size_t i = 0; i < readback; ++i) {
+    ASSERT_TRUE(verifier.on_response(i, std::move(transcript[i])).ok());
   }
-  // Feed readback responses in reverse order; configs first, MAC last.
-  const std::size_t readback_begin = n - 1 - verifier.readback_steps().size();
-  for (std::size_t i = 0; i < readback_begin; ++i) {
-    ASSERT_TRUE(verifier.on_response(i, std::move(responses[i])).ok());
+  // Step 1 before step 0: the chain is at step 0, so step 1 is never kept.
+  EXPECT_FALSE(
+      verifier.on_response(readback + 1, std::move(transcript[readback + 1]))
+          .ok());
+  for (std::size_t i = readback; i < transcript.size(); ++i) {
+    if (i != readback + 1) {
+      (void)verifier.on_response(i, std::move(transcript[i]));
+    }
   }
-  for (std::size_t i = n - 2; i >= readback_begin; --i) {
-    ASSERT_TRUE(verifier.on_response(i, std::move(responses[i])).ok());
-    if (i == readback_begin) break;
-  }
-  ASSERT_TRUE(verifier.on_response(n - 1, std::move(responses[n - 1])).ok());
-
   const auto verdict = verifier.finish();
-  EXPECT_TRUE(verdict.ok()) << verdict.detail;
-  EXPECT_EQ(verifier.retained_readback_bytes(), 0u)
-      << "pending buffer must fully drain";
+  EXPECT_FALSE(verdict.ok());
+  EXPECT_EQ(verdict.kind, core::FailureKind::kDecodeError);
+  EXPECT_EQ(verdict.detail,
+            "readback response at step 1 arrived before step 0");
+  EXPECT_FALSE(verifier.expected_mac().has_value());
+}
+
+TEST(StreamingVerifier, StepAfterAFailedStepIsDropped) {
+  const attacks::AttackEnv env = attacks::AttackEnv::small(77);
+  core::SachaVerifier verifier = env.make_verifier();
+  core::SachaProver prover = env.make_prover();
+  verifier.begin();
+  Transcript transcript =
+      capture_transcript(verifier, prover, env.session_options);
+  const std::size_t readback = first_readback(verifier);
+  const std::size_t mac = transcript.size() - 1;
+  for (std::size_t i = 0; i < readback; ++i) {
+    ASSERT_TRUE(verifier.on_response(i, std::move(transcript[i])).ok());
+  }
+  // Step 0 is lost. Every later step is ahead of the stalled chain and is
+  // dropped unread, even a malformed or repeated one.
+  EXPECT_FALSE(verifier.on_response(readback, std::nullopt).ok());
+  core::Response malformed{.type = core::ResponseType::kFrameData};
+  EXPECT_FALSE(verifier.on_response(readback + 2, malformed).ok());
+  for (std::size_t i = readback + 1; i < mac; ++i) {
+    EXPECT_FALSE(verifier.on_response(i, transcript[i]).ok()) << "index " << i;
+  }
+  EXPECT_FALSE(verifier.on_response(readback + 1, transcript[readback + 1]).ok());
+  ASSERT_TRUE(verifier.on_response(mac, std::move(transcript[mac])).ok());
+  const auto verdict = verifier.finish();
+  EXPECT_EQ(verdict.kind, core::FailureKind::kTimeoutExhausted);
+  EXPECT_EQ(verdict.detail, "missing or bad readback response at step 0");
+  EXPECT_FALSE(verifier.expected_mac().has_value());
 }
 
 TEST(StreamingVerifier, DuplicateReadbackResponseIsAProtocolError) {
-  attacks::AttackEnv env = env_with_mode(core::VerifyMode::kStreaming);
+  attacks::AttackEnv env = attacks::AttackEnv::small(77);
   core::SachaVerifier verifier = env.make_verifier();
   core::SachaProver prover = env.make_prover();
   verifier.begin();
@@ -830,8 +986,6 @@ TEST(SwarmGoldenModel, HomogeneousFleetSharesOneModel) {
       << "one device type must intern exactly one golden model";
   EXPECT_EQ(report.unshared_golden_model_bytes,
             kFleet * report.golden_model_bytes);
-  EXPECT_EQ(report.retained_readback_bytes, 0u)
-      << "streaming fleet retains no readback";
 }
 
 // ---- Batched readback (§6.1 buffer-size trade-off) -----------------------
@@ -841,13 +995,17 @@ struct BatchedRun {
   std::optional<crypto::Mac> mac;  // H_Vrf after finish()
 };
 
-BatchedRun run_batched(std::uint32_t per, core::VerifyMode mode,
-                       const core::SessionHooks& hooks = {},
-                       core::SessionOptions session = {}) {
+attacks::AttackEnv batched_env(std::uint32_t per) {
   attacks::AttackEnv env = attacks::AttackEnv::small(321);
   env.verifier_options.order = core::ReadbackOrder::kSequentialFromZero;
   env.verifier_options.frames_per_readback = per;
-  env.verifier_options.mode = mode;
+  return env;
+}
+
+BatchedRun run_batched(std::uint32_t per,
+                       const core::SessionHooks& hooks = {},
+                       core::SessionOptions session = {}) {
+  const attacks::AttackEnv env = batched_env(per);
   core::SachaVerifier verifier = env.make_verifier();
   core::SachaProver prover = env.make_prover();
   BatchedRun out;
@@ -860,12 +1018,12 @@ TEST(BatchedReadback, MacIsInvariantAcrossBatchWidths) {
   // The MAC absorbs raw frame words in readback order with no per-command
   // framing, so coalescing k frames per ICAP_readback must not change
   // H_Vrf (and the device's H_Prv, or mac_ok would flip).
-  const BatchedRun base = run_batched(1, core::VerifyMode::kStreaming);
+  const BatchedRun base = run_batched(1);
   ASSERT_TRUE(base.report.verdict.ok()) << base.report.verdict.detail;
   ASSERT_TRUE(base.mac.has_value());
   std::uint64_t prev_commands = base.report.commands_sent;
   for (const std::uint32_t per : {2u, 4u, 8u}) {
-    const BatchedRun batched = run_batched(per, core::VerifyMode::kStreaming);
+    const BatchedRun batched = run_batched(per);
     ASSERT_TRUE(batched.report.verdict.ok())
         << "per=" << per << ": " << batched.report.verdict.detail;
     ASSERT_TRUE(batched.mac.has_value()) << "per=" << per;
@@ -878,15 +1036,12 @@ TEST(BatchedReadback, MacIsInvariantAcrossBatchWidths) {
 }
 
 TEST(BatchedReadback, StreamingMatchesRetainedWhenBatched) {
-  const BatchedRun streaming = run_batched(4, core::VerifyMode::kStreaming);
-  const BatchedRun retained = run_batched(4, core::VerifyMode::kRetained);
-  ASSERT_TRUE(streaming.report.verdict.ok()) << streaming.report.verdict.detail;
-  ASSERT_TRUE(retained.report.verdict.ok()) << retained.report.verdict.detail;
-  ASSERT_TRUE(streaming.mac.has_value());
-  ASSERT_TRUE(retained.mac.has_value());
-  EXPECT_TRUE(*streaming.mac == *retained.mac);
-  EXPECT_EQ(streaming.report.verifier_retained_bytes, 0u);
-  EXPECT_GT(retained.report.verifier_retained_bytes, 0u);
+  const Judged got = run_against_reference(batched_env(4));
+  EXPECT_TRUE(got.verdict.ok()) << got.verdict.detail;
+  ASSERT_TRUE(got.mac.has_value());
+  const BatchedRun session = run_batched(4);
+  ASSERT_TRUE(session.mac.has_value());
+  EXPECT_TRUE(*got.mac == *session.mac);
 }
 
 TEST(BatchedReadback, TamperIsDetectedAtEveryBatchWidth) {
@@ -897,8 +1052,7 @@ TEST(BatchedReadback, TamperIsDetectedAtEveryBatchWidth) {
     prover.memory().write_frame(7, frame);
   };
   for (const std::uint32_t per : {1u, 2u, 4u, 8u}) {
-    const BatchedRun run =
-        run_batched(per, core::VerifyMode::kStreaming, hooks);
+    const BatchedRun run = run_batched(per, hooks);
     EXPECT_FALSE(run.report.verdict.ok())
         << "per=" << per << ": tampered frame slipped through a batch";
     EXPECT_FALSE(run.report.verdict.config_ok) << "per=" << per;
@@ -912,8 +1066,7 @@ TEST(BatchedReadback, LossyReliableChannelAttestsBatched) {
   session.reliable = true;
   session.max_retries = 16;
   session.retransmit_timeout = 50 * sim::kMicrosecond;
-  const BatchedRun run =
-      run_batched(4, core::VerifyMode::kStreaming, {}, session);
+  const BatchedRun run = run_batched(4, {}, session);
   EXPECT_TRUE(run.report.verdict.ok()) << run.report.verdict.detail;
   EXPECT_GT(run.report.messages_lost, 0u)
       << "20% loss over a full session should drop something";
