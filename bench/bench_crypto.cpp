@@ -9,13 +9,18 @@
 // The AES engine has three tiers (reference / T-table / AES-NI, see
 // crypto/aes.hpp); the tier sweep below is the crypto fast-path regression
 // gate: it prints bytes/sec per tier, checks the MACs are bit-identical,
-// and emits BENCH_crypto.json for trajectory tracking.
+// and emits BENCH_crypto.json for trajectory tracking. A paired row times a
+// session's two CMAC chains (H_Prv and H_Vrf) over the Virtex-6 per-frame
+// word stream, folded in one pass (Cmac::update_pair) against back to
+// back. The binary exits 1 when the tiers' MACs or the paired MACs differ.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "crypto/cmac.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/prg.hpp"
@@ -152,7 +157,65 @@ double measure_cmac_throughput(crypto::AesImpl impl, const Bytes& data,
   return best;
 }
 
-void tier_sweep_and_emit() {
+/// Best-of-3 seconds to fold a session's two chains over `words`, one
+/// 81-word frame per step, paired in one pass or back to back; `macs`
+/// receives both tags.
+double time_two_chains(bool paired, const std::vector<std::uint32_t>& words,
+                       std::array<crypto::Mac, 2>& macs) {
+  using clock = std::chrono::steady_clock;
+  constexpr std::size_t kFrameWords = 81;
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    crypto::Cmac prover(bench_key());
+    crypto::Cmac verifier(bench_key());
+    const auto t0 = clock::now();
+    for (std::size_t at = 0; at < words.size(); at += kFrameWords) {
+      const std::span<const std::uint32_t> frame(words.data() + at,
+                                                 kFrameWords);
+      if (paired) {
+        crypto::Cmac::update_pair(prover, frame, verifier, frame);
+      } else {
+        prover.update(frame);
+        verifier.update(frame);
+      }
+    }
+    macs = {prover.finalize(), verifier.finalize()};
+    const double secs = std::chrono::duration<double>(clock::now() - t0).count();
+    if (rep == 0 || secs < best) best = secs;
+  }
+  return best;
+}
+
+/// The paired row: returns whether paired and back-to-back tags agree.
+bool pair_row(std::vector<benchutil::BenchRecord>& records) {
+  benchutil::print_title("Two CMAC chains per session (Virtex-6 frame stream)");
+  std::vector<std::uint32_t> words(
+      static_cast<std::size_t>(fabric::kVirtex6TotalFrames) * 81);
+  Rng rng(9);
+  for (std::uint32_t& w : words) w = static_cast<std::uint32_t>(rng.next_u64());
+  std::array<crypto::Mac, 2> serial{};
+  std::array<crypto::Mac, 2> paired{};
+  const double serial_s = time_two_chains(false, words, serial);
+  const double paired_s = time_two_chains(true, words, paired);
+  const bool identical = serial == paired;
+  const double speedup = paired_s > 0 ? serial_s / paired_s : 0.0;
+  std::printf("tier %s: back to back %.2f ms, paired %.2f ms (%.2fx); "
+              "MACs %s\n",
+              crypto::to_string(crypto::Aes128::resolve(crypto::AesImpl::kAuto)),
+              serial_s * 1e3, paired_s * 1e3, speedup,
+              identical ? "bit-identical" : "MISMATCH — paired path broken");
+  records.push_back(
+      {"bench_crypto", "cmac_two_chains_ms", serial_s * 1e3, "ms"});
+  records.push_back({"bench_crypto", "cmac_pair_ms", paired_s * 1e3, "ms"});
+  records.push_back(
+      {"bench_crypto", "cmac_pair_speedup_vs_two_chains", speedup, "x"});
+  records.push_back({"bench_crypto", "cmac_pair_bit_identical",
+                     identical ? 1.0 : 0.0, "bool"});
+  return identical;
+}
+
+/// Returns whether every identity check held.
+bool tier_sweep_and_emit() {
   benchutil::print_title("AES-CMAC tier sweep (frame-stream workload)");
   // One full XC6VLX240T readback volume: 28,488 frames x 324 bytes.
   const Bytes stream(static_cast<std::size_t>(fabric::kVirtex6TotalFrames) * 324,
@@ -192,7 +255,9 @@ void tier_sweep_and_emit() {
   if (!crypto::Aes128::aesni_supported()) {
     std::printf("(AES-NI tier unavailable on this host; reported when present)\n");
   }
+  const bool pair_identical = pair_row(records);
   benchutil::write_bench_json("BENCH_crypto.json", records);
+  return macs_identical && pair_identical;
 }
 
 void print_context() {
@@ -208,8 +273,12 @@ void print_context() {
 
 int main(int argc, char** argv) {
   print_context();
-  tier_sweep_and_emit();
+  const bool identical = tier_sweep_and_emit();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
+  if (!identical) {
+    std::fprintf(stderr, "bench_crypto: MAC identity gate failed\n");
+    return 1;
+  }
   return 0;
 }

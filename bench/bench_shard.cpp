@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -68,11 +69,30 @@ double percentile(std::vector<double> values, double p) {
   return values[at];
 }
 
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/bench_shard_XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  return dir != nullptr ? std::string(dir) : std::string("/tmp");
-}
+/// The run's model-cache directory: a fresh mkdtemp directory, removed
+/// with its contents when main returns. When mkdtemp fails the run falls
+/// back to /tmp itself, which it never removes.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/bench_shard_XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    owned_ = dir != nullptr;
+    path_ = owned_ ? dir : "/tmp";
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (owned_) std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  bool owned_ = false;
+};
 
 net::LoadOptions fleet_load(std::uint16_t port, std::size_t members) {
   net::LoadOptions load;
@@ -517,7 +537,8 @@ bool run_rollup_gate(const std::string& cache_dir) {
 }  // namespace
 
 int main() {
-  const std::string cache_dir = make_temp_dir();
+  const TempDir temp_dir;
+  const std::string& cache_dir = temp_dir.path();
   std::vector<benchutil::BenchRecord> records;
   bool gates_ok = run_identity_gate(cache_dir);
 

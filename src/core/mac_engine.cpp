@@ -38,19 +38,17 @@ sim::SimDuration MacEngine::init() {
   return tx_clock_.cycles_to_time(timing_.init_cycles);
 }
 
-sim::SimDuration MacEngine::update(ByteSpan frame_bytes) {
-  assert(started_);
-  mac_updates().add(1);
-  mac_update_bytes().add(frame_bytes.size());
-  cmac_.update(frame_bytes);
-  return tx_clock_.cycles_to_time(timing_.update_cycles);
-}
-
-sim::SimDuration MacEngine::update(std::span<const std::uint32_t> frame_words) {
+sim::SimDuration MacEngine::update(std::span<const std::uint32_t> frame_words,
+                                   MacFold* slot) {
   assert(started_);
   mac_updates().add(1);
   mac_update_bytes().add(frame_words.size() * 4);
-  cmac_.update(frame_words);
+  if (slot != nullptr) {
+    assert(!slot->full());
+    *slot = {&cmac_, frame_words};
+  } else {
+    cmac_.update(frame_words);
+  }
   return tx_clock_.cycles_to_time(timing_.update_cycles);
 }
 

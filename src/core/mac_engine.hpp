@@ -19,6 +19,22 @@ struct MacTiming {
   std::uint32_t finalize_cycles = 17;  // A7: 136 ns
 };
 
+/// A readback's MAC fold that the device leaves to its driver: the
+/// prover's CMAC and the frame words it absorbs. The driver owns the slot,
+/// keeps the words alive, and runs the fold alone or paired with the
+/// verifier's of the same step (SachaVerifier::on_response_in_place).
+struct MacFold {
+  crypto::Cmac* cmac = nullptr;  // null: the slot is empty
+  std::span<const std::uint32_t> words;
+
+  bool full() const { return cmac != nullptr; }
+  /// Runs the fold on its own and empties the slot.
+  void run() {
+    cmac->update(words);
+    *this = {};
+  }
+};
+
 class MacEngine {
  public:
   explicit MacEngine(const crypto::AesKey& key, MacTiming timing = {});
@@ -28,15 +44,12 @@ class MacEngine {
   /// Starts a new MAC computation. Returns the init duration.
   sim::SimDuration init();
 
-  /// Folds one readback frame into the MAC. Returns the update duration.
-  sim::SimDuration update(ByteSpan frame_bytes);
-
-  /// Frame fast path: folds readback words (big-endian on the wire and in
-  /// the MAC, as everywhere in SACHa) without materialising a byte vector.
-  /// Delegates to the word-span CMAC, which absorbs whole blocks straight
-  /// from the word stream (the AES tier handles the big-endian mapping),
-  /// so the per-frame heap allocation and serialisation both disappear.
-  sim::SimDuration update(std::span<const std::uint32_t> frame_words);
+  /// Folds one readback frame's words (big-endian on the wire and in the
+  /// MAC, as everywhere in SACHa) into the MAC through the word-span CMAC,
+  /// or, given an empty `slot`, leaves the fold in it for the driver to
+  /// run. Either way the update is counted here; returns its duration.
+  sim::SimDuration update(std::span<const std::uint32_t> frame_words,
+                          MacFold* slot = nullptr);
 
   /// Completes the MAC. Returns the finalize duration via `duration`.
   crypto::Mac finalize(sim::SimDuration& duration);

@@ -120,19 +120,20 @@ bool SachaProver::drop_at_fault_gate() {
 }
 
 SachaProver::HandleResult SachaProver::handle_packet(
-    ByteSpan packet, std::vector<std::uint32_t> frame_buffer) {
+    ByteSpan packet, std::vector<std::uint32_t> frame_buffer, MacFold* fold) {
   // The gate stays ahead of the decode: a crashed device drops even an
   // undecodable packet.
   if (drop_at_fault_gate()) return HandleResult{.dropped = true};
   auto decoded = Command::decode(packet);
   if (!decoded.ok()) return error_result(ProverStatus::kBadCommand);
-  return stage_and_run(decoded.value(), std::move(frame_buffer));
+  return stage_and_run(decoded.value(), std::move(frame_buffer), fold);
 }
 
 SachaProver::HandleResult SachaProver::handle(
-    const Command& command, std::vector<std::uint32_t> frame_buffer) {
+    const Command& command, std::vector<std::uint32_t> frame_buffer,
+    MacFold* fold) {
   if (drop_at_fault_gate()) return HandleResult{.dropped = true};
-  return stage_and_run(command, std::move(frame_buffer));
+  return stage_and_run(command, std::move(frame_buffer), fold);
 }
 
 namespace {
@@ -153,7 +154,8 @@ std::span<const std::uint32_t> trim_noop_padding(
 }  // namespace
 
 SachaProver::HandleResult SachaProver::stage_and_run(
-    const Command& command, std::vector<std::uint32_t>&& frame_buffer) {
+    const Command& command, std::vector<std::uint32_t>&& frame_buffer,
+    MacFold* fold) {
   // The RX FSM strips NOOP padding and stages the effective command in the
   // BRAM buffer before the ICAP domain picks it up. The buffer is sized for
   // one frame's program; a command whose effective (non-NOOP) words do not
@@ -210,11 +212,11 @@ SachaProver::HandleResult SachaProver::stage_and_run(
         return result;
       }
       if (!mac_.busy()) result.mac_init_time = mac_.init();
-      // Frame fast path: MAC the readback words in place, then move them
-      // into the response — no copy between the ICAP output, the AES-CMAC
-      // engine and the TX buffer.
+      // Frame fast path: MAC the readback words in place (or leave that
+      // fold to the driver), then move their storage into the response —
+      // no copy between the ICAP output, the AES-CMAC engine and TX.
       result.mac_update_time =
-          mac_.update(std::span<const std::uint32_t>(frame_buffer));
+          mac_.update(std::span<const std::uint32_t>(frame_buffer), fold);
       result.response = Response{.type = ResponseType::kFrameData,
                                  .status = ProverStatus::kOk,
                                  .frame_words = std::move(frame_buffer)};

@@ -100,14 +100,19 @@ class SachaProver {
   /// into `frame_buffer`'s storage, which moves on into the response: a
   /// driver that hands back the previous response's words reads back
   /// without allocating.
+  /// A readback's MAC update runs at once, or, given an empty `fold`
+  /// slot, goes into it over the response's words: the driver keeps them
+  /// alive and runs the fold before the device handles another command.
   HandleResult handle(const Command& command,
-                      std::vector<std::uint32_t> frame_buffer = {});
+                      std::vector<std::uint32_t> frame_buffer = {},
+                      MacFold* fold = nullptr);
 
   /// Raw-packet entry point: the fault gate, then decode, then handle()'s
   /// staging bound and program. Undecodable packets produce an error
   /// response.
   HandleResult handle_packet(ByteSpan packet,
-                             std::vector<std::uint32_t> frame_buffer = {});
+                             std::vector<std::uint32_t> frame_buffer = {},
+                             MacFold* fold = nullptr);
 
   /// Rekeys the MAC engine (DynPart-PUF key rotation after the verifier
   /// ships a new PUF circuit; §5.2.1 option 2).
@@ -145,7 +150,8 @@ class SachaProver {
   bool drop_at_fault_gate();
   /// handle() after the fault gate.
   HandleResult stage_and_run(const Command& command,
-                             std::vector<std::uint32_t>&& frame_buffer);
+                             std::vector<std::uint32_t>&& frame_buffer,
+                             MacFold* fold);
   /// Power-cycle recovery: zero the volatile configuration memory, reload
   /// the BootMem image, reset the MAC engine.
   void reboot();

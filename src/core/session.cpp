@@ -125,7 +125,8 @@ void VerifierSession::on_response(std::optional<Response> response) {
   on_response_in_place(response);
 }
 
-void VerifierSession::on_response_in_place(std::optional<Response>& response) {
+void VerifierSession::on_response_in_place(std::optional<Response>& response,
+                                           MacFold* fold) {
   if (done()) return;
   // Verifier-side phases are measured between response deliveries.
   if (const char* phase = phase_at(delivered_)) timeline_.phase(phase);
@@ -136,7 +137,7 @@ void VerifierSession::on_response_in_place(std::optional<Response>& response) {
       note_failure(FailureKind::kDeviceError);
     }
   }
-  (void)verifier_.on_response_in_place(delivered_++, response);
+  (void)verifier_.on_response_in_place(delivered_++, response, fold);
 }
 
 void VerifierSession::on_retries_exhausted() {
@@ -276,9 +277,13 @@ SessionMachine::Round SessionMachine::step() {
   prover_.note_command(command.type);
 
   const RoundActions keys = actions_for(command.type);
+  // The device's answer, kept to the end of the round: a retransmission is
+  // answered from it, and the prover's MAC fold the device leaves in `fold`
+  // reads its words, so the fold runs before the answer goes.
+  std::optional<Response> answer;
+  MacFold fold;
   std::optional<Response> final_response;
   bool delivered_and_answered = false;
-  bool device_handled = false;  // dedup_ holds the device's answer
   const net::WireModel& wire = options_.channel.wire;
 
   const std::uint32_t attempts =
@@ -323,32 +328,27 @@ SessionMachine::Round SessionMachine::step() {
     report_.total_time += *uplink - wire_up;
 
     // Device side. Retransmitted commands the device already executed are
-    // answered from the response cache (sequence-number dedup in the RX
-    // FSM) so a lost *response* cannot double-step the MAC.
-    SachaProver::HandleResult result;
-    if (device_handled) {
-      if (dedup_has_response_) result.response = dedup_;
-    } else {
+    // answered from `answer` (sequence-number dedup in the RX FSM) so a
+    // lost *response* cannot double-step the MAC. Only reliable mode
+    // retransmits, and there every executed command has an answer.
+    if (!answer.has_value()) {
       // The prover reads back into the buffer the last response handed
       // back, so a round's frame data costs no allocation.
       SachaProver& device = prover_.device();
-      result = hooks_.on_command
-                   ? device.handle_packet(packet, std::move(frame_buffer_))
-                   : device.handle(command, std::move(frame_buffer_));
+      SachaProver::HandleResult result =
+          hooks_.on_command
+              ? device.handle_packet(packet, std::move(frame_buffer_), &fold)
+              : device.handle(command, std::move(frame_buffer_), &fold);
       if (result.dropped) {
         // Crashed or stalled device: the packet never reached the ICAP.
-        // No dedup-cache entry — a later retransmission must actually
+        // Nothing to answer from — a later retransmission must actually
         // execute the command once the device recovers.
         continue;
       }
-      device_handled = true;
-      // Only a later attempt reads the cache, so the last one (the only
-      // one in unreliable mode) skips the copy. The copy lands in dedup_'s
-      // own storage, reused across rounds.
-      if (attempt + 1 < attempts) {
-        dedup_has_response_ = result.response.has_value();
-        if (dedup_has_response_) dedup_ = *result.response;
-      }
+      answer = std::move(result.response);
+      // No response, but a synthetic ack in reliable mode, so the verifier
+      // can detect loss of fire-and-forget configuration commands.
+      if (!answer.has_value() && options_.reliable) answer = Response::ack();
       if (result.icap_time > 0 && keys.device.has_value()) {
         book(*keys.device, result.icap_time);
         report_.total_time += result.icap_time;
@@ -367,19 +367,16 @@ SessionMachine::Round SessionMachine::step() {
       }
     }
 
-    // Response path (or a synthetic ack in reliable mode so the verifier
-    // can detect loss of fire-and-forget configuration commands).
-    std::optional<Response> response = std::move(result.response);
-    if (!response.has_value() && options_.reliable) response = Response::ack();
-    if (!response.has_value()) {
+    // Response path.
+    if (!answer.has_value()) {
       final_response = std::nullopt;
       delivered_and_answered = true;
       break;
     }
     Bytes reply;
-    std::size_t reply_bytes = response->wire_payload_bytes();
+    std::size_t reply_bytes = answer->wire_payload_bytes();
     if (hooks_.on_response) {
-      reply = response->encode();
+      reply = answer->encode();
       if (!hooks_.on_response(reply)) {
         continue;  // response suppressed
       }
@@ -389,7 +386,7 @@ SessionMachine::Round SessionMachine::step() {
     const sim::SimDuration wire_down = wire.frame_time(reply_bytes);
     // Acks and errors go to the acknowledgement row, not a sendback row.
     const std::optional<Action> reply_key =
-        response->is_sendback() ? keys.reply : Action::kAck;
+        answer->is_sendback() ? keys.reply : Action::kAck;
     if (reply_key.has_value()) {
       book(*reply_key, wire_down);
       report_.total_time += wire_down;
@@ -400,13 +397,13 @@ SessionMachine::Round SessionMachine::step() {
     report_.total_time += *downlink - wire_down;
 
     if (!hooks_.on_response) {
-      final_response = std::move(response);
+      final_response = std::move(answer);  // its words stay where `fold` reads
     } else if (auto decoded = Response::decode(reply); decoded.ok()) {
       final_response = std::move(decoded).take();
     } else if (options_.reliable) {
       // Undecodable response: corruption the transport checksum would
       // have caught on a real link. Treat it exactly like loss and
-      // retransmit — the dedup cache answers, so the prover MAC cannot
+      // retransmit — `answer` answers, so the prover MAC cannot
       // double-step.
       continue;
     } else {
@@ -423,7 +420,7 @@ SessionMachine::Round SessionMachine::step() {
     if (final_response.has_value()) {
       out.verify_words = final_response->frame_words.size();
     }
-    verifier_.on_response_in_place(final_response);
+    verifier_.on_response_in_place(final_response, &fold);
     // Whatever frame storage the verifier left in place carries the next
     // readback.
     if (final_response.has_value()) {
@@ -436,6 +433,9 @@ SessionMachine::Round SessionMachine::step() {
     exhausted.add(1);
     verifier_.on_retries_exhausted();
   }
+  // A fold the verifier did not pair (no step absorbed this round) runs
+  // alone, while `answer` or frame_buffer_ still holds its words.
+  if (fold.full()) fold.run();
   out.elapsed = report_.total_time - elapsed_before;
   return out;
 }

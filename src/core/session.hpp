@@ -217,9 +217,11 @@ class VerifierSession {
   /// the command produced no response (fire-and-forget configuration).
   void on_response(std::optional<Response> response);
   /// The same for a response the caller keeps: its frame words absorb in
-  /// place and stay in `response` for reuse (SachaVerifier::
-  /// on_response_in_place). An ack is reset to nullopt.
-  void on_response_in_place(std::optional<Response>& response);
+  /// place and stay in `response` for reuse, paired with the device's fold
+  /// in a full `fold` slot (SachaVerifier::on_response_in_place). An ack is
+  /// reset to nullopt.
+  void on_response_in_place(std::optional<Response>& response,
+                            MacFold* fold = nullptr);
   /// Absorbs the next undelivered command as unanswered after the
   /// transport exhausted its retries: notes kTimeoutExhausted and absorbs
   /// a device error in the response's place.
@@ -336,11 +338,6 @@ class SessionMachine {
   /// the next frame into.
   Command command_;
   std::vector<std::uint32_t> frame_buffer_;
-  /// Reliable mode's dedup cache: a copy of the device's answer to the
-  /// current command, never sharing frame_buffer_'s storage. Its own
-  /// storage is reused from round to round.
-  Response dedup_;
-  bool dedup_has_response_ = false;
 };
 
 /// Runs one full attestation. The verifier's begin() is called internally.

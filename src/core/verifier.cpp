@@ -292,7 +292,8 @@ void SachaVerifier::command_into(std::size_t index, Command& out) const {
   }
 }
 
-void SachaVerifier::absorb(std::span<const std::uint32_t> words) {
+void SachaVerifier::absorb(std::span<const std::uint32_t> words,
+                           MacFold* fold) {
   // Counters only on this path: it runs once per readback round (28k+ per
   // Virtex-6 session), so the per-event telemetry cost must stay at a
   // relaxed add behind the enable branch. Span-level timing lives one layer
@@ -333,8 +334,14 @@ void SachaVerifier::absorb(std::span<const std::uint32_t> words) {
     }
     covered_[frame_index] = 1;
   }
-  // MAC fold last (it is independent of the compare — disjoint state).
-  stream_cmac_.update(words);
+  // MAC fold last (it is independent of the compare — disjoint state),
+  // with the device's fold of this step when its driver left it.
+  if (fold != nullptr && fold->full()) {
+    crypto::Cmac::update_pair(*fold->cmac, fold->words, stream_cmac_, words);
+    *fold = {};
+  } else {
+    stream_cmac_.update(words);
+  }
   if (++next_stream_step_ == steps_.size()) {
     streamed_mac_ = stream_cmac_.finalize();
   }
@@ -346,7 +353,8 @@ Status SachaVerifier::on_response(std::size_t index,
 }
 
 Status SachaVerifier::on_response_in_place(std::size_t index,
-                                           std::optional<Response>& response) {
+                                           std::optional<Response>& response,
+                                           MacFold* fold) {
   const std::size_t configs = config_commands_;
   if (index < configs) {
     // Fire-and-forget; an error response means the device rejected a write.
@@ -390,7 +398,7 @@ Status SachaVerifier::on_response_in_place(std::size_t index,
                   "duplicate readback response at step " +
                       std::to_string(step));
     }
-    absorb(response->frame_words);
+    absorb(response->frame_words, fold);
     return Status();
   }
   if (!response.has_value() || response->type != ResponseType::kMacValue) {

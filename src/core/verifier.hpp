@@ -30,6 +30,7 @@
 #include "bitstream/bitgen.hpp"
 #include "bitstream/golden_model.hpp"
 #include "core/failure.hpp"
+#include "core/mac_engine.hpp"
 #include "core/protocol.hpp"
 #include "crypto/prg.hpp"
 #include "fabric/partition.hpp"
@@ -131,9 +132,11 @@ class SachaVerifier {
   ///     otherwise it arrived out of order (kDecodeError).
   Status on_response(std::size_t index, std::optional<Response> response);
   /// The same for a response the caller keeps: frame words absorb in place
-  /// and stay in `response`, so the caller can reuse their storage.
+  /// and stay in `response`, so the caller can reuse their storage. A step
+  /// that absorbs runs a full `fold` (the device's) in the same pass.
   Status on_response_in_place(std::size_t index,
-                              std::optional<Response>& response);
+                              std::optional<Response>& response,
+                              MacFold* fold = nullptr);
 
   struct Verdict {
     bool protocol_ok = false;  // every step answered, no prover errors
@@ -230,9 +233,9 @@ class SachaVerifier {
   std::optional<std::string> check_message_sizes() const;
   /// Records a protocol failure; the first one recorded is the verdict's.
   Status fail(FailureKind kind, std::string message);
-  /// Folds the chain's next step into the running CMAC and masked-compares
-  /// its frames against the golden model, reading `words` in place.
-  void absorb(std::span<const std::uint32_t> words);
+  /// Folds the chain's next step into the running CMAC, with a full `fold`,
+  /// and masked-compares its frames against the golden model, in place.
+  void absorb(std::span<const std::uint32_t> words, MacFold* fold);
 
   fabric::Floorplan plan_;
   bitstream::BitGen bitgen_;

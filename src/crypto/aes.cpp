@@ -311,8 +311,9 @@ void Aes128::cbc_mac_absorb_words(AesBlock& state, const std::uint8_t* head,
                                   std::size_t nblocks) const {
   if (head == nullptr && nblocks == 0) return;
   if (impl_ == AesImpl::kAesni) {
-    detail::aesni_cbc_mac_words(round_keys_.data(), state.data(), head, words,
-                                nblocks);
+    const std::uint8_t* keys = round_keys_.data();
+    std::uint8_t* s = state.data();
+    detail::aesni_cbc_mac_words(1, &keys, &s, &head, &words, nblocks);
     return;
   }
   // The scalar tiers take a staged head block through the byte absorber.
@@ -346,6 +347,26 @@ void Aes128::cbc_mac_absorb_words(AesBlock& state, const std::uint8_t* head,
   store_be32(&state[4], c1);
   store_be32(&state[8], c2);
   store_be32(&state[12], c3);
+}
+
+void Aes128::cbc_mac_absorb_words2(const Aes128& a, AesBlock& state_a,
+                                   const std::uint8_t* head_a,
+                                   const std::uint32_t* words_a,
+                                   const Aes128& b, AesBlock& state_b,
+                                   const std::uint8_t* head_b,
+                                   const std::uint32_t* words_b,
+                                   std::size_t nblocks) {
+  assert((head_a == nullptr) == (head_b == nullptr));
+  if (a.impl_ == AesImpl::kAesni && b.impl_ == AesImpl::kAesni) {
+    const std::uint8_t* keys[2] = {a.round_keys_.data(), b.round_keys_.data()};
+    std::uint8_t* states[2] = {state_a.data(), state_b.data()};
+    const std::uint8_t* heads[2] = {head_a, head_b};
+    const std::uint32_t* words[2] = {words_a, words_b};
+    detail::aesni_cbc_mac_words(2, keys, states, heads, words, nblocks);
+    return;
+  }
+  a.cbc_mac_absorb_words(state_a, head_a, words_a, nblocks);
+  b.cbc_mac_absorb_words(state_b, head_b, words_b, nblocks);
 }
 
 AesKey to_aes_key(ByteSpan raw) {

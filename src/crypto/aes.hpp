@@ -14,8 +14,8 @@
 //     support at runtime.
 // kAuto resolves to the fastest tier the host supports. All tiers are
 // bit-identical; crypto_test cross-checks them on FIPS-197 vectors plus
-// 10k random blocks, and checks both CBC-MAC absorbers (bytes and words,
-// one chain per call) against block-wise encryption on every tier.
+// 10k random blocks, and checks the CBC-MAC absorbers (bytes, words, and
+// two word chains in one call) against block-wise encryption on every tier.
 #pragma once
 
 #include <array>
@@ -77,6 +77,19 @@ class Aes128 {
                             const std::uint32_t* words,
                             std::size_t nblocks) const;
 
+  /// a.cbc_mac_absorb_words(state_a, head_a, words_a, nblocks) and the
+  /// same on `b`, with a head block in both lanes or in neither. When both
+  /// engines are on the AES-NI tier the two chains interleave in one
+  /// kernel loop, where the second costs little more than the first; any
+  /// other pair runs back to back.
+  static void cbc_mac_absorb_words2(const Aes128& a, AesBlock& state_a,
+                                    const std::uint8_t* head_a,
+                                    const std::uint32_t* words_a,
+                                    const Aes128& b, AesBlock& state_b,
+                                    const std::uint8_t* head_b,
+                                    const std::uint32_t* words_b,
+                                    std::size_t nblocks);
+
   /// The tier actually executing (kAuto is resolved at construction).
   AesImpl impl() const { return impl_; }
 
@@ -107,9 +120,14 @@ namespace detail {
 void aesni_encrypt_block(const std::uint8_t* round_keys, std::uint8_t* block);
 void aesni_cbc_mac(const std::uint8_t* round_keys, std::uint8_t* state,
                    const std::uint8_t* data, std::size_t nblocks);
-void aesni_cbc_mac_words(const std::uint8_t* round_keys, std::uint8_t* state,
-                         const std::uint8_t* head, const std::uint32_t* words,
-                         std::size_t nblocks);
+/// `lanes` (1 or 2) word-stream chains interleaved: lane l absorbs head[l]
+/// (if any) and `nblocks` blocks of words[l], which it advances, into
+/// state[l].
+void aesni_cbc_mac_words(std::size_t lanes,
+                         const std::uint8_t* const* round_keys,
+                         std::uint8_t* const* state,
+                         const std::uint8_t* const* head,
+                         const std::uint32_t** words, std::size_t nblocks);
 
 }  // namespace detail
 

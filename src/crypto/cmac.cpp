@@ -21,6 +21,16 @@ AesBlock dbl(const AesBlock& in) {
   return out;
 }
 
+/// The whole blocks a word update reads straight from its span (the tier
+/// does the big-endian mapping) when `words` remain after the staged lead:
+/// all but the last, since finalize() needs at least one byte left staged.
+/// A full staged block rides ahead of them in the same kernel call: more
+/// words follow it, and finalize() only needs the last block kept.
+std::size_t bulk_blocks(std::size_t words) {
+  const std::size_t bytes = words * 4;
+  return bytes > kAesBlockSize ? (bytes - 1) / kAesBlockSize : 0;
+}
+
 }  // namespace
 
 Cmac::Cmac(const AesKey& key, AesImpl impl) : aes_(key, impl) {
@@ -100,30 +110,48 @@ void Cmac::update(std::span<const std::uint32_t> words) {
     return;
   }
 
+  const std::size_t pos = stage_lead(words);
+  if (pos == words.size()) return;  // all staged; finalize() drains it
+  const std::size_t nblocks = bulk_blocks(words.size() - pos);
+  aes_.cbc_mac_absorb_words(state_, head(), words.data() + pos, nblocks);
+  stage_tail(words.subspan(pos + 4 * nblocks));
+}
+
+void Cmac::update_pair(Cmac& a, std::span<const std::uint32_t> a_words,
+                       Cmac& b, std::span<const std::uint32_t> b_words) {
+  assert(&a != &b);
+  // Equal offsets and lengths give both chains the same staging steps and
+  // block count, so one kernel call can run both.
+  if (a.buffered_ != b.buffered_ || a_words.size() != b_words.size() ||
+      a_words.empty() || a.buffered_ % 4 != 0) {
+    a.update(a_words);
+    b.update(b_words);
+    return;
+  }
+  assert(!a.finalized_ && !b.finalized_);
+  const std::size_t pos = a.stage_lead(a_words);
+  b.stage_lead(b_words);
+  if (pos == a_words.size()) return;
+  const std::size_t nblocks = bulk_blocks(a_words.size() - pos);
+  Aes128::cbc_mac_absorb_words2(a.aes_, a.state_, a.head(),
+                                a_words.data() + pos, b.aes_, b.state_,
+                                b.head(), b_words.data() + pos, nblocks);
+  a.stage_tail(a_words.subspan(pos + 4 * nblocks));
+  b.stage_tail(b_words.subspan(pos + 4 * nblocks));
+}
+
+std::size_t Cmac::stage_lead(std::span<const std::uint32_t> words) {
   any_input_ = true;
   std::size_t pos = 0;
   while (buffered_ > 0 && buffered_ < kAesBlockSize && pos < words.size()) {
     stage_word(words[pos++]);
   }
-  if (pos == words.size()) return;  // all staged; finalize() drains it
+  return pos;
+}
 
-  // More words follow, so a full staged block may go now (finalize() only
-  // needs the last one kept). It rides ahead of the bulk blocks in the same
-  // kernel call: every whole block except the last comes straight from the
-  // word stream (the tier does the big-endian mapping itself — no byte
-  // serialization), and finalize() needs at least one byte left staged.
-  const std::uint8_t* head =
-      buffered_ == kAesBlockSize ? buffer_.data() : nullptr;
-  const std::size_t remaining_bytes = (words.size() - pos) * 4;
-  const std::size_t nblocks =
-      remaining_bytes > kAesBlockSize ? (remaining_bytes - 1) / kAesBlockSize
-                                      : 0;
-  if (head != nullptr || nblocks > 0) {
-    aes_.cbc_mac_absorb_words(state_, head, words.data() + pos, nblocks);
-  }
+void Cmac::stage_tail(std::span<const std::uint32_t> tail) {
   buffered_ = 0;
-  pos += nblocks * 4;
-  while (pos < words.size()) stage_word(words[pos++]);  // 1..4 tail words
+  for (const std::uint32_t w : tail) stage_word(w);
 }
 
 void Cmac::stage_word(std::uint32_t w) {

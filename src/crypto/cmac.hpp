@@ -7,10 +7,12 @@
 // Table 3. update() runs whole 16-byte blocks straight from the input span
 // through Aes128::cbc_mac_absorb — only a trailing partial (or the final
 // full) block is staged in the internal buffer, so the frame stream is
-// MACed at the selected AES tier's full throughput. One Cmac is one chain:
-// the prover and the verifier each fold a session's stream on the thread
-// that drives the session, so nothing here batches streams across
-// sessions.
+// MACed at the selected AES tier's full throughput. One Cmac is one chain.
+// A session's two chains, the prover's H_Prv and the verifier's H_Vrf,
+// absorb the same frames in lockstep; update_pair() folds one step of both
+// in one kernel pass, where the AES-NI tier interleaves them so the second
+// chain runs in the first one's latency shadow. Nothing here batches
+// streams across sessions.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +43,13 @@ class Cmac {
   /// MacEngine and the streaming verifier, once per readback frame.
   void update(std::span<const std::uint32_t> words);
 
+  /// Folds `a_words` into `a` and `b_words` into `b` in one kernel call;
+  /// bit-identical to `a.update(a_words); b.update(b_words);`, which is what
+  /// it runs when the two chains' staging offsets or the two lengths differ.
+  /// `a` and `b` are distinct objects; their keys and tiers may differ.
+  static void update_pair(Cmac& a, std::span<const std::uint32_t> a_words,
+                          Cmac& b, std::span<const std::uint32_t> b_words);
+
   /// Completes the tag; the object must be reset() before reuse.
   Mac finalize();
 
@@ -51,6 +60,15 @@ class Cmac {
   AesImpl impl() const { return aes_.impl(); }
 
  private:
+  /// A word update's first half, from a word boundary: stages words until
+  /// the buffer holds a full block, and returns how many it took.
+  std::size_t stage_lead(std::span<const std::uint32_t> words);
+  /// The staged block the kernel absorbs ahead of the span's, if full.
+  const std::uint8_t* head() const {
+    return buffered_ == kAesBlockSize ? buffer_.data() : nullptr;
+  }
+  /// Its second half, after the kernel: stages the tail words.
+  void stage_tail(std::span<const std::uint32_t> tail);
   /// Serialises one word big-endian into the staging buffer.
   void stage_word(std::uint32_t w);
 

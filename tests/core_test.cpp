@@ -116,10 +116,15 @@ TEST(Protocol, ResponseRejectsGarbage) {
 
 // --------------------------------------------------------------- MacEngine
 
+/// One readback frame's words (81, a Virtex-6 frame), all `fill`.
+std::vector<std::uint32_t> frame_words(std::uint32_t fill) {
+  return std::vector<std::uint32_t>(81, fill);
+}
+
 TEST(MacEngineTiming, MatchesTable3Rows) {
   MacEngine engine(test_key());
-  EXPECT_EQ(engine.init(), 120u);                 // A5
-  EXPECT_EQ(engine.update(Bytes(324, 1)), 128u);  // A6
+  EXPECT_EQ(engine.init(), 120u);                        // A5
+  EXPECT_EQ(engine.update(frame_words(0x01010101)), 128u);  // A6
   sim::SimDuration fin = 0;
   (void)engine.finalize(fin);
   EXPECT_EQ(fin, 136u);  // A7
@@ -127,21 +132,23 @@ TEST(MacEngineTiming, MatchesTable3Rows) {
 
 TEST(MacEngine, MatchesPlainCmac) {
   MacEngine engine(test_key());
-  const Bytes frame1(324, 0x11), frame2(324, 0x22);
+  const std::vector<std::uint32_t> frame1 = frame_words(0x11111111);
+  const std::vector<std::uint32_t> frame2 = frame_words(0x22222222);
   (void)engine.init();
   (void)engine.update(frame1);
   (void)engine.update(frame2);
   sim::SimDuration fin = 0;
   const crypto::Mac got = engine.finalize(fin);
 
+  // The same frames as the big-endian bytes they stand for.
   crypto::Cmac reference(test_key());
-  reference.update(frame1);
-  reference.update(frame2);
+  reference.update(Bytes(324, 0x11));
+  reference.update(Bytes(324, 0x22));
   EXPECT_EQ(got, reference.finalize());
 }
 
 TEST(MacEngine, RekeyChangesMac) {
-  const Bytes frame(324, 0x33);
+  const std::vector<std::uint32_t> frame = frame_words(0x33333333);
   MacEngine engine(test_key(0x01));
   (void)engine.init();
   (void)engine.update(frame);

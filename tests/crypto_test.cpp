@@ -194,6 +194,51 @@ TEST(Aes128Tiers, CbcMacAbsorbMatchesBlockwiseEncrypt) {
   }
 }
 
+TEST(Aes128Tiers, TwoLaneAbsorbMatchesTwoSingleLanes) {
+  // Two chains in one call, under different keys and from different
+  // states, equal the two single-lane absorbs on every tier, with and
+  // without a staged head block, for every block count 0..64.
+  Rng rng(778);
+  const AesKey key_a = to_aes_key(rng.bytes(kAesKeySize));
+  const AesKey key_b = to_aes_key(rng.bytes(kAesKeySize));
+  const auto random_block = [&rng] {
+    AesBlock block{};
+    const Bytes bytes = rng.bytes(kAesBlockSize);
+    std::copy(bytes.begin(), bytes.end(), block.begin());
+    return block;
+  };
+  for (AesImpl impl : all_tiers()) {
+    const Aes128 a(key_a, impl);
+    const Aes128 b(key_b, impl);
+    for (std::size_t nblocks = 0; nblocks <= 64; ++nblocks) {
+      std::vector<std::uint32_t> words_a(4 * nblocks);
+      std::vector<std::uint32_t> words_b(4 * nblocks);
+      for (std::uint32_t& w : words_a) w = static_cast<std::uint32_t>(rng.next_u64());
+      for (std::uint32_t& w : words_b) w = static_cast<std::uint32_t>(rng.next_u64());
+      const AesBlock head_a = random_block();
+      const AesBlock head_b = random_block();
+      const AesBlock start_a = random_block();
+      const AesBlock start_b = random_block();
+      for (const bool with_head : {false, true}) {
+        const std::uint8_t* ha = with_head ? head_a.data() : nullptr;
+        const std::uint8_t* hb = with_head ? head_b.data() : nullptr;
+        AesBlock want_a = start_a;
+        AesBlock want_b = start_b;
+        a.cbc_mac_absorb_words(want_a, ha, words_a.data(), nblocks);
+        b.cbc_mac_absorb_words(want_b, hb, words_b.data(), nblocks);
+        AesBlock got_a = start_a;
+        AesBlock got_b = start_b;
+        Aes128::cbc_mac_absorb_words2(a, got_a, ha, words_a.data(), b, got_b,
+                                      hb, words_b.data(), nblocks);
+        EXPECT_EQ(got_a, want_a) << to_string(impl) << " lane a nblocks="
+                                 << nblocks << " head=" << with_head;
+        EXPECT_EQ(got_b, want_b) << to_string(impl) << " lane b nblocks="
+                                 << nblocks << " head=" << with_head;
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- AES-CMAC
 
 const char* kRfc4493Key = "2b7e151628aed2a6abf7158809cf4f3c";
@@ -386,6 +431,58 @@ TEST(Cmac, MixedByteAndWordUpdates) {
     mixed.update(std::span<const std::uint32_t>(words));
     EXPECT_EQ(mixed.finalize(), Cmac::compute(key, full))
         << "prefix=" << prefix_len;
+  }
+}
+
+TEST(Cmac, UpdatePairMatchesTwoUpdates) {
+  // update_pair(a, x, b, y) == a.update(x); b.update(y), on every tier,
+  // over random chunkings of 81-word frames: from equal staging offsets
+  // (the paired kernel), from offsets one word apart, with lengths that
+  // differ by a word, from one or both chains a byte update left off a word
+  // boundary, and with empty spans.
+  Rng rng(43);
+  const AesKey key_a = to_aes_key(rng.bytes(kAesKeySize));
+  const AesKey key_b = to_aes_key(rng.bytes(kAesKeySize));
+  enum class Shape { kLockstep, kOffset, kUnequal, kOneOffWord, kBothOffWord };
+  for (AesImpl impl : all_tiers()) {
+    for (const Shape shape : {Shape::kLockstep, Shape::kOffset, Shape::kUnequal,
+                              Shape::kOneOffWord, Shape::kBothOffWord}) {
+      std::vector<std::uint32_t> words(6 * 81);
+      for (std::uint32_t& w : words) w = static_cast<std::uint32_t>(rng.next_u64());
+      Cmac pair_a(key_a, impl), pair_b(key_b, impl);
+      Cmac want_a(key_a, impl), want_b(key_b, impl);
+      if (shape == Shape::kOffset) {
+        pair_b.update(std::span<const std::uint32_t>(words).first(1));
+        want_b.update(std::span<const std::uint32_t>(words).first(1));
+      }
+      if (shape == Shape::kOneOffWord || shape == Shape::kBothOffWord) {
+        const Bytes odd = rng.bytes(3);
+        pair_a.update(odd);
+        want_a.update(odd);
+        if (shape == Shape::kBothOffWord) {
+          pair_b.update(odd);
+          want_b.update(odd);
+        }
+      }
+      std::size_t pos = 0;
+      while (pos < words.size()) {
+        // Chunks of 0..2 frames, often whole frames, sometimes ragged.
+        std::size_t chunk = rng.below(3) * 81;
+        if (rng.below(2) == 0) chunk += rng.below(81);
+        chunk = std::min(chunk, words.size() - pos);
+        const std::span<const std::uint32_t> x(words.data() + pos, chunk);
+        std::span<const std::uint32_t> y = x;
+        if (shape == Shape::kUnequal && chunk > 0) y = x.first(chunk - 1);
+        Cmac::update_pair(pair_a, x, pair_b, y);
+        want_a.update(x);
+        want_b.update(y);
+        pos += chunk;
+      }
+      EXPECT_EQ(pair_a.finalize(), want_a.finalize())
+          << to_string(impl) << " shape=" << static_cast<int>(shape);
+      EXPECT_EQ(pair_b.finalize(), want_b.finalize())
+          << to_string(impl) << " shape=" << static_cast<int>(shape);
+    }
   }
 }
 

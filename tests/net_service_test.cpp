@@ -104,6 +104,10 @@ enum class SessionFault {
 struct DriverCase {
   const char* name;
   SessionFault fault;
+  /// Arm the in-process session's on_response byte hook. Without it the
+  /// session carries words and folds the device's and the verifier's MAC
+  /// chains in one pass.
+  bool byte_hook = true;
 };
 
 void PrintTo(const DriverCase& c, std::ostream* os) { *os << c.name; }
@@ -140,7 +144,8 @@ class ResponseFault {
 struct DriverOutcome {
   core::SachaVerifier::Verdict verdict;
   core::FailureKind failure = core::FailureKind::kNone;
-  std::optional<crypto::Mac> expected_mac;
+  std::optional<crypto::Mac> expected_mac;  // H_Vrf
+  std::optional<crypto::Mac> device_mac;    // H_Prv
 };
 
 std::function<void(core::SachaProver&)> tamper_for(SessionFault fault) {
@@ -149,7 +154,8 @@ std::function<void(core::SachaProver&)> tamper_for(SessionFault fault) {
 }
 
 /// The in-process driver: SessionMachine over an ideal simulated channel.
-DriverOutcome run_in_process(const net::HelloMsg& hello, SessionFault fault) {
+DriverOutcome run_in_process(const net::HelloMsg& hello, SessionFault fault,
+                             bool byte_hook) {
   core::SachaVerifier verifier = net::verifier_for(hello);
   core::SachaProver prover = net::prover_for(hello);
   core::SessionOptions options;
@@ -158,12 +164,15 @@ DriverOutcome run_in_process(const net::HelloMsg& hello, SessionFault fault) {
   core::SessionHooks hooks;
   hooks.after_config = tamper_for(fault);
   ResponseFault response_fault(fault);
-  hooks.on_response = [&response_fault](Bytes& reply) {
-    return response_fault.apply(reply);
-  };
+  if (byte_hook) {
+    hooks.on_response = [&response_fault](Bytes& reply) {
+      return response_fault.apply(reply);
+    };
+  }
   core::AttestationReport report =
       core::run_attestation(verifier, prover, options, hooks);
-  return {std::move(report.verdict), report.failure, verifier.expected_mac()};
+  return {std::move(report.verdict), report.failure, verifier.expected_mac(),
+          prover.last_mac()};
 }
 
 /// Frames one message and reassembles it, as a socket carries it.
@@ -203,7 +212,8 @@ DriverOutcome run_over_pipe(const net::HelloMsg& hello, SessionFault fault) {
     session.on_response(std::move(response));
   }
   core::VerifierSession::Report report = session.finish();
-  return {std::move(report.verdict), report.failure, report.expected_mac};
+  return {std::move(report.verdict), report.failure, report.expected_mac,
+          agent.last_mac()};
 }
 
 class BothDrivers : public ::testing::TestWithParam<DriverCase> {};
@@ -212,7 +222,8 @@ TEST_P(BothDrivers, SameVerdictInProcessAndOverTheWire) {
   const SessionFault fault = GetParam().fault;
   net::FleetSpec spec;
   const net::HelloMsg hello = net::member_hello(spec, 3);
-  const DriverOutcome local = run_in_process(hello, fault);
+  const DriverOutcome local =
+      run_in_process(hello, fault, GetParam().byte_hook);
   const DriverOutcome remote = run_over_pipe(hello, fault);
 
   EXPECT_EQ(local.verdict.protocol_ok, remote.verdict.protocol_ok);
@@ -222,11 +233,16 @@ TEST_P(BothDrivers, SameVerdictInProcessAndOverTheWire) {
   EXPECT_EQ(local.verdict.detail, remote.verdict.detail);
   EXPECT_EQ(local.failure, remote.failure);
   EXPECT_EQ(local.expected_mac, remote.expected_mac);
+  // The device's H_Prv too: the in-process session may fold it paired with
+  // H_Vrf, the socket prover folds it alone.
+  ASSERT_TRUE(local.device_mac.has_value());
+  EXPECT_EQ(local.device_mac, remote.device_mac);
 
   // Each case takes the path it names.
   switch (fault) {
     case SessionFault::kNone:
       EXPECT_TRUE(local.verdict.ok()) << local.verdict.detail;
+      EXPECT_EQ(local.device_mac, local.expected_mac);
       break;
     case SessionFault::kTamperAfterConfig:
       EXPECT_EQ(local.failure, core::FailureKind::kMaskedCompareMismatch);
@@ -245,7 +261,10 @@ INSTANTIATE_TEST_SUITE_P(
     SessionCore, BothDrivers,
     ::testing::Values(
         DriverCase{"honest", SessionFault::kNone},
+        DriverCase{"honest_no_byte_hook", SessionFault::kNone, false},
         DriverCase{"tampered_after_config", SessionFault::kTamperAfterConfig},
+        DriverCase{"tampered_no_byte_hook", SessionFault::kTamperAfterConfig,
+                   false},
         DriverCase{"error_response", SessionFault::kErrorResponse},
         DriverCase{"dropped_response", SessionFault::kDroppedResponse}),
     [](const auto& info) { return std::string(info.param.name); });
