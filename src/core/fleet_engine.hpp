@@ -7,16 +7,19 @@
 //
 //  - Host clock: each worker claims the next member from an atomic counter
 //    and drives that member's SessionMachine to its verdict on its own
-//    thread (step() → record the round → … → finish()), the verifier
+//    thread (step() → note the round → … → finish()), the verifier
 //    folding its own CMAC. Simulated channel time costs no host
 //    time, so there is nothing to overlap on the host: the counter is the
 //    only shared state, and each worker writes only its own members'
-//    reports and verify timelines, which the caller reads after join.
-//  - Simulated clock: the recorded rounds replay through a deterministic
-//    K-lane schedule (verify cost modelled per absorbed word; sessions park
-//    through their channel latency, so drives overlap freely) to report
-//    the fleet makespan next to the thread-per-member baseline (whole
-//    sessions packed FIFO onto K ports).
+//    reports and verify runs, which the caller reads after join.
+//  - Simulated clock: each member's verify jobs are kept as runs of equally
+//    spaced, equally costly rounds (a Virtex-6 session on the ideal
+//    channel is one run, not 28,488 records) and replay through a
+//    deterministic K-lane schedule that skips repeating windows (verify
+//    cost modelled per absorbed word; sessions park through their channel
+//    latency, so drives overlap freely), to report the fleet makespan next
+//    to the thread-per-member baseline (whole sessions packed FIFO onto K
+//    ports).
 //
 // Trade-offs of running each session on one worker: a fleet smaller than
 // the pool no longer splits one session's drive and verify over two cores,
@@ -121,5 +124,39 @@ std::size_t default_fleet_pool();
 FleetRunResult run_fleet(std::vector<FleetSessionJob>& jobs,
                          const FleetEngineOptions& options = {},
                          const obs::TraceId& fleet_trace = {});
+
+namespace detail {
+
+/// `count` verify jobs of one member: job j is ready at first + j·step (the
+/// member's simulated clock after its round) and occupies a lane for `cost`
+/// (words × verify_ns_per_word).
+struct VerifyRun {
+  sim::SimTime first = 0;
+  sim::SimDuration step = 0;
+  sim::SimDuration cost = 0;
+  std::uint64_t count = 0;
+};
+using VerifyRuns = std::vector<VerifyRun>;
+
+/// Appends a job ready no earlier than the last one, extending the last run
+/// when the job keeps its spacing and cost.
+void append_verify_job(VerifyRuns& runs, sim::SimTime ready,
+                       sim::SimDuration cost);
+
+/// Each member's verify end (0 for a member with no jobs), and how many
+/// jobs were replayed one by one rather than skipped in repeating windows.
+struct LaneReplay {
+  std::vector<sim::SimTime> verify_end;
+  std::uint64_t stepped = 0;
+};
+
+/// The multiplexed schedule's K-lane replay: jobs contend for `lanes` lanes
+/// FIFO by (ready time, member), in order within a member, each starting
+/// when it is ready, a lane is free and the member's previous job has
+/// ended. Deterministic: it depends on the runs and `lanes` alone.
+LaneReplay replay_lanes(const std::vector<VerifyRuns>& members,
+                        std::size_t lanes);
+
+}  // namespace detail
 
 }  // namespace sacha::core

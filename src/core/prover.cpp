@@ -164,14 +164,18 @@ SachaProver::HandleResult SachaProver::stage_and_run(
   // so they never count.) The model enforces the bound by counting, then
   // runs the ICAP on the command's own words: the padding runs at either
   // end are cut off the span, and the NOOPs left inside parse in place and
-  // cost the port nothing, as if stripped.
+  // cost the port nothing, as if stripped. The effective words are never
+  // more than the trimmed ones, so they are counted only when the trimmed
+  // program alone would not fit.
   const std::span<const std::uint32_t> program =
       trim_noop_padding(command.stream);
-  const std::size_t effective =
-      program.size() - static_cast<std::size_t>(std::count(
-                           program.begin(), program.end(), bs::kNoopWord));
-  if (effective * 4 > command_buffer_.free()) {
-    return error_result(ProverStatus::kBadCommand);
+  if (program.size() * 4 > command_buffer_.free()) {
+    const std::size_t effective =
+        program.size() - static_cast<std::size_t>(std::count(
+                             program.begin(), program.end(), bs::kNoopWord));
+    if (effective * 4 > command_buffer_.free()) {
+      return error_result(ProverStatus::kBadCommand);
+    }
   }
 
   HandleResult result;

@@ -281,8 +281,9 @@ class ProverSession {
 /// exponential backoff and the device's dedup cache, the session
 /// deadline, the byte hooks, and the Table 3 ledger with its RAII spans.
 /// Driving `while (!done()) step()` then finish() is run_attestation; the
-/// fleet engine drives it the same way and records each round's simulated
-/// time and verify cost for its makespan model.
+/// fleet engine drives it the same way and folds each round's simulated
+/// time and verify cost into runs of equally spaced, equally costly rounds
+/// for its makespan model, so it keeps no record per round.
 ///
 /// A machine stays on one thread from construction to finish(): its
 /// session, phase and readback-round spans are RAII obs::Spans, which are

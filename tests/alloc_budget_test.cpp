@@ -1,5 +1,5 @@
 // Heap budgets of in-process Virtex-6 work: the allocations of one session,
-// and the live bytes of one golden-model load.
+// and the live bytes of one golden-model load and of one fleet round.
 //
 // This binary replaces the global operator new with a counting one, so it
 // holds only these tests. A command round allocates nothing: the session
@@ -13,14 +13,19 @@
 // first session on a device is measured, so the device's reusable buffers
 // are inside the budget. A heap load of a model reads the tables straight
 // into the model, so it never holds much more than the two tables live.
+// A fleet round records each member's readback rounds as runs, not one
+// record per round (28,488 × 16 B on a refresh session), so its live heap
+// stays within a small budget per member.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <new>
 #include <string>
+#include <vector>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -29,6 +34,7 @@
 
 #include "attacks/env.hpp"
 #include "bitstream/golden_model.hpp"
+#include "core/fleet_engine.hpp"
 #include "core/session.hpp"
 
 namespace {
@@ -224,6 +230,62 @@ TEST(AllocationBudget, Virtex6HeapLoadHoldsTheTablesOnly) {
               static_cast<double>(table_bytes) / (1 << 20));
   EXPECT_LE(peak, static_cast<std::int64_t>(table_bytes) + kSlack)
       << "a heap load held more than the two tables plus 1 MiB";
+#endif
+}
+
+TEST(AllocationBudget, Virtex6RefreshFleetRoundHoldsRunsNotRounds) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "live-byte accounting needs glibc's malloc_usable_size";
+#else
+  // Four installed Virtex-6 devices refreshed through run_fleet on four
+  // workers: what the round holds live beyond its start (the sessions'
+  // own buffers, the engine's runs and reports) fits a per-member budget
+  // that one 16-byte record per readback round would overrun sevenfold.
+  register_instruments();
+  constexpr std::size_t kMembers = 4;
+  constexpr std::int64_t kPerMemberBytes = 64 << 10;
+  std::deque<attacks::AttackEnv> envs;
+  std::deque<core::SachaVerifier> verifiers;
+  std::deque<core::SachaProver> provers;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    envs.push_back(attacks::AttackEnv::virtex6(i + 1));
+    verifiers.push_back(envs.back().make_verifier());
+    provers.push_back(envs.back().make_prover());
+  }
+  const auto jobs_for = [&](std::uint64_t seed) {
+    std::vector<core::FleetSessionJob> jobs;
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      core::SessionOptions options = envs[i].session_options;
+      options.seed = seed + i;
+      jobs.push_back({&verifiers[i], &provers[i], options, {},
+                      "member-" + std::to_string(i)});
+    }
+    return jobs;
+  };
+  const core::FleetEngineOptions engine{.pool_size = kMembers};
+  std::vector<core::FleetSessionJob> install = jobs_for(100);
+  for (const core::AttestationReport& report :
+       core::run_fleet(install, engine).reports) {
+    ASSERT_TRUE(report.verdict.ok()) << report.verdict.detail;
+  }
+  for (core::SachaVerifier& verifier : verifiers) {
+    verifier.set_refresh_only(true);
+  }
+
+  std::vector<core::FleetSessionJob> refresh = jobs_for(200);
+  const std::int64_t before = g_live_bytes.load();
+  g_peak_live_bytes.store(before);
+  const core::FleetRunResult run = core::run_fleet(refresh, engine);
+  const std::int64_t peak = g_peak_live_bytes.load() - before;
+  for (const core::AttestationReport& report : run.reports) {
+    EXPECT_TRUE(report.verdict.ok()) << report.verdict.detail;
+  }
+  std::printf("refresh fleet round: peak %.1f KiB live per member, budget "
+              "%lld KiB\n",
+              static_cast<double>(peak) / 1024.0 / kMembers,
+              static_cast<long long>(kPerMemberBytes >> 10));
+  EXPECT_LE(peak, static_cast<std::int64_t>(kMembers) * kPerMemberBytes)
+      << "a refresh fleet round held more than its per-member budget";
 #endif
 }
 

@@ -363,6 +363,33 @@ TEST(Prover, StagingBoundCountsOnlyEffectiveWords) {
   EXPECT_EQ(memory_image(prover), before);
 }
 
+TEST(Prover, InteriorNoopsBeyondTheBufferStillStage) {
+  // A buffer of exactly one burst's effective words: with its NOOPs
+  // between packets the trimmed burst is longer than the buffer, yet it
+  // stages and runs as on a device with room to spare.
+  Rig rig;
+  const std::vector<std::uint32_t> burst =
+      burst_with_interior_noops(rig.prover, 1);
+  const auto effective = static_cast<std::size_t>(
+      burst.size() - std::count(burst.begin(), burst.end(), bs::kNoopWord));
+  SachaProver prover(fabric::DeviceModel::small_test_device(), "dev-2",
+                     test_key(),
+                     ProverOptions{.command_buffer_bytes = effective * 4});
+  prover.boot(rig.verifier.static_image());
+  ASSERT_GT(burst.size() - 2 - 4, effective);  // less the end padding
+
+  const std::vector<std::uint32_t> before = memory_image(prover);
+  const Command command{CommandType::kIcapConfig, 0, burst, 0};
+  const SachaProver::HandleResult roomy = rig.prover.handle(command);
+  for (const SachaProver::HandleResult& staged :
+       {prover.handle(command), prover.handle_packet(command.encode())}) {
+    EXPECT_FALSE(staged.response.has_value());
+    EXPECT_EQ(staged.icap_time, roomy.icap_time);
+  }
+  EXPECT_NE(memory_image(prover), before);
+  EXPECT_EQ(memory_image(prover), memory_image(rig.prover));
+}
+
 TEST(Prover, KeyFromPufRoundTrip) {
   const std::uint32_t r = 15;
   const puf::SramPuf puf(99, puf::required_cells(r), 0.06);

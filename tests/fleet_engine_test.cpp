@@ -3,9 +3,11 @@
 // run_attestation loop oracle (swarm_oracle.hpp) across fleet sizes, pool
 // sizes, a lossy fault plan, deadlines and the supervisor; the serial
 // schedule's inline member order; one worker per session; plus the
-// virtual-time makespan model.
+// virtual-time makespan model, its run-wise replay held to the per-record
+// one (makespan_oracle.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <deque>
 #include <functional>
 #include <set>
@@ -13,10 +15,12 @@
 #include <thread>
 
 #include "attacks/env.hpp"
+#include "common/rng.hpp"
 #include "core/fleet_engine.hpp"
 #include "core/swarm.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "makespan_oracle.hpp"
 #include "obs/trace.hpp"
 #include "swarm_oracle.hpp"
 
@@ -25,9 +29,11 @@ namespace {
 
 /// Owns the fleet's verifiers/provers (SwarmMember holds raw pointers).
 struct Fleet {
-  explicit Fleet(std::size_t n, std::uint64_t base_seed = 650) {
+  explicit Fleet(std::size_t n, std::uint64_t base_seed = 650,
+                 attacks::AttackEnv (*make_env)(std::uint64_t) =
+                     &attacks::AttackEnv::small) {
     for (std::size_t i = 0; i < n; ++i) {
-      envs.push_back(attacks::AttackEnv::small(base_seed + i));
+      envs.push_back(make_env(base_seed + i));
       verifiers.push_back(envs.back().make_verifier());
       provers.push_back(envs.back().make_prover());
     }
@@ -418,6 +424,144 @@ TEST(FleetEngine, MakespanModelMatchesParent) {
   const FleetEngineStats jittered = engine_stats(16, lab, 100'000);
   EXPECT_EQ(jittered.makespan, 56'210'729u);
   EXPECT_EQ(jittered.thread_per_member_makespan, 118'563'780u);
+}
+
+TEST(FleetEngine, Virtex6RefreshFleetMakespanMatchesParent) {
+  // Four Virtex-6 devices installed by one full round, then refreshed, on
+  // the ideal channel at pool 4: each member's readback rounds are one
+  // run. The figures come from the per-record replay the run-wise one
+  // replaced. At pool 4 every member has a lane; on two lanes at 200 ns a
+  // word the verify lanes keep up and the last verify ends after the
+  // sessions, and at 400 ns a word they fall behind.
+  Fleet fleet(4, 1, &attacks::AttackEnv::virtex6);
+  SwarmOptions options;
+  options.schedule = SwarmSchedule::kMultiplexed;
+  options.retry_budget = 0;
+  options.engine.pool_size = 4;
+  const SwarmReport install = attest_swarm(fleet.members, options);
+  ASSERT_TRUE(install.all_attested());
+  EXPECT_EQ(install.engine.makespan, 1'441'704'256u);
+  EXPECT_EQ(install.engine.thread_per_member_makespan, 1'446'319'312u);
+  for (SachaVerifier& verifier : fleet.verifiers) {
+    verifier.set_refresh_only(true);
+  }
+  const SwarmReport refresh = attest_swarm(fleet.members, options);
+  ASSERT_TRUE(refresh.all_attested());
+  EXPECT_EQ(refresh.engine.makespan, 1'159'815'734u);
+  EXPECT_EQ(refresh.engine.thread_per_member_makespan, 1'164'430'790u);
+
+  options.engine.pool_size = 2;
+  options.engine.verify_ns_per_word = 200;
+  const SwarmReport keeping_up = attest_swarm(fleet.members, options);
+  EXPECT_EQ(keeping_up.engine.makespan, 1'159'846'654u);
+  EXPECT_EQ(keeping_up.engine.thread_per_member_makespan, 3'242'642'668u);
+  options.engine.verify_ns_per_word = 400;
+  const SwarmReport behind = attest_swarm(fleet.members, options);
+  EXPECT_EQ(behind.engine.makespan, 1'846'073'910u);
+  EXPECT_EQ(behind.engine.thread_per_member_makespan, 4'165'653'868u);
+}
+
+/// The engine's runs of a per-record timeline.
+detail::VerifyRuns runs_of(const oracle::Timeline& timeline) {
+  detail::VerifyRuns runs;
+  for (const oracle::VerifyRec& rec : timeline) {
+    detail::append_verify_job(runs, rec.ready, rec.cost);
+  }
+  return runs;
+}
+
+/// A fleet of `members` verify timelines for `lanes` lanes, drawn to reach
+/// the replay's corners: members sharing one timeline (ready times tied at
+/// every job), runs of a common step with starts inside one window, runs
+/// whose successor is ready inside their last window, jittered rounds
+/// (ties within a member too), and lanes that keep up, only just keep up
+/// or build a backlog.
+std::vector<oracle::Timeline> random_timelines(Rng& rng, std::size_t members,
+                                               std::size_t lanes) {
+  const sim::SimDuration step = 1 + rng.below(40);
+  const double shared = rng.chance(0.5) ? 0.4 : 0.0;
+  const double jittered = rng.chance(0.5) ? 0.2 : 0.0;
+  const double short_runs = rng.chance(0.5) ? 0.3 : 0.0;
+  const std::uint64_t segments = 1 + rng.below(4);
+  const sim::SimDuration max_cost =
+      rng.chance(0.5) ? std::max<sim::SimDuration>(1, step * lanes / members)
+      : rng.chance(0.7) ? step
+                        : 3 * step;
+  std::vector<oracle::Timeline> fleet(members);
+  for (std::size_t m = 0; m < members; ++m) {
+    oracle::Timeline& timeline = fleet[m];
+    if (m > 0 && rng.chance(shared)) {
+      timeline = fleet[rng.below(m)];
+      continue;
+    }
+    sim::SimTime ready = rng.below(step + 1);
+    for (std::uint64_t s = 1 + rng.below(segments); s > 0; --s) {
+      const std::uint64_t count =
+          1 + rng.below(rng.chance(short_runs) ? 4 : 150);
+      const sim::SimDuration cost = 1 + rng.below(max_cost);
+      const bool jitter = rng.chance(jittered);
+      for (std::uint64_t j = 0; j < count; ++j) {
+        if (j > 0) ready += jitter ? rng.below(2 * step + 1) : step;
+        timeline.push_back({ready, cost});
+      }
+      ready += rng.below(3 * step);
+    }
+  }
+  return fleet;
+}
+
+TEST(FleetEngine, RunWiseReplayMatchesPerRecordOracle) {
+  // Thousands of seeded fleets of 1-40 members on 1-8 lanes: the run-wise
+  // replay, window skips and all, ends every member's verification when
+  // the per-record replay does.
+  Rng rng(2029);
+  std::uint64_t jobs = 0;
+  std::uint64_t stepped = 0;
+  for (int f = 0; f < 3'000; ++f) {
+    const std::size_t members = 1 + rng.below(rng.chance(0.3) ? 8 : 40);
+    const std::size_t lanes = 1 + rng.below(8);
+    const std::vector<oracle::Timeline> timelines =
+        random_timelines(rng, members, lanes);
+    std::vector<detail::VerifyRuns> runs;
+    for (const oracle::Timeline& timeline : timelines) {
+      runs.push_back(runs_of(timeline));
+      jobs += timeline.size();
+    }
+    const detail::LaneReplay replay = detail::replay_lanes(runs, lanes);
+    stepped += replay.stepped;
+    ASSERT_EQ(replay.verify_end, oracle::replay_lanes(timelines, lanes))
+        << "fleet " << f << ": " << members << " members on " << lanes
+        << " lanes";
+  }
+  std::printf("replayed %llu of %llu jobs one by one\n",
+              static_cast<unsigned long long>(stepped),
+              static_cast<unsigned long long>(jobs));
+  EXPECT_LT(stepped, jobs);
+}
+
+TEST(FleetEngine, ReplaySkipsRepeatingWindows) {
+  // Eight members in lockstep, one run of 28,488 readback rounds each (a
+  // Virtex-6 refresh fleet on the ideal channel), on four lanes: after one
+  // window the state seen from its end repeats, so the replay skips to the
+  // runs' last jobs and steps only the first and last windows.
+  constexpr std::uint64_t kRounds = 28'488;
+  constexpr sim::SimDuration kStep = 25'000;
+  constexpr sim::SimDuration kCost = 162;
+  const std::vector<detail::VerifyRuns> runs(
+      8, detail::VerifyRuns{{1'000, kStep, kCost, kRounds}});
+  const detail::LaneReplay replay = detail::replay_lanes(runs, 4);
+  EXPECT_EQ(replay.stepped, 2 * 8u);
+  const sim::SimTime last = 1'000 + (kRounds - 1) * kStep;
+  const std::vector<sim::SimTime> ends = {
+      last + kCost,     last + kCost,     last + kCost,     last + kCost,
+      last + 2 * kCost, last + 2 * kCost, last + 2 * kCost, last + 2 * kCost};
+  EXPECT_EQ(replay.verify_end, ends);
+  const oracle::Timeline timeline(kRounds, oracle::VerifyRec{0, kCost});
+  std::vector<oracle::Timeline> timelines(8, timeline);
+  for (oracle::Timeline& t : timelines) {
+    for (std::uint64_t j = 0; j < kRounds; ++j) t[j].ready = 1'000 + j * kStep;
+  }
+  EXPECT_EQ(oracle::replay_lanes(timelines, 4), ends);
 }
 
 TEST(FleetEngine, RunFleetMatchesRunAttestationPerJob) {
