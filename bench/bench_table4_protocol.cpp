@@ -4,12 +4,16 @@
 // the paper's *theoretical* 1.443 s) and over the calibrated lab channel
 // (reproducing the *measured* 28.5 s, which the paper attributes to
 // per-command network latency). Prints the counts-times-durations rows of
-// Table 4 and the two headline totals.
+// Table 4 and the two headline totals. Then times one session's register
+// churn, the serial loop against the path sessions take (eight AVX2 lanes
+// where the CPU has them), and exits 1 unless both flip the same bits and
+// leave the Rng in the same state.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 
 #include "bench_util.hpp"
+#include "common/bernoulli_bits.hpp"
 
 using namespace sacha;
 
@@ -34,7 +38,51 @@ const PaperRow kPaper[] = {
     {core::actions::kA10, 1, "0.464 us"},
 };
 
-void print_table4() {
+/// Register churn over the XC6VLX240T's register positions at p = 0.25:
+/// medians of 20 passes through the serial loop and through the sessions'
+/// path. Returns whether both left the same words and the same Rng.
+bool churn_row(std::vector<benchutil::BenchRecord>& records) {
+  using clock = std::chrono::steady_clock;
+  const std::uint32_t n = bitstream::RegisterPositions::shared(
+                              fabric::DeviceModel::xc6vlx240t())
+                              ->total();
+  const BernoulliBits draws(n);
+  std::vector<std::uint64_t> serial((n + 63) / 64, 0);
+  std::vector<std::uint64_t> session = serial;
+  Rng serial_rng(2019);
+  Rng session_rng(2019);
+  std::vector<double> serial_ms;
+  std::vector<double> session_ms;
+  for (int pass = 0; pass < 20; ++pass) {
+    auto t0 = clock::now();
+    draws.xor_serial(serial_rng, 0.25, serial);
+    serial_ms.push_back(
+        std::chrono::duration<double, std::milli>(clock::now() - t0).count());
+    t0 = clock::now();
+    draws.xor_into(session_rng, 0.25, session);
+    session_ms.push_back(
+        std::chrono::duration<double, std::milli>(clock::now() - t0).count());
+  }
+  const bool identical = serial == session && serial_rng == session_rng;
+  const double serial_median = benchutil::nearest_rank_median(serial_ms);
+  const double session_median = benchutil::nearest_rank_median(session_ms);
+  std::printf("\nRegister churn, %u XC6VLX240T positions at p = 0.25 "
+              "(median of 20 passes):\n  serial %.2f ms, %s %.2f ms; %s\n",
+              n, serial_median,
+              BernoulliBits::lanes_supported() ? "AVX2 lanes" : "serial (no AVX2)",
+              session_median,
+              identical ? "bit-identical" : "MISMATCH — lanes broken");
+  records.push_back({"bench_table4_protocol", "register_churn_serial_ms",
+                     serial_median, "ms"});
+  records.push_back(
+      {"bench_table4_protocol", "register_churn_ms", session_median, "ms"});
+  records.push_back({"bench_table4_protocol", "register_churn_bit_identical",
+                     identical ? 1.0 : 0.0, "bool"});
+  return identical;
+}
+
+/// Returns whether the register churn gate held.
+bool print_table4() {
   const auto wall0 = std::chrono::steady_clock::now();
   const auto ideal = benchutil::run_virtex6_session(net::ChannelParams::ideal());
   const double ideal_wall_s =
@@ -90,18 +138,19 @@ void print_table4() {
   // Perf-trajectory record: simulated reproduction numbers plus the host
   // wall-clock of a full-scale session (the number the crypto fast path and
   // the ICAP readback-reserve fix move).
-  benchutil::write_bench_json(
-      "BENCH_protocol.json",
-      {
-          {"bench_table4_protocol", "theoretical_duration",
-           sim::to_seconds(ideal.theoretical_time), "s", true},
-          {"bench_table4_protocol", "lab_duration",
-           sim::to_seconds(lab.total_time), "s", true},
-          {"bench_table4_protocol", "full_session_host_wallclock", ideal_wall_s,
-           "s"},
-          {"bench_table4_protocol", "full_session_mac_bytes",
-           static_cast<double>(fabric::kVirtex6TotalFrames) * 324, "bytes"},
-      });
+  std::vector<benchutil::BenchRecord> records = {
+      {"bench_table4_protocol", "theoretical_duration",
+       sim::to_seconds(ideal.theoretical_time), "s", true},
+      {"bench_table4_protocol", "lab_duration", sim::to_seconds(lab.total_time),
+       "s", true},
+      {"bench_table4_protocol", "full_session_host_wallclock", ideal_wall_s,
+       "s"},
+      {"bench_table4_protocol", "full_session_mac_bytes",
+       static_cast<double>(fabric::kVirtex6TotalFrames) * 324, "bytes"},
+  };
+  const bool churn_identical = churn_row(records);
+  benchutil::write_bench_json("BENCH_protocol.json", records);
+  return churn_identical;
 }
 
 void BM_FullSessionSmallDevice(benchmark::State& state) {
@@ -118,8 +167,12 @@ BENCHMARK(BM_FullSessionSmallDevice)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_table4();
+  const bool churn_identical = print_table4();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
+  if (!churn_identical) {
+    std::fprintf(stderr, "bench_table4_protocol: register churn gate failed\n");
+    return 1;
+  }
   return 0;
 }

@@ -8,6 +8,7 @@
 // and AES-based.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -80,7 +81,24 @@ class Rng {
   /// A random permutation of [0, n).
   std::vector<std::uint32_t> permutation(std::uint32_t n);
 
+  /// Same state: the same draws from here on.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
+  /// A fixed distance of draws: x^steps modulo the characteristic
+  /// polynomial of xoshiro256's linear engine, the form of the constant
+  /// xoshiro's reference jump() applies.
+  struct Jump {
+    std::array<std::uint64_t, 4> poly;
+  };
+  /// The jump of `steps` draws: O(log steps) GF(2) squarings, tens of
+  /// microseconds, so callers that jump one distance often keep it.
+  static Jump jump_of(std::uint64_t steps);
+  /// Leaves the state where `jump`'s number of next_u64() calls would.
+  void advance(const Jump& jump);
+  void advance(std::uint64_t steps) { advance(jump_of(steps)); }
+
  private:
+  friend class BernoulliBits;  // runs lanes from copies of the state
   std::uint64_t s_[4];
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 
 namespace sacha::config {
 
@@ -36,7 +35,8 @@ ConfigMemory::ConfigMemory(const fabric::DeviceModel& device)
       words_per_frame_(device.geometry().words_per_frame()),
       positions_(bitstream::RegisterPositions::shared(device)),
       config_(std::size_t{device.total_frames()} * words_per_frame_, 0),
-      flipped_((std::size_t{positions_->total()} + 63) / 64, 0) {}
+      flipped_((std::size_t{positions_->total()} + 63) / 64, 0),
+      churn_(positions_->total()) {}
 
 void ConfigMemory::write_frame(std::uint32_t index,
                                const bitstream::Frame& frame) {
@@ -117,34 +117,7 @@ bitstream::FrameMask ConfigMemory::mask(std::uint32_t index) const {
 }
 
 void ConfigMemory::tick_registers(Rng& rng, double flip_probability) {
-  if (flip_probability <= 0.0) return;
-  const std::uint32_t n = positions_->total();
-  if (flip_probability >= 1.0) {
-    // Rng::chance draws nothing here: every register bit flips.
-    for (std::uint32_t k = 0; k < n / 64; ++k) flipped_[k] = ~flipped_[k];
-    if (n % 64 != 0) flipped_[n / 64] ^= (std::uint64_t{1} << (n % 64)) - 1;
-    return;
-  }
-  // rng.chance(p) is uniform() < p, i.e. (u >> 11) * 2^-53 < p, which holds
-  // exactly when the integer u >> 11 is below ceil(p * 2^53). (A NaN p
-  // draws and never flips, as chance() does.)
-  const std::uint64_t threshold =
-      flip_probability > 0.0
-          ? static_cast<std::uint64_t>(std::ceil(std::ldexp(flip_probability, 53)))
-          : 0;
-  // Draw through a local copy, so the generator's state can stay in
-  // registers across the loop; hand the advanced state back at the end.
-  Rng local = rng;
-  const auto draws = [&local, threshold](std::uint32_t count) {
-    std::uint64_t flips = 0;
-    for (std::uint32_t b = 0; b < count; ++b) {
-      flips |= std::uint64_t{(local.next_u64() >> 11) < threshold} << b;
-    }
-    return flips;
-  };
-  for (std::uint32_t k = 0; k < n / 64; ++k) flipped_[k] ^= draws(64);
-  if (n % 64 != 0) flipped_[n / 64] ^= draws(n % 64);
-  rng = local;
+  churn_.xor_into(rng, flip_probability, flipped_);
 }
 
 void ConfigMemory::set_register_bit(std::uint32_t frame_index, std::uint32_t bit,

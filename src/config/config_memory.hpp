@@ -23,6 +23,7 @@
 
 #include "bitstream/bitgen.hpp"
 #include "bitstream/frame.hpp"
+#include "common/bernoulli_bits.hpp"
 #include "common/rng.hpp"
 #include "fabric/device.hpp"
 
@@ -77,9 +78,13 @@ class ConfigMemory {
 
   /// Simulates the running application: each register bit flips with
   /// probability `flip_probability`. This is what makes raw readback differ
-  /// from the golden bitstream. Register bits are visited frames ascending,
-  /// positions ascending, each consuming one Rng draw when
-  /// 0 < flip_probability < 1 and none otherwise (as Rng::chance).
+  /// from the golden bitstream. With the n = register_positions()->total()
+  /// positions numbered frames ascending, positions ascending, position i
+  /// flips iff the i-th of n rng.chance(flip_probability) calls would return
+  /// true, and `rng` ends where those calls would leave it: n draws later,
+  /// or untouched when flip_probability <= 0 (nothing flips) or >= 1
+  /// (everything flips). The order the draws are computed in is not part of
+  /// this (BernoulliBits runs them in lanes).
   void tick_registers(Rng& rng, double flip_probability);
 
   /// Direct register-layer access for deterministic tests. A position that
@@ -104,6 +109,7 @@ class ConfigMemory {
   // Bit j: register position j (global numbering of positions_) holds the
   // complement of its configured value.
   std::vector<std::uint64_t> flipped_;
+  BernoulliBits churn_;  // one draw per register position
 };
 
 }  // namespace sacha::config

@@ -1,11 +1,16 @@
 // Unit and property tests for sacha_common: byte packing, hex codec,
-// deterministic RNG, bit vectors, result types.
+// deterministic RNG and its jumps, packed Bernoulli draws, bit vectors,
+// result types.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <set>
 
+#include "common/bernoulli_bits.hpp"
 #include "common/bitvec.hpp"
 #include "common/bytes.hpp"
 #include "common/result.hpp"
@@ -169,6 +174,149 @@ TEST(Rng, ShuffleKeepsMultiset) {
   rng.shuffle(w);
   std::sort(w.begin(), w.end());
   EXPECT_EQ(w, v);
+}
+
+/// Berlekamp-Massey over GF(2): the connection polynomial (c[0] = 1) of the
+/// shortest LFSR that generates `seq`, and its length.
+std::vector<int> berlekamp_massey(const std::vector<int>& seq, int& length) {
+  const std::size_t n = seq.size();
+  std::vector<int> c(n + 1, 0);
+  std::vector<int> b(n + 1, 0);
+  c[0] = b[0] = 1;
+  length = 0;
+  std::size_t shift = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    int discrepancy = seq[i];
+    for (int j = 1; j <= length; ++j) discrepancy ^= c[j] & seq[i - j];
+    if (discrepancy == 0) {
+      ++shift;
+      continue;
+    }
+    const std::vector<int> previous = c;
+    for (std::size_t j = 0; j + shift <= n; ++j) c[j + shift] ^= b[j];
+    if (2 * static_cast<std::size_t>(length) <= i) {
+      length = static_cast<int>(i + 1) - length;
+      b = previous;
+      shift = 1;
+    } else {
+      ++shift;
+    }
+  }
+  return c;
+}
+
+TEST(Rng, JumpsReduceByTheEnginesCharacteristicPolynomial) {
+  // One state bit of xoshiro256's linear engine over 512 steps from a
+  // nonzero state: its shortest LFSR is the engine's (primitive)
+  // characteristic polynomial P. Since x^256 = P - x^256 over GF(2), the
+  // jump of 256 draws holds P's low coefficients.
+  std::uint64_t s[4] = {0x0123456789abcdefULL, 1, 2, 3};
+  std::vector<int> seq;
+  for (int i = 0; i < 512; ++i) {
+    seq.push_back(static_cast<int>(s[0] & 1));
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = std::rotl(s[3], 45);
+  }
+  int length = 0;
+  const std::vector<int> c = berlekamp_massey(seq, length);
+  ASSERT_EQ(length, 256);
+  std::array<std::uint64_t, 4> low{};
+  for (int i = 0; i < 256; ++i) {
+    if (c[256 - i] != 0) low[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  EXPECT_EQ(Rng::jump_of(256).poly, low);
+}
+
+TEST(Rng, AdvanceMatchesStepping) {
+  const std::uint64_t kDistances[] = {0, 1, 2, 63, 64, 65, 255, 256, 257, 183'424};
+  for (std::uint64_t seed : {1ULL, 2019ULL, 0x5eed5eedULL}) {
+    for (std::uint64_t k : kDistances) {
+      Rng jumped(seed);
+      Rng stepped(seed);
+      jumped.advance(k);
+      for (std::uint64_t i = 0; i < k; ++i) stepped.next_u64();
+      for (int d = 0; d < 4; ++d) {
+        ASSERT_EQ(jumped.next_u64(), stepped.next_u64())
+            << "seed " << seed << ", " << k << " draws ahead, draw " << d;
+      }
+    }
+  }
+  // Two random distances below 2^32, each stepped in full (a few seconds).
+  Rng pick(30);
+  for (int i = 0; i < 2; ++i) {
+    const std::uint64_t seed = pick.next_u64();
+    const std::uint64_t k = pick.next_u64() >> 32;
+    Rng jumped(seed);
+    Rng stepped(seed);
+    jumped.advance(Rng::jump_of(k));
+    for (std::uint64_t d = 0; d < k; ++d) stepped.next_u64();
+    for (int d = 0; d < 4; ++d) {
+      ASSERT_EQ(jumped.next_u64(), stepped.next_u64())
+          << k << " draws ahead, draw " << d;
+    }
+  }
+}
+
+TEST(BernoulliBits, DrawsAreChancePerBit) {
+  // The sessions' path (the lanes on an AVX2 host once every lane has a
+  // whole word, else the serial loop) against n per-bit chance() calls.
+  const double kProbabilities[] = {0.0, 0x1p-60, 0.25, std::nextafter(1.0, 0.0),
+                                   1.0, 1.5,     std::nan("")};
+  Rng pick(41);
+  for (std::uint32_t n : {1u, 65u, 8u * 64 + 1, 8u * 64 * 64 + 29}) {
+    const BernoulliBits draws(n);
+    for (double p : kProbabilities) {
+      const std::uint64_t seed = pick.next_u64();
+      Rng rng(seed);
+      Rng per_bit(seed);
+      std::vector<std::uint64_t> bits((n + 63) / 64, 0);
+      std::vector<std::uint64_t> expected(bits.size(), 0);
+      draws.xor_into(rng, p, bits);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (per_bit.chance(p)) expected[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+      EXPECT_EQ(bits, expected) << "n " << n << ", p " << p;
+      EXPECT_EQ(rng.next_u64(), per_bit.next_u64()) << "n " << n << ", p " << p;
+    }
+  }
+}
+
+TEST(BernoulliBits, LanesMatchTheSerialLoop) {
+  if (!BernoulliBits::lanes_supported()) {
+    GTEST_SKIP() << "AVX2 lanes not compiled in or not supported by this CPU";
+  }
+  // Fewer words than lanes (an empty lane must not hand its state back),
+  // one lane's partial word, and the XC6VLX240T's 1,467,037 positions.
+  const std::uint32_t kSizes[] = {1,      63,         64,         65,
+                                  7 * 64, 8 * 64 - 1, 8 * 64 + 1, 8 * 64 * 64 + 29,
+                                  1'467'037};
+  const double kProbabilities[] = {0x1p-60, 1e-9, 0.25, 0.5,
+                                   std::nextafter(1.0, 0.0), std::nan("")};
+  Rng pick(42);
+  for (std::uint32_t n : kSizes) {
+    const BernoulliBits draws(n);
+    std::vector<std::uint64_t> start((n + 63) / 64);
+    for (std::uint64_t& w : start) w = pick.next_u64();
+    for (double p : kProbabilities) {
+      const std::uint64_t seed = pick.next_u64();
+      Rng serial_rng(seed);
+      Rng lanes_rng(seed);
+      std::vector<std::uint64_t> serial = start;
+      std::vector<std::uint64_t> lanes = start;
+      draws.xor_serial(serial_rng, p, serial);
+      draws.xor_lanes(lanes_rng, p, lanes);
+      EXPECT_EQ(lanes, serial) << "n " << n << ", p " << p;
+      for (int d = 0; d < 4; ++d) {
+        EXPECT_EQ(lanes_rng.next_u64(), serial_rng.next_u64())
+            << "n " << n << ", p " << p << ", draw " << d;
+      }
+    }
+  }
 }
 
 TEST(BitVec, StartsCleared) {
